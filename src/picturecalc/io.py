@@ -72,16 +72,21 @@ def _site_from_json(obj, which: str):
 def diagram_from_json(obj: dict) -> Diagram:
     try:
         pres = parse_presentation(obj["presentation"])
+        specs = obj["coeffs"]
+        if not isinstance(specs, dict) or not all(isinstance(v, str) for v in specs.values()):
+            raise ParseError("coeffs must map letters to group spec strings")
         coeffs = CoefficientSystem(tuple(
-            (letter, spec_parse(spec)) for letter, spec in obj["coeffs"].items()))
+            (letter, spec_parse(spec)) for letter, spec in specs.items()))
         wires = {}
         tops: dict[str, dict[int, int]] = {"FT": {}, "FB": {}}
         t_top: dict[int, dict[int, int]] = {}
         t_bot: dict[int, dict[int, int]] = {}
         for w, wire in enumerate(obj["wires"]):
-            label = wire["label"]
+            label, coeff = wire["label"], wire["coeff"]
+            if not isinstance(label, str) or not isinstance(coeff, str):
+                raise ParseError(f"wire {w}: label and coeff must be strings")
             spec = coeffs.spec(label)
-            wires[w] = (label, coeff_parse(spec, wire["coeff"]))
+            wires[w] = (label, coeff_parse(spec, coeff))
             bot = _site_from_json(wire["bottom"], "bottom")
             top = _site_from_json(wire["top"], "top")
             if bot[0] == "FB":
@@ -96,7 +101,12 @@ def diagram_from_json(obj: dict) -> Diagram:
                 t_bot.setdefault(top[1], {})[top[2]] = w
             else:
                 raise ParseError("a wire's top endpoint cannot sit on the frame bottom")
-        transistors = {t: (tr["rel"], tr["dir"]) for t, tr in enumerate(obj["transistors"])}
+        transistors = {}
+        for t, tr in enumerate(obj["transistors"]):
+            rel, direction = tr["rel"], tr["dir"]
+            if type(rel) is not int or type(direction) is not int:
+                raise ParseError(f"transistor {t}: rel and dir must be integers")
+            transistors[t] = (rel, direction)
 
         def seal(slots: dict[int, int], what: str):
             if sorted(slots) != list(range(len(slots))):

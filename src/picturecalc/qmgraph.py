@@ -3,10 +3,27 @@
 Vertices are classes of reduced (w,*)-diagrams (bottom permutations
 quotiented per geometry), edges are unitary moves.  Distances are exact
 and global: d([A],[B]) = length(A^-1 . B), so only containment questions
-need boundary margins.  The verifiers check the weak-modularity axioms,
-the forbidden induced subgraphs, the pin lemmas, hyperplane sector/gate
-structure, the technical condition (+) and the rotative-stabiliser
-description of linear hyperplanes, reporting any violating tuple.
+need boundary margins.
+
+`pair_distance` evaluates that formula without building the product, by
+matching the reduced A and B from the frame top.  Since A and B are each
+reduced, every dipole cancelled while reducing A^-1 . B pairs one
+transistor of A^-1 with one transistor of B (a dipole inside either half
+would already be a dipole of A or of B), and every merged wire runs from
+the A^-1 part down into the B part, so merges never chain.  Hence
+length(A^-1 . B) = |A| + |B| - 2m + (wires of the reduced product with a
+nontrivial coefficient), where m is the number of cancelled pairs; the
+reduced product is unique by confluence, so the order of cancellation does
+not matter.  Frame-top port i of A is mated with port i of B; a transistor
+of A cancels with one of B when their top wires are mated slot by slot
+with equal coefficients and their bottom label words agree, which mates
+their bottom wires in turn.  A mated pair left over is one wire of the
+product with coefficient c_a^-1 c_b, nontrivial iff c_a != c_b.
+
+The verifiers check the weak-modularity axioms, the forbidden induced
+subgraphs, the pin lemmas, hyperplane sector/gate structure, the technical
+condition (+) and the rotative-stabiliser description of linear
+hyperplanes, reporting any violating tuple.
 
 A hyperplane is called interior when at least one member edge has both
 endpoints within radius r-2; assertions quantify over margin-limited
@@ -41,6 +58,7 @@ from .picture import (
     is_permutation_diagram,
     length,
     multiply,
+    reduce,
 )
 
 
@@ -72,6 +90,7 @@ class BallGraph:
             self.adj[i].add(j)
             self.adj[j].add(i)
         self._dist: dict[tuple[int, int], int] = {}
+        self._hyperplanes: list[Hyperplane] | None = None
 
     @property
     def geometry(self) -> str:
@@ -145,9 +164,62 @@ def ball(base: Diagram, radius: int, cfg: BallConfig) -> BallGraph:
 
 
 def pair_distance(a: VertexClass, b: VertexClass) -> int:
-    if a.rep.top_word() != b.rep.top_word():
+    """length(A^-1 . B) by matching the reduced A and B from the frame top,
+    without building the product (see the module docstring)."""
+    da = a.rep if a.rep._reduced else reduce(a.rep)
+    db = b.rep if b.rep._reduced else reduce(b.rep)
+    if da.top_word() != db.top_word():
         raise CompositionError("vertices live over different basewords")
-    return length(multiply(invert(a.rep), b.rep))
+    if da.pres != db.pres or da.coeffs != db.coeffs:
+        raise CompositionError("presentation or coefficient system mismatch")
+    a_wires, b_wires = da.wires, db.wires
+    a_bot, b_bot = da.wire_bot, db.wire_bot
+    a_top, b_top = da.t_top, db.t_top
+    # mate: A-wire -> B-wire merged with it in the product
+    mate = dict(zip(da.top_ports, db.top_ports))
+    unmated_tops = {}          # A-transistor -> top wires not yet mated
+    cancelled = 0
+    stack = list(da.top_ports)
+    while stack:
+        site = a_bot[stack.pop()]
+        if site[0] != "TT":
+            continue
+        ta = site[1]
+        left = unmated_tops.get(ta, len(a_top[ta])) - 1
+        unmated_tops[ta] = left
+        if left:
+            continue
+        # every top wire of ta is mated: test the dipole against its partner
+        tops = a_top[ta]
+        mates = tuple(mate[w] for w in tops)
+        first = b_bot[mates[0]]
+        if first[0] != "TT" or b_top[first[1]] != mates:
+            continue
+        tb = first[1]
+        if any(a_wires[w][1] != b_wires[m][1] for w, m in zip(tops, mates)):
+            continue
+        a_lower, b_lower = da.t_bot[ta], db.t_bot[tb]
+        if (tuple(a_wires[w][0] for w in a_lower)
+                != tuple(b_wires[w][0] for w in b_lower)):
+            continue
+        cancelled += 1
+        for wa, wb in zip(a_lower, b_lower):
+            mate[wa] = wb
+            stack.append(wa)
+    # the connecting wires of cancelled pairs are mated with equal
+    # coefficients, so counting every mated pair counts them as trivial
+    nontrivial = 0
+    for w, (_, c) in a_wires.items():
+        m = mate.get(w)
+        if m is None:
+            nontrivial += not c.is_identity()
+        else:
+            nontrivial += c != b_wires[m][1]
+    mated_b = set(mate.values())
+    for w, (_, c) in b_wires.items():
+        if w not in mated_b:
+            nontrivial += not c.is_identity()
+    return len(da.transistors) + len(db.transistors) - 2 * cancelled + nontrivial
 
 
 def geodesic(a: VertexClass, b: VertexClass, cfg: BallConfig) -> list[VertexClass]:
@@ -190,10 +262,6 @@ class Report:
         extra = f", {len(self.inconclusive)} inconclusive" if self.inconclusive else ""
         return (f"{self.name}: {status} ({self.checked} checked, "
                 f"{self.skipped} skipped{extra})")
-
-
-def _distances_from(g: BallGraph, u: int, targets) -> dict[int, int]:
-    return {t: g.distance(u, t) for t in targets}
 
 
 def verify_qm_axioms(g: BallGraph) -> Report:
@@ -397,7 +465,13 @@ class Hyperplane:
 def hyperplanes(g: BallGraph) -> list[Hyperplane]:
     """Edge classes under same-clique / opposite-in-square closure, with
     their carrier cliques (pins for linear, the edges themselves for
-    transistor hyperplanes)."""
+    transistor hyperplanes).  Computed once per ball and shared."""
+    if g._hyperplanes is None:
+        g._hyperplanes = _hyperplanes(g)
+    return g._hyperplanes
+
+
+def _hyperplanes(g: BallGraph) -> list[Hyperplane]:
     uf = _UnionFind(list(g.edges))
 
     def norm(i, j):

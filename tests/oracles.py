@@ -12,7 +12,9 @@ import itertools
 from fractions import Fraction
 
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
-from picturecalc.picture import Diagram, canonical_key, reduce as reduce_diagram
+from picturecalc.picture import (
+    Diagram, canonical_key, invert, length, multiply, reduce as reduce_diagram,
+)
 
 
 # -- all reduction orders -------------------------------------------------------
@@ -78,6 +80,13 @@ def reduce_all_orders(d: Diagram) -> set[str]:
 
 def count_dipoles(d: Diagram) -> int:
     return len(_dipoles_of(d))
+
+
+# -- distance by the product formula ---------------------------------------------
+
+def pair_distance_oracle(a, b) -> int:
+    """d([A],[B]) = length(A^-1 . B), with the product built and reduced."""
+    return length(multiply(invert(a.rep), b.rep))
 
 
 # -- backtracking embeddability (planar / annular) ------------------------------

@@ -163,6 +163,26 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("path, value", [
+    (("transistors", 0, "rel"), "zero"),
+    (("wires", 0, "coeff"), 5),
+    (("coeffs", "x"), 5),
+    (("coeffs",), []),
+])
+def test_cli_malformed_diagram_exit_2(tmp_path, capsys, path, value):
+    obj = diagram_to_json(atom_transistor(Q, CYC2, (), 0, 1, ()))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(obj))
+    rc = main(["reduce", "--in", str(src)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_verify_inconclusive_plus_still_passes(tmp_path):
     # the (+)-counterexample configuration: report inconclusive, exit 1 is
     # reserved for violations; inconclusive (+) still passes

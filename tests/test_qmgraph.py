@@ -1,9 +1,10 @@
 import pytest
 
-from picturecalc.coeff import CyclicSpec, make_system, trivial_system
+from picturecalc.coeff import CyclicSpec, free_element, make_system, spec_parse, trivial_system
 from picturecalc.embed import gamma
+from picturecalc.errors import CompositionError
 from picturecalc.moves import BallConfig, apply_linear_move, apply_transistor_move, geometry_class_key
-from picturecalc.picture import eps, length, reduce
+from picturecalc.picture import Diagram, canonical_key, eps, length, multiply, reduce
 from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.qmgraph import (
     BallGraph,
@@ -21,6 +22,9 @@ from picturecalc.qmgraph import (
     to_json_dict,
     verify_qm_axioms,
 )
+from picturecalc.sampling import random_element, random_unreduced
+
+from oracles import pair_distance_oracle
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -74,6 +78,65 @@ def test_pair_distance_equals_bfs():
                 assert bfs[j] >= formula
                 if (g.depth(i) + g.depth(j) + formula) / 2 <= r:
                     assert bfs[j] == formula
+
+
+def test_pair_distance_matches_product_formula_on_balls():
+    abc, abc_word = builtin_presentation("commuting_abc")
+    abc_cyc2 = make_system(abc.alphabet, {"a": CyclicSpec(2)})
+    # two relations share the side a: equal top wires alone make no dipole
+    forked = parse_presentation("<a,b,c | a=b, a=c>")
+    forked_triv = trivial_system(forked.alphabet)
+    for base, cfg, radius in [
+        (eps(Q, CYC2, "x"), BallConfig(Q, CYC2, "braided"), 3),
+        (eps(Q, CYC2, "x", annular=True), BallConfig(Q, CYC2, "annular"), 3),
+        (eps(Q, CYC3, "x"), BallConfig(Q, CYC3, "planar"), 3),
+        (eps(abc, abc_cyc2, abc_word), BallConfig(abc, abc_cyc2), 2),
+        (eps(forked, forked_triv, "a"), BallConfig(forked, forked_triv), 2),
+    ]:
+        g = ball(base, radius, cfg)
+        for a in g.vertices:
+            for b in g.vertices:
+                assert pair_distance(a, b) == pair_distance_oracle(a, b)
+
+
+def _free_labelled(d, coeffs, rng):
+    """d with a short random element of the free group on every wire."""
+    spec = coeffs.spec("x")
+    wires = {w: (label, free_element(spec, [(rng.choice(spec.generators),
+                                             rng.choice((1, -1)))
+                                            for _ in range(rng.randrange(2))]))
+             for w, (label, _) in d.wires.items()}
+    out = Diagram(d.pres, coeffs, wires, d.transistors, d.t_top, d.t_bot,
+                  d.top_ports, d.bottom_ports, d.annular)
+    out.validate()
+    return reduce(out)
+
+
+def test_pair_distance_matches_product_formula_free_coefficients(rng):
+    free2 = make_system(Q.alphabet, {"x": spec_parse("free:2")})
+    for _ in range(40):
+        a = _free_labelled(random_element(Q, TRIV, "x", rng, steps=3), free2, rng)
+        u = _free_labelled(random_element(Q, TRIV, "x", rng, steps=3), free2, rng)
+        # b shares a's prefix half the time, so that transistors cancel
+        b = multiply(a, u) if rng.randrange(2) else u
+        va, vb = (VertexClass(canonical_key(d), d) for d in (a, b))
+        assert pair_distance(va, vb) == pair_distance_oracle(va, vb)
+        assert pair_distance(vb, va) == pair_distance_oracle(vb, va)
+
+
+def test_pair_distance_unreduced_rep_and_basewords(rng):
+    cfg = BallConfig(Q, CYC2)
+    g = ball(eps(Q, CYC2, "x"), 2, cfg)
+    for _ in range(20):
+        d = random_unreduced(Q, CYC2, "x", 4, rng)
+        assert not d._reduced
+        v = VertexClass(canonical_key(d), d)
+        for w in g.vertices:
+            assert pair_distance(v, w) == pair_distance_oracle(v, w)
+            assert pair_distance(w, v) == pair_distance_oracle(w, v)
+    other = mkvertex(eps(Q, CYC2, "xx"), cfg)
+    with pytest.raises(CompositionError):
+        pair_distance(g.vertices[0], other)
 
 
 def test_depth_is_formula_distance_to_base():

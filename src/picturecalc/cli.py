@@ -3,7 +3,7 @@
 Subcommands: reduce, multiply, embed, project, thompson eval, ball,
 verify, enumerate.  Exit codes: 0 success / all verifications pass,
 1 a verification found a counterexample, 2 input error.  All outputs are
-deterministic given the configuration and seed.
+deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ def _add_config_args(p: argparse.ArgumentParser):
     p.add_argument("--geometry", choices=("braided", "annular", "planar"),
                    default="braided")
     p.add_argument("--max-width", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0xD1A6)
 
 
 def _resolve_config(args) -> tuple:
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("project", help="project to a Thompson tree pair")
-    p.add_argument("--builtin")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(fn=cmd_project)
 

@@ -26,9 +26,8 @@ def _site_json(site) -> dict:
 
 
 def diagram_to_json(d: Diagram) -> dict:
-    worder, torder = _traversal(d)
-    wids = sorted(d.wires, key=lambda w: worder[w])
-    tids = sorted(d.transistors, key=lambda t: torder[t])
+    _, wids, tids = _traversal(d)
+    torder = {t: i for i, t in enumerate(tids)}
 
     def renum_site(site):
         if site[0] in ("TT", "TB"):
@@ -55,7 +54,7 @@ def diagram_to_json(d: Diagram) -> dict:
     }
 
 
-def _site_from_json(obj, which: str):
+def _site_from_json(obj, w: int, n_transistors: int):
     site, index = obj.get("site"), obj.get("index")
     if not isinstance(index, int) or index < 0:
         raise ParseError(f"bad site index in {obj!r}")
@@ -64,8 +63,11 @@ def _site_from_json(obj, which: str):
     if site == "frame_bottom":
         return ("FB", index)
     if isinstance(site, dict) and "transistor" in site:
+        t = site["transistor"]
+        if type(t) is not int or not 0 <= t < n_transistors:
+            raise ParseError(f"wire {w}: transistor id {t!r} names no transistor of the file")
         kind = "TT" if site.get("side") == "top" else "TB"
-        return (kind, site["transistor"], index)
+        return (kind, t, index)
     raise ParseError(f"bad site {site!r}")
 
 
@@ -81,14 +83,15 @@ def diagram_from_json(obj: dict) -> Diagram:
         tops: dict[str, dict[int, int]] = {"FT": {}, "FB": {}}
         t_top: dict[int, dict[int, int]] = {}
         t_bot: dict[int, dict[int, int]] = {}
+        n_transistors = len(obj["transistors"])
         for w, wire in enumerate(obj["wires"]):
             label, coeff = wire["label"], wire["coeff"]
             if not isinstance(label, str) or not isinstance(coeff, str):
                 raise ParseError(f"wire {w}: label and coeff must be strings")
             spec = coeffs.spec(label)
             wires[w] = (label, coeff_parse(spec, coeff))
-            bot = _site_from_json(wire["bottom"], "bottom")
-            top = _site_from_json(wire["top"], "top")
+            bot = _site_from_json(wire["bottom"], w, n_transistors)
+            top = _site_from_json(wire["top"], w, n_transistors)
             if bot[0] == "FB":
                 tops["FB"][bot[1]] = w
             elif bot[0] == "TT":

@@ -26,9 +26,11 @@ from .coeff import (
 from .errors import EnumerationError
 from .picture import (
     Diagram,
+    bottom_variant_keys,
     canonical_key,
     class_representative,
     eps,
+    least_rotation,
     reduce,
     rel_sides,
     rotate_bottom,
@@ -64,18 +66,20 @@ def geometry_class_key(d: Diagram, geometry: str) -> str:
         return canonical_key(d, "class")
     if geometry == "planar":
         return canonical_key(d, "exact")
-    n = len(d.bottom_ports)
-    return min(canonical_key(rotate_bottom(d, k)) for k in range(n))
+    return least_rotation(d)[1]
 
 
 def geometry_class_rep(d: Diagram, geometry: str) -> Diagram:
-    """Deterministic representative of [d] (normalized bottom permutation)."""
+    """Deterministic representative of [d] (normalized bottom permutation).
+    Its exact key is the class key of d."""
     if geometry == "braided":
         return class_representative(d)
     if geometry == "planar":
         return d
-    n = len(d.bottom_ports)
-    return min((rotate_bottom(d, k) for k in range(n)), key=canonical_key)
+    k, key = least_rotation(d)
+    rep = rotate_bottom(d, k)
+    rep._exact_key = key
+    return rep
 
 
 # -- move enumeration --------------------------------------------------------------
@@ -291,17 +295,24 @@ def enumerate_reduced(pres, coeffs, w, budget: int, geometry: str = "braided",
         if geometry == "planar":
             if labels == target:
                 out.setdefault(canonical_key(rep), rep)
-        elif geometry == "annular":
-            n = len(labels)
-            for k in range(n):
-                rot = rotate_bottom(rep, k)
-                if rot.bot_word() == target:
-                    out.setdefault(canonical_key(rot), rot)
+            continue
+        bottom = rep.bottom_ports
+        if geometry == "annular":
+            orders = [bottom[-k:] + bottom[:-k] for k in range(len(bottom))
+                      if labels[-k:] + labels[:-k] == target]
         else:
+            orders = []
             for sigma in _anagram_placements(labels, target):
                 ports = [0] * len(labels)
                 for i, j in enumerate(sigma):
-                    ports[j] = rep.bottom_ports[i]
-                d = with_bottom_ports(rep, tuple(ports))
-                out.setdefault(canonical_key(d), d)
+                    ports[j] = bottom[i]
+                orders.append(tuple(ports))
+        if not orders:
+            continue
+        # every variant shares the rep's traversal; build only the new ones
+        for key, ports in zip(bottom_variant_keys(rep, orders), orders):
+            if key not in out:
+                d = with_bottom_ports(rep, ports)
+                d._exact_key = key
+                out[key] = d
     return [out[k] for k in sorted(out)]

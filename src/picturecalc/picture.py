@@ -23,8 +23,6 @@ Sites are encoded as tuples:
 
 from __future__ import annotations
 
-from collections import deque
-
 from .coeff import (
     CoefficientSystem,
     GroupElement,
@@ -96,9 +94,6 @@ class Diagram:
     def bot_labelled(self) -> LabelledWord:
         return tuple(self.wires[w] for w in self.bottom_ports)
 
-    def num_transistors(self) -> int:
-        return len(self.transistors)
-
     def __eq__(self, other):
         if not isinstance(other, Diagram):
             return NotImplemented
@@ -165,78 +160,105 @@ class Diagram:
 # -- canonical keys ------------------------------------------------------------
 
 
-def _traversal(d: Diagram) -> tuple[dict[int, int], dict[int, int]]:
+def _traversal(d: Diagram) -> tuple[dict[int, int], list[int], list[int]]:
     """Canonical numbering: BFS from the frame-top ports in order; transistors
-    numbered at first visit, wires at discovery.  Independent of the
+    numbered at first visit, wires at discovery.  Returns the wire numbering
+    and the wires and transistors in numbering order.  Independent of the
     bottom-port order (frame-bottom sites feed nothing)."""
     worder: dict[int, int] = {}
-    torder: dict[int, int] = {}
-    queue: deque[int] = deque()
-
-    def disc(w: int):
-        if w not in worder:
-            worder[w] = len(worder)
-            queue.append(w)
-
+    wires: list[int] = []
+    torder: set[int] = set()
+    trans: list[int] = []
     for w in d.top_ports:
-        disc(w)
-    while queue:
-        w = queue.popleft()
-        for site in (d.wire_bot[w], d.wire_top[w]):
-            if site[0] in ("TT", "TB"):
+        if w not in worder:
+            worder[w] = len(wires)
+            wires.append(w)
+    wire_bot, wire_top, t_top, t_bot = d.wire_bot, d.wire_top, d.t_top, d.t_bot
+    for w in wires:  # the queue: wires appended here are visited in turn
+        for site in (wire_bot[w], wire_top[w]):
+            if len(site) == 3 and site[1] not in torder:  # a TT or TB site
                 tid = site[1]
-                if tid not in torder:
-                    torder[tid] = len(torder)
-                    for w2 in d.t_top[tid]:
-                        disc(w2)
-                    for w2 in d.t_bot[tid]:
-                        disc(w2)
-    if len(worder) != len(d.wires):
+                torder.add(tid)
+                trans.append(tid)
+                for w2 in t_top[tid] + t_bot[tid]:
+                    if w2 not in worder:
+                        worder[w2] = len(wires)
+                        wires.append(w2)
+    if len(wires) != len(d.wires):
         raise ValueError("diagram has wires unreachable from the frame top")
-    return worder, torder
+    return worder, wires, trans
 
 
-def _key_string(d: Diagram, bottom: tuple[int, ...], worder, torder) -> str:
-    parts = [
-        "a" if d.annular else "p",
-        f"{hash((d.pres, d.coeffs)) & 0xFFFFFFFF:08x}",
-        "B" + ",".join(map(str, bottom)),
-    ]
-    wire_items = sorted(((i, w) for w, i in worder.items()))
-    parts.append("W" + ";".join(
-        f"{d.wires[w][0]}:{coeff_serialize(d.wires[w][1])}" for _, w in wire_items))
-    trans_items = sorted(((i, t) for t, i in torder.items()))
-    parts.append("T" + ";".join(
-        f"{d.transistors[t][0]}:{d.transistors[t][1]}:"
-        f"{','.join(str(worder[w]) for w in d.t_top[t])}:"
-        f"{','.join(str(worder[w]) for w in d.t_bot[t])}"
-        for _, t in trans_items))
-    return "|".join(parts)
+def _key_frame(d: Diagram) -> tuple[dict[int, int], str, str]:
+    """(wire numbering, key text before the bottom sequence, key text after
+    it), from one traversal."""
+    worder, wires, trans = _traversal(d)
+    head = f"{'a' if d.annular else 'p'}|{hash((d.pres, d.coeffs)) & 0xFFFFFFFF:08x}|B"
+    dw, dt = d.wires, d.transistors
+    w_part = ";".join([f"{dw[w][0]}:{coeff_serialize(dw[w][1])}" for w in wires])
+    t_part = ";".join([
+        f"{dt[t][0]}:{dt[t][1]}:"
+        f"{','.join([str(worder[w]) for w in d.t_top[t]])}:"
+        f"{','.join([str(worder[w]) for w in d.t_bot[t]])}"
+        for t in trans])
+    return worder, head, f"|W{w_part}|T{t_part}"
 
 
 def canonical_key(d: Diagram, mode: str = "exact") -> str:
     """Byte-comparable normal form.  mode='exact': equal keys iff the diagrams
     are equivalent; mode='class': equal keys iff they differ by right
-    concatenation with a permutation diagram (the vertex classes of X)."""
+    concatenation with a permutation diagram (the vertex classes of X).
+
+    Layout: ``a|tag|B…|W…|T…``.  ``a`` or ``p`` says annular or not; the
+    tag is 8 hex digits of the hash of the presentation and coefficient
+    system; ``B`` lists the traversal numbers of the bottom-port wires
+    (sorted in class mode); ``W`` gives ``label:coeff`` per wire and ``T``
+    gives ``rel:dir:tops:bots`` per transistor, both in traversal order,
+    tops and bots as wire numbers.  The traversal runs from the frame top
+    and ignores the bottom order, so the keys of all bottom-port variants
+    of one diagram (rotations, placements, class representatives) share
+    one traversal and differ only in the ``B`` part."""
     if mode == "exact":
         if d._exact_key is None:
-            worder, torder = _traversal(d)
-            d._exact_key = _key_string(d, tuple(worder[w] for w in d.bottom_ports), worder, torder)
+            worder, head, tail = _key_frame(d)
+            d._exact_key = head + ",".join([str(worder[w]) for w in d.bottom_ports]) + tail
         return d._exact_key
     if mode == "class":
         if d._class_key is None:
-            worder, torder = _traversal(d)
-            d._class_key = _key_string(d, tuple(sorted(worder[w] for w in d.bottom_ports)), worder, torder)
+            worder, head, tail = _key_frame(d)
+            d._class_key = head + ",".join(map(str, sorted([worder[w] for w in d.bottom_ports]))) + tail
         return d._class_key
     raise ValueError(f"unknown key mode {mode!r}")
 
 
+def bottom_variant_keys(d: Diagram, orders) -> list[str]:
+    """Exact keys of d with each bottom-port order in `orders` (each a
+    permutation of d.bottom_ports), from one traversal."""
+    worder, head, tail = _key_frame(d)
+    return [head + ",".join([str(worder[w]) for w in ports]) + tail for ports in orders]
+
+
+def least_rotation(d: Diagram) -> tuple[int, str]:
+    """(k, key): key = min over j of canonical_key(rotate_bottom(d, j)) and k
+    the first j attaining it, from one traversal.  The rotations' keys share
+    the text around the bottom sequence and their bottom texts have one
+    length, so the least bottom text (compared as text) gives the least key."""
+    worder, head, tail = _key_frame(d)
+    ranks = [str(worder[w]) for w in d.bottom_ports]
+    texts = [",".join(ranks[-k:] + ranks[:-k]) for k in range(len(ranks))]
+    least = min(texts)
+    return texts.index(least), head + least + tail
+
+
 def class_representative(d: Diagram) -> Diagram:
-    """The member of [d] whose bottom ports follow the canonical wire order."""
-    worder, _ = _traversal(d)
-    ports = tuple(sorted(d.bottom_ports, key=lambda w: worder[w]))
+    """The member of [d] whose bottom ports follow the canonical wire order.
+    Its exact key is the class key of d: the traversal is unchanged and its
+    bottom sequence is already sorted."""
+    worder = _traversal(d)[0]
+    ports = tuple(sorted(d.bottom_ports, key=worder.__getitem__))
     out = Diagram(d.pres, d.coeffs, d.wires, d.transistors, d.t_top, d.t_bot,
                   d.top_ports, ports, d.annular, _reduced=d._reduced)
+    out._exact_key = out._class_key = d._class_key
     return out
 
 
@@ -437,10 +459,10 @@ def invert(d: Diagram) -> Diagram:
 # -- dipoles and reduction -------------------------------------------------------
 
 
-def _find_dipole(wires, transistors, t_top, t_bot, wire_top) -> tuple[int, int] | None:
-    """A dipole (t1 below, t2 above): the wires rising from t1's top are exactly
-    t2's bottom side in order, the outer labels match, and every connecting
-    wire carries the identity coefficient."""
+def _dipoles(wires, transistors, t_top, t_bot, wire_top):
+    """The dipoles (t1 below, t2 above), in transistor order: the wires rising
+    from t1's top are exactly t2's bottom side in order, the outer labels
+    match, and every connecting wire carries the identity coefficient."""
     for t1 in transistors:
         conn = t_top[t1]
         site = wire_top[conn[0]]
@@ -453,24 +475,27 @@ def _find_dipole(wires, transistors, t_top, t_bot, wire_top) -> tuple[int, int] 
             continue
         if tuple(wires[w][0] for w in t_top[t2]) != tuple(wires[w][0] for w in t_bot[t1]):
             continue
-        return t1, t2
-    return None
+        yield t1, t2
+
+
+def _has_dipole(d: Diagram) -> bool:
+    return next(_dipoles(d.wires, d.transistors, d.t_top, d.t_bot, d.wire_top), None) is not None
 
 
 def is_reduced(d: Diagram) -> bool:
-    if d._reduced:
-        return True
-    found = _find_dipole(d.wires, d.transistors, d.t_top, d.t_bot, d.wire_top) is not None
-    if not found:
+    if not d._reduced and not _has_dipole(d):
         d._reduced = True
-    return not found
+    return bool(d._reduced)
 
 
-def reduce(d: Diagram, order: list[tuple[int, int]] | None = None, rng=None) -> Diagram:
+def reduce(d: Diagram, rng=None) -> Diagram:
     """Cancel dipoles until none remain.  The result is independent of the
     order in which dipoles are reduced; `rng` randomizes the order (used by
-    the confluence tests)."""
+    the confluence tests).  A diagram without dipoles is returned itself."""
     if d._reduced:
+        return d
+    if not _has_dipole(d):
+        d._reduced = True
         return d
     wires = dict(d.wires)
     transistors = dict(d.transistors)
@@ -480,31 +505,18 @@ def reduce(d: Diagram, order: list[tuple[int, int]] | None = None, rng=None) -> 
     wire_top = dict(d.wire_top)
     wire_bot = dict(d.wire_bot)
 
-    def all_dipoles():
-        out = []
-        for t1 in transistors:
-            conn = t_top[t1]
-            site = wire_top[conn[0]]
-            if site[0] != "TB" or site[2] != 0:
-                continue
-            t2 = site[1]
-            if t_bot[t2] != conn:
-                continue
-            if any(not wires[w][1].is_identity() for w in conn):
-                continue
-            if tuple(wires[w][0] for w in t_top[t2]) != tuple(wires[w][0] for w in t_bot[t1]):
-                continue
-            out.append((t1, t2))
-        return out
-
     while True:
-        dips = all_dipoles()
-        if not dips:
-            break
+        dips = _dipoles(wires, transistors, t_top, t_bot, wire_top)
         if rng is not None:
+            dips = list(dips)
+            if not dips:
+                break
             t1, t2 = dips[rng.randrange(len(dips))]
         else:
-            t1, t2 = dips[0]
+            pair = next(dips, None)
+            if pair is None:
+                break
+            t1, t2 = pair
         for w in t_top[t1]:
             del wires[w], wire_top[w], wire_bot[w]
         uppers, lowers = t_top[t2], t_bot[t1]

@@ -38,9 +38,6 @@ class SemigroupPresentation:
     alphabet: tuple[str, ...]
     relations: tuple[tuple[Word, Word], ...]
 
-    def letter_index(self, letter: str) -> int:
-        return self.alphabet.index(letter)
-
     def __str__(self) -> str:
         return serialize_presentation(self)
 

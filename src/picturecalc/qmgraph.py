@@ -158,7 +158,8 @@ def ball(base: Diagram, radius: int, cfg: BallConfig) -> BallGraph:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     reps, depths, edges = bfs_classes(base, radius, cfg)
-    vertices = [VertexClass(geometry_class_key(rep, cfg.geometry), rep, depth)
+    # a class representative's exact key is its class key, already cached
+    vertices = [VertexClass(canonical_key(rep), rep, depth)
                 for rep, depth in zip(reps, depths)]
     return BallGraph(cfg, radius, vertices, edges)
 

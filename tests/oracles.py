@@ -9,12 +9,11 @@ code paths.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
-from picturecalc.picture import (
-    Diagram, canonical_key, invert, length, multiply, reduce as reduce_diagram,
-)
+from picturecalc.picture import Diagram, canonical_key, invert, length, multiply, rotate_bottom
 
 
 # -- all reduction orders -------------------------------------------------------
@@ -80,6 +79,72 @@ def reduce_all_orders(d: Diagram) -> set[str]:
 
 def count_dipoles(d: Diagram) -> int:
     return len(_dipoles_of(d))
+
+
+def reduce_oracle(d: Diagram) -> Diagram:
+    """Reduce the first dipole until none is left, one copy per step."""
+    while True:
+        dips = _dipoles_of(d)
+        if not dips:
+            return d
+        d = _reduce_one(d, dips[0])
+
+
+# -- key text by definition ---------------------------------------------------------
+
+def key_text_oracle(d: Diagram, mode: str = "exact") -> str:
+    """The canonical key spelled out: a deque BFS from the frame top numbers
+    transistors at first visit and wires at discovery; the bottom sequence is
+    the bottom-port numbers (sorted in class mode); wires and transistors are
+    listed by sorting on their numbers."""
+    worder: dict[int, int] = {}
+    torder: dict[int, int] = {}
+    queue: deque[int] = deque()
+
+    def disc(w: int):
+        if w not in worder:
+            worder[w] = len(worder)
+            queue.append(w)
+
+    for w in d.top_ports:
+        disc(w)
+    while queue:
+        w = queue.popleft()
+        for site in (d.wire_bot[w], d.wire_top[w]):
+            if site[0] in ("TT", "TB"):
+                tid = site[1]
+                if tid not in torder:
+                    torder[tid] = len(torder)
+                    for w2 in d.t_top[tid]:
+                        disc(w2)
+                    for w2 in d.t_bot[tid]:
+                        disc(w2)
+    bottom = [worder[w] for w in d.bottom_ports]
+    if mode == "class":
+        bottom.sort()
+    parts = [
+        "a" if d.annular else "p",
+        f"{hash((d.pres, d.coeffs)) & 0xFFFFFFFF:08x}",
+        "B" + ",".join(map(str, bottom)),
+    ]
+    wire_items = sorted(((i, w) for w, i in worder.items()))
+    parts.append("W" + ";".join(
+        f"{d.wires[w][0]}:{coeff_serialize(d.wires[w][1])}" for _, w in wire_items))
+    trans_items = sorted(((i, t) for t, i in torder.items()))
+    parts.append("T" + ";".join(
+        f"{d.transistors[t][0]}:{d.transistors[t][1]}:"
+        f"{','.join(str(worder[w]) for w in d.t_top[t])}:"
+        f"{','.join(str(worder[w]) for w in d.t_bot[t])}"
+        for _, t in trans_items))
+    return "|".join(parts)
+
+
+def class_key_oracle(d: Diagram, geometry: str) -> str:
+    """Key of the vertex class of d by definition: the least exact key over
+    the rotations (annular), the class key (braided), the exact key (planar)."""
+    if geometry == "annular":
+        return min(key_text_oracle(rotate_bottom(d, k)) for k in range(len(d.bottom_ports)))
+    return key_text_oracle(d, "class" if geometry == "braided" else "exact")
 
 
 # -- distance by the product formula ---------------------------------------------
@@ -264,7 +329,6 @@ def neighbor_keys_oracle(rep, cfg):
     """Definition-level neighbors of [rep]: all geometry permutation diagrams P,
     all unitary atoms U, keys of reduce(rep o P o U)."""
     from picturecalc.coeff import TrivialSpec, nontrivial_elements
-    from picturecalc.moves import geometry_class_key
     from picturecalc.picture import (
         atom_linear, atom_permutation, atom_transistor, concat, rel_sides,
     )
@@ -273,7 +337,7 @@ def neighbor_keys_oracle(rep, cfg):
     pres, coeffs, geometry = cfg.pres, cfg.coeffs, cfg.geometry
     botword = rep.bot_word()
     n = len(botword)
-    me = geometry_class_key(rep, geometry)
+    me = class_key_oracle(rep, geometry)
     for sigma in _all_perms_for_geometry(n, geometry):
         p = atom_permutation(pres, coeffs, botword, sigma, annular=rep.annular)
         base = concat(rep, p)
@@ -289,7 +353,7 @@ def neighbor_keys_oracle(rep, cfg):
                         continue
                     atom = atom_transistor(pres, coeffs, word[:i0], rel_index,
                                            direction, word[i0 + k:], annular=rep.annular)
-                    key = geometry_class_key(reduce_diagram(concat(base, atom)), geometry)
+                    key = class_key_oracle(reduce_oracle(concat(base, atom)), geometry)
                     if key != me:
                         out.add(key)
         for i0, letter in enumerate(word):
@@ -298,7 +362,7 @@ def neighbor_keys_oracle(rep, cfg):
                 continue
             for g in nontrivial_elements(spec):
                 atom = atom_linear(pres, coeffs, word, i0, g, annular=rep.annular)
-                key = geometry_class_key(reduce_diagram(concat(base, atom)), geometry)
+                key = class_key_oracle(reduce_oracle(concat(base, atom)), geometry)
                 if key != me:
                     out.add(key)
     return out

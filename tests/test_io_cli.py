@@ -183,6 +183,20 @@ def test_cli_malformed_diagram_exit_2(tmp_path, capsys, path, value):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tid", ["zero", 1, -1, True])
+def test_cli_bad_transistor_id_exit_2(tmp_path, capsys, tid):
+    obj = diagram_to_json(atom_transistor(Q, CYC2, (), 0, 1, ()))
+    site = obj["wires"][0]["bottom"]["site"]
+    assert site["transistor"] == 0
+    site["transistor"] = tid
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(obj))
+    rc = main(["reduce", "--in", str(src)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: wire 0: transistor id {tid!r} ") and "Traceback" not in err
+
+
 def test_cli_verify_inconclusive_plus_still_passes(tmp_path):
     # the (+)-counterexample configuration: report inconclusive, exit 1 is
     # reserved for violations; inconclusive (+) still passes

@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 
 from picturecalc.coeff import CyclicSpec, FreeSpec, make_system, trivial_system
 from picturecalc.errors import EnumerationError
 from picturecalc.moves import (
+    GEOMETRIES,
     BallConfig,
+    apply_transistor_move,
     bfs_classes,
     enumerate_reduced,
     geometry_class_key,
@@ -19,11 +23,13 @@ from picturecalc.picture import (
     eps,
     length,
     reduce,
+    rotate_bottom,
+    with_bottom_ports,
 )
 from picturecalc.presentation import builtin_presentation
-from picturecalc.sampling import random_walk_diagram
+from picturecalc.sampling import random_element, random_walk_diagram
 
-from oracles import neighbor_keys_oracle
+from oracles import class_key_oracle, key_text_oracle, neighbor_keys_oracle
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -208,3 +214,64 @@ def test_length_one_classes_are_atom_classes():
             atom_keys.add(geometry_class_key(concat(base, atom), "braided"))
         found = {geometry_class_key(rep, "braided") for rep, dep in zip(reps, depths) if dep == 1}
         assert found == atom_keys
+
+
+# -- class keys against their definitions ------------------------------------------
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_class_keys_and_reps_match_oracle(geometry):
+    # every vertex and every neighbour diagram of the radius-3 ball; the
+    # representative's exact key (inherited from the class key) is checked
+    # against the key text recomputed from scratch
+    cfg = BallConfig(Q, CYC2, geometry)
+    reps, _, _ = bfs_classes(eps(Q, CYC2, "x", annular=geometry == "annular"), 3, cfg)
+    for vertex in reps:
+        for d in [vertex] + [out for out, _, _ in neighbor_diagrams(vertex, cfg)]:
+            assert canonical_key(d) == key_text_oracle(d)
+            want = class_key_oracle(d, geometry)
+            assert geometry_class_key(d, geometry) == want
+            rep = geometry_class_rep(d, geometry)
+            assert canonical_key(rep) == want == key_text_oracle(rep)
+
+
+def test_annular_class_key_compares_bottom_text_as_text():
+    # wires 0 and 1 feed transistors, so the bottom numbers run 2..13: the
+    # least rotation as text starts "10,11,…", as int tuples it starts "2,…"
+    d = eps(Q, TRIV, ("x",) * 10, annular=True)
+    d = apply_transistor_move(d, 0, 1, (0,), "annular")
+    d = apply_transistor_move(d, 0, 1, (2,), "annular")
+    want = class_key_oracle(d, "annular")
+    assert "|B10,11,12,13,2," in want
+    assert geometry_class_key(d, "annular") == want
+    rep = geometry_class_rep(d, "annular")
+    assert canonical_key(rep) == want == key_text_oracle(rep)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_canonical_key_matches_key_text_oracle(geometry, rng):
+    abc, abc_word = builtin_presentation("commuting_abc")
+    abc_coeffs = make_system(abc.alphabet, {"a": CyclicSpec(2)})
+    for i in range(50):
+        pres, coeffs, w = (Q, CYC2, ("x",)) if i % 2 else (abc, abc_coeffs, abc_word)
+        d = random_element(pres, coeffs, w, rng, geometry)
+        for mode in ("exact", "class"):
+            assert canonical_key(d, mode) == key_text_oracle(d, mode)
+
+
+@pytest.mark.parametrize("geometry", ["braided", "annular"])
+def test_enumerate_keys_match_per_variant_definition(geometry):
+    # every bottom-port variant of every class, built and keyed one by one
+    w = ("x", "x")
+    cfg = BallConfig(Q, CYC2, geometry)
+    reps, _, _ = bfs_classes(eps(Q, CYC2, w, annular=geometry == "annular"), 2, cfg)
+    want = set()
+    for rep in reps:
+        if geometry == "annular":
+            variants = [rotate_bottom(rep, k) for k in range(len(rep.bottom_ports))]
+        else:
+            variants = [with_bottom_ports(rep, ports)
+                        for ports in itertools.permutations(rep.bottom_ports)]
+        want |= {key_text_oracle(v) for v in variants if v.bot_word() == w}
+    got = enumerate_reduced(Q, CYC2, w, 2, geometry)
+    assert [canonical_key(d) for d in got] == sorted(want)
+    assert all(key_text_oracle(d) == canonical_key(d) for d in got)

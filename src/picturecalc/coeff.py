@@ -227,9 +227,6 @@ class CoefficientSystem:
     def has_free(self) -> bool:
         return any(isinstance(s, FreeSpec) for _, s in self.assignments)
 
-    def fingerprint(self) -> str:
-        return ",".join(f"{n}={s}" for n, s in self.assignments)
-
 
 def trivial_system(alphabet: Iterable[str]) -> CoefficientSystem:
     return CoefficientSystem(tuple((a, TrivialSpec()) for a in alphabet))

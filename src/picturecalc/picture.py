@@ -23,6 +23,9 @@ Sites are encoded as tuples:
 
 from __future__ import annotations
 
+import zlib
+from functools import lru_cache
+
 from .coeff import (
     CoefficientSystem,
     GroupElement,
@@ -189,11 +192,18 @@ def _traversal(d: Diagram) -> tuple[dict[int, int], list[int], list[int]]:
     return worder, wires, trans
 
 
+@lru_cache(maxsize=64)
+def _config_tag(pres: SemigroupPresentation, coeffs: CoefficientSystem) -> str:
+    """8 hex digits of the CRC-32 of repr((pres, coeffs)): the same in every
+    process, and the reprs differ whenever the configurations do."""
+    return f"{zlib.crc32(repr((pres, coeffs)).encode()):08x}"
+
+
 def _key_frame(d: Diagram) -> tuple[dict[int, int], str, str]:
     """(wire numbering, key text before the bottom sequence, key text after
     it), from one traversal."""
     worder, wires, trans = _traversal(d)
-    head = f"{'a' if d.annular else 'p'}|{hash((d.pres, d.coeffs)) & 0xFFFFFFFF:08x}|B"
+    head = f"{'a' if d.annular else 'p'}|{_config_tag(d.pres, d.coeffs)}|B"
     dw, dt = d.wires, d.transistors
     w_part = ";".join([f"{dw[w][0]}:{coeff_serialize(dw[w][1])}" for w in wires])
     t_part = ";".join([
@@ -210,8 +220,8 @@ def canonical_key(d: Diagram, mode: str = "exact") -> str:
     concatenation with a permutation diagram (the vertex classes of X).
 
     Layout: ``a|tag|B…|W…|T…``.  ``a`` or ``p`` says annular or not; the
-    tag is 8 hex digits of the hash of the presentation and coefficient
-    system; ``B`` lists the traversal numbers of the bottom-port wires
+    tag is 8 hex digits of the CRC-32 of the configuration (`_config_tag`);
+    ``B`` lists the traversal numbers of the bottom-port wires
     (sorted in class mode); ``W`` gives ``label:coeff`` per wire and ``T``
     gives ``rel:dir:tops:bots`` per transistor, both in traversal order,
     tops and bots as wire numbers.  The traversal runs from the frame top

@@ -18,7 +18,23 @@ not matter.  Frame-top port i of A is mated with port i of B; a transistor
 of A cancels with one of B when their top wires are mated slot by slot
 with equal coefficients and their bottom label words agree, which mates
 their bottom wires in turn.  A mated pair left over is one wire of the
-product with coefficient c_a^-1 c_b, nontrivial iff c_a != c_b.
+product with coefficient c_a^-1 c_b, nontrivial iff c_a != c_b; an unmated
+wire keeps its coefficient.  With N_A, N_B the wires of A and B with a
+nontrivial coefficient, the count is |N_A| + |N_B| minus, over mated pairs
+(w, m), [w in N_A] + [m in N_B] - [c_w != c_m].  That term vanishes unless
+both wires are in N (one nontrivial side makes c_w != c_m), so only the
+mates of N_A are visited, and coefficients are compared only there.
+
+`verify` checks hyperplane crossings on one geodesic per certified pair
+(x, y), one with depth(x) + depth(y) + d(x, y) <= 2r, and takes it by
+descent: from x, step to the lowest-index neighbour one closer to y, until
+y.  Every vertex p of an x..y geodesic has depth(p) <= depth(x) + d(x, p)
+and depth(p) <= depth(y) + d(p, y), whose sum bounds 2 depth(p) by the
+certified 2r; so every such p lies in the ball.  Each vertex on the way
+lies on an x..y geodesic, the next vertex of a geodesic from it to y is
+one closer to y and lies on one too, and the ball is the full induced
+subgraph of X on its vertices; so a decreasing neighbour is always an
+edge of the ball, and the exact distances make the path an X-geodesic.
 
 The verifiers check the weak-modularity axioms, the forbidden induced
 subgraphs, the pin lemmas, hyperplane sector/gate structure, the technical
@@ -35,6 +51,7 @@ as counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coeff import coeff_serialize, identity as coeff_identity, nontrivial_elements
 from .errors import CompositionError
@@ -72,6 +89,13 @@ class VertexClass:
     def length(self) -> int:
         return length(self.rep)
 
+    @cached_property
+    def reduced(self) -> tuple[Diagram, frozenset[int]]:
+        """The reduced representative and its wires with a nontrivial
+        coefficient, for `pair_distance`."""
+        d = self.rep if self.rep._reduced else reduce(self.rep)
+        return d, frozenset([w for w, (_, c) in d.wires.items() if not c.is_identity()])
+
     def __repr__(self):
         return f"<VertexClass len={self.length} {self.key[:24]}...>"
 
@@ -91,6 +115,7 @@ class BallGraph:
             self.adj[j].add(i)
         self._dist: dict[tuple[int, int], int] = {}
         self._hyperplanes: list[Hyperplane] | None = None
+        self._pins: list[tuple[frozenset[str], str, bool]] | None = None
 
     @property
     def geometry(self) -> str:
@@ -167,11 +192,12 @@ def ball(base: Diagram, radius: int, cfg: BallConfig) -> BallGraph:
 def pair_distance(a: VertexClass, b: VertexClass) -> int:
     """length(A^-1 . B) by matching the reduced A and B from the frame top,
     without building the product (see the module docstring)."""
-    da = a.rep if a.rep._reduced else reduce(a.rep)
-    db = b.rep if b.rep._reduced else reduce(b.rep)
+    da, na = a.reduced
+    db, nb = b.reduced
     if da.top_word() != db.top_word():
         raise CompositionError("vertices live over different basewords")
-    if da.pres != db.pres or da.coeffs != db.coeffs:
+    if ((da.pres is not db.pres and da.pres != db.pres)
+            or (da.coeffs is not db.coeffs and da.coeffs != db.coeffs)):
         raise CompositionError("presentation or coefficient system mismatch")
     a_wires, b_wires = da.wires, db.wires
     a_bot, b_bot = da.wire_bot, db.wire_bot
@@ -207,19 +233,14 @@ def pair_distance(a: VertexClass, b: VertexClass) -> int:
         for wa, wb in zip(a_lower, b_lower):
             mate[wa] = wb
             stack.append(wa)
-    # the connecting wires of cancelled pairs are mated with equal
-    # coefficients, so counting every mated pair counts them as trivial
-    nontrivial = 0
-    for w, (_, c) in a_wires.items():
+    # a mated pair (w, m) takes [w in N_A] + [m in N_B] - [c_w != c_m] off
+    # |N_A| + |N_B|: 0 unless both are in N; the connecting wires of
+    # cancelled pairs are mated with equal coefficients, so they count 0
+    nontrivial = len(na) + len(nb)
+    for w in na:
         m = mate.get(w)
-        if m is None:
-            nontrivial += not c.is_identity()
-        else:
-            nontrivial += c != b_wires[m][1]
-    mated_b = set(mate.values())
-    for w, (_, c) in b_wires.items():
-        if w not in mated_b:
-            nontrivial += not c.is_identity()
+        if m in nb:
+            nontrivial -= 2 - (a_wires[w][1] != b_wires[m][1])
     return len(da.transistors) + len(db.transistors) - 2 * cancelled + nontrivial
 
 
@@ -359,7 +380,14 @@ def _pin_members(g: BallGraph, i: int, position: int):
 
 
 def enumerate_pins(g: BallGraph):
-    """All pins meeting the ball, as (frozenset of keys, letter, complete)."""
+    """All pins meeting the ball, as (frozenset of keys, letter, complete).
+    Computed once per ball and shared."""
+    if g._pins is None:
+        g._pins = _enumerate_pins(g)
+    return g._pins
+
+
+def _enumerate_pins(g: BallGraph):
     seen: dict[frozenset, tuple[str, bool]] = {}
     for i, v in enumerate(g.vertices):
         repd = v.rep
@@ -516,10 +544,27 @@ def _hyperplanes(g: BallGraph) -> list[Hyperplane]:
     return out
 
 
+def _descent_path(g: BallGraph, x: int, y: int) -> list[int] | None:
+    """Vertex ids of the geodesic x..y that steps each time to the
+    lowest-index neighbour one closer to y, or None when some vertex on the
+    way has no such neighbour in the ball."""
+    path = [x]
+    left = g.distance(x, y)
+    while left:
+        left -= 1
+        nxt = min((z for z in g.adj[path[-1]] if g.distance(z, y) == left),
+                  default=None)
+        if nxt is None:
+            return None
+        path.append(nxt)
+    return path
+
+
 def _certified_geodesic_edges(g: BallGraph, rep: Report):
     """Edge lists of one geodesic per vertex pair whose whole interval is
     certified to lie in the ball: every point p of a geodesic x..y has
-    d(base,p) <= (d(base,x)+d(base,y)+d(x,y))/2."""
+    d(base,p) <= (d(base,x)+d(base,y)+d(x,y))/2.  Each geodesic is taken
+    by descent through the exact distances (see the module docstring)."""
     out = []
     n = len(g.vertices)
     for x in range(n):
@@ -527,13 +572,12 @@ def _certified_geodesic_edges(g: BallGraph, rep: Report):
             dxy = g.distance(x, y)
             if g.depth(x) + g.depth(y) + dxy > 2 * g.radius:
                 continue
-            path = geodesic(g.vertices[x], g.vertices[y], g.cfg)
-            ids = [g.index.get(p.key) for p in path]
-            if any(i is None for i in ids):
+            path = _descent_path(g, x, y)
+            if path is None:
                 rep.inconclusive.append(("geodesic_left_ball", x, y))
                 continue
             out.append((x, y, [((a, b) if a < b else (b, a))
-                               for a, b in zip(ids, ids[1:])]))
+                               for a, b in zip(path, path[1:])]))
     return out
 
 

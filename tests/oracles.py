@@ -9,6 +9,7 @@ code paths.
 from __future__ import annotations
 
 import itertools
+import zlib
 from collections import deque
 from fractions import Fraction
 
@@ -96,7 +97,8 @@ def key_text_oracle(d: Diagram, mode: str = "exact") -> str:
     """The canonical key spelled out: a deque BFS from the frame top numbers
     transistors at first visit and wires at discovery; the bottom sequence is
     the bottom-port numbers (sorted in class mode); wires and transistors are
-    listed by sorting on their numbers."""
+    listed by sorting on their numbers; the tag is the CRC-32 of the
+    configuration's repr."""
     worder: dict[int, int] = {}
     torder: dict[int, int] = {}
     queue: deque[int] = deque()
@@ -124,7 +126,7 @@ def key_text_oracle(d: Diagram, mode: str = "exact") -> str:
         bottom.sort()
     parts = [
         "a" if d.annular else "p",
-        f"{hash((d.pres, d.coeffs)) & 0xFFFFFFFF:08x}",
+        f"{zlib.crc32(repr((d.pres, d.coeffs)).encode()):08x}",
         "B" + ",".join(map(str, bottom)),
     ]
     wire_items = sorted(((i, w) for w, i in worder.items()))

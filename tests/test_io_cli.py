@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,22 @@ def test_cli_verify_determinism(tmp_path):
     assert main(argv + ["--out", str(o1)]) == 0
     assert main(argv + ["--out", str(o2)]) == 0
     assert o1.read_text() == o2.read_text()
+
+
+def test_module_run_is_hash_seed_independent(tmp_path):
+    """`python -m picturecalc` writes the same --out bytes under two hash seeds."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    ball = ["ball", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "2"]
+    for k, argv in enumerate([ball, ball + ["--geometry", "annular"],
+                              ["enumerate", "--builtin", "commuting_abc", "--budget", "2"]]):
+        outs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"run{k}_{seed}.json"
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+            subprocess.run([sys.executable, "-m", "picturecalc", *argv, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], argv
 
 
 def test_cli_enumerate(tmp_path, capsys):

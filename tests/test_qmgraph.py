@@ -9,6 +9,7 @@ from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.qmgraph import (
     BallGraph,
     VertexClass,
+    _descent_path,
     ball,
     condition_plus_check,
     geodesic,
@@ -172,6 +173,54 @@ def test_geodesic_random_vertices(rng):
         assert len(path) == g.distance(i, j) + 1
         for u, v in zip(path, path[1:]):
             assert pair_distance(u, v) == 1
+
+
+def _certified_pairs(g):
+    n = len(g.vertices)
+    return [(x, y) for x in range(n) for y in range(x + 1, n)
+            if g.depth(x) + g.depth(y) + g.distance(x, y) <= 2 * g.radius]
+
+
+def test_descent_paths_are_geodesics_crossing_each_hyperplane_once():
+    abc, abc_word = builtin_presentation("commuting_abc")
+    abc_cyc2 = make_system(abc.alphabet, {"a": CyclicSpec(2)})
+    for base, cfg, radius in [
+        (eps(Q, CYC2, "x"), BallConfig(Q, CYC2, "braided"), 3),
+        (eps(Q, CYC2, "x", annular=True), BallConfig(Q, CYC2, "annular"), 3),
+        (eps(Q, CYC2, "x"), BallConfig(Q, CYC2, "planar"), 3),
+        (eps(abc, abc_cyc2, abc_word), BallConfig(abc, abc_cyc2), 2),
+        # pins of three vertices: a neighbour can be as far from y as cur
+        (eps(Q, CYC3, "x"), BallConfig(Q, CYC3, "planar"), 3),
+    ]:
+        g = ball(base, radius, cfg)
+        hyperplane_of = {e: J.hid for J in hyperplanes(g) for e in J.member_edges}
+        pairs = _certified_pairs(g)
+        assert pairs
+        for x, y in pairs:
+            dxy = g.distance(x, y)
+            path = _descent_path(g, x, y)
+            assert len(path) == dxy + 1 and path[0] == x and path[-1] == y
+            for k, (a, b) in enumerate(zip(path, path[1:])):
+                assert b in g.adj[a]
+                assert (g.distance(a, y), g.distance(b, y)) == (dxy - k, dxy - k - 1)
+            crossed = [hyperplane_of[(min(a, b), max(a, b))] for a, b in zip(path, path[1:])]
+            assert len(set(crossed)) == len(crossed)
+            assert len(geodesic(g.vertices[x], g.vertices[y], cfg)) == dxy + 1
+
+
+def test_hyperplanes_report_flags_pair_without_descent():
+    cfg = BallConfig(Q, CYC2)
+    g = ball(eps(Q, CYC2, "x"), 3, cfg)
+    # drop every edge from x towards y: the certified pair has no descent
+    x, y = next((x, y) for x, y in _certified_pairs(g) if g.distance(x, y) >= 2)
+    drop = {(min(x, z), max(x, z)) for z in g.adj[x]
+            if g.distance(z, y) == g.distance(x, y) - 1}
+    edges = {e: v for e, v in g.edges.items() if e not in drop}
+    broken = BallGraph(g.cfg, g.radius, g.vertices, edges)
+    assert _descent_path(broken, x, y) is None
+    rep = hyperplanes_report(broken)
+    assert ("geodesic_left_ball", x, y) in rep.inconclusive
+    assert not any(item[0] == "geodesic_left_ball" for item in hyperplanes_report(g).inconclusive)
 
 
 def test_qm_axioms_pass_small():

@@ -8,6 +8,16 @@ bottom wires feed the transistor and in which order, so moves are
 enumerated as feed position tuples: arbitrary ordered tuples (braided),
 cyclically consecutive blocks (annular), consecutive blocks (planar).
 Linear moves right-multiply one bottom wire's coefficient.
+
+`unitary_moves` lists the moves as witnesses, each with the length of its
+result, and `apply_move` builds one of them; the ball explorer, the
+sampler and `neighbor_diagrams` all go through that one list.  Lengths
+are Lipschitz along moves: d([A],[B]) = length(A^-1 . B), one unitary move
+changes the length of the reduced representative by at most one, and a
+permutation diagram changes it not at all.  So a vertex at depth k of the
+ball around [R] has length at most length(R) + k, and `bfs_classes` never
+builds a neighbour longer than length(R) + radius: it could not be in the
+ball, nor be the end of one of its edges.
 """
 
 from __future__ import annotations
@@ -26,11 +36,13 @@ from .coeff import (
 from .errors import EnumerationError
 from .picture import (
     Diagram,
+    _dipole_above,
     bottom_variant_keys,
     canonical_key,
     class_representative,
     eps,
     least_rotation,
+    length,
     reduce,
     rel_sides,
     rotate_bottom,
@@ -166,32 +178,71 @@ def apply_linear_move(d: Diagram, position: int, g: GroupElement) -> Diagram:
                    d.top_ports, d.bottom_ports, d.annular, _reduced=d._reduced)
 
 
-def neighbor_diagrams(rep: Diagram, cfg: BallConfig):
-    """All unitary moves from a reduced class representative.
+def unitary_moves(rep: Diagram, cfg: BallConfig):
+    """All unitary moves from a reduced class representative, without
+    building any diagram.
 
-    Yields (reduced result, kind, witness); witness is (rel_index,
-    direction, positions) for transistor moves and (letter, delta) for
-    linear ones.  Results still need class deduplication.
+    Yields (kind, witness, length_after): witness is (rel_index, direction,
+    positions) for transistor moves and (position, delta) for linear ones,
+    and length_after is the length of the move's result.  A new transistor
+    adds one to the length, or takes one off when it forms a dipole with
+    the transistor above its feed (at most one can: cancelling that pair
+    leaves the other transistor's top wires on the frame bottom, where they
+    meet no transistor).  A linear move changes one bottom wire's
+    coefficient; that wire feeds no transistor, so no dipole appears or
+    goes.  The witness list itself does not need rep to be reduced.
     """
+    pres, wires, bottom = rep.pres, rep.wires, rep.bottom_ports
+    before = length(rep)
     labels = rep.bot_word()
     width = len(labels)
-    for rel_index in range(len(rep.pres.relations)):
+    for rel_index in range(len(pres.relations)):
         for direction in (1, -1):
-            consumed, produced = rel_sides(rep.pres, rel_index, direction)
+            consumed, produced = rel_sides(pres, rel_index, direction)
             if width - len(consumed) + len(produced) > cfg.max_width:
                 continue
+            rel = (rel_index, direction)
             for positions in _feed_tuples(labels, consumed, cfg.geometry):
-                out = reduce(apply_transistor_move(rep, rel_index, direction,
-                                                   positions, cfg.geometry))
-                yield out, "transistor", (rel_index, direction, positions)
+                sel = tuple(bottom[p] for p in positions)
+                cancels = _dipole_above(pres, wires, rep.transistors, rep.t_bot,
+                                        rep.wire_top, sel, rel) is not None
+                yield "transistor", rel + (positions,), before - 1 if cancels else before + 1
     for position, letter in enumerate(labels):
         spec = cfg.coeffs.spec(letter)
         if isinstance(spec, TrivialSpec):
             continue
         if isinstance(spec, FreeSpec):
             raise EnumerationError("free coefficient group in ball configuration")
+        c = wires[bottom[position]][1]
+        rest = before - (not c.is_identity())
         for g in nontrivial_elements(spec):
-            yield apply_linear_move(rep, position, g), "linear", (letter, g)
+            yield "linear", (position, g), rest + (not coeff_multiply(c, g).is_identity())
+
+
+def apply_move(rep: Diagram, kind: str, witness, geometry: str) -> Diagram:
+    """The reduced result of the move (kind, witness) of `unitary_moves`."""
+    if kind == "transistor":
+        return reduce(apply_transistor_move(rep, *witness, geometry))
+    return apply_linear_move(rep, *witness)
+
+
+def neighbor_diagrams(rep: Diagram, cfg: BallConfig, max_length: int | None = None):
+    """The unitary moves from a reduced class representative, built, except
+    those whose result would be longer than `max_length`.
+
+    Yields (reduced result, kind, witness) in `unitary_moves` order;
+    witness is (rel_index, direction, positions) for transistor moves and
+    (letter, delta) for linear ones.  Results still need class
+    deduplication.
+    """
+    labels = rep.bot_word()
+    for kind, witness, length_after in unitary_moves(rep, cfg):
+        if max_length is not None and length_after > max_length:
+            continue
+        out = apply_move(rep, kind, witness, cfg.geometry)
+        if kind == "linear":
+            witness = (labels[witness[0]], witness[1])
+        yield out, kind, witness
 
 
 # -- class BFS ----------------------------------------------------------------------
@@ -212,9 +263,14 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
     i < j.  Missed sibling edges are recovered when the child expands; a
     final closure pass adds the edges among the outermost shell, so the
     edge set is the full induced subgraph on the ball.
+
+    Only neighbours of length at most radius + length(root) are built: a
+    move changes the length by at most one and the geometry's permutations
+    keep it, so no vertex of the ball is longer.
     """
     check_finite_coeffs(cfg.coeffs)
     root = normalize_base(base, cfg)
+    max_length = radius + length(root)
     root_key = geometry_class_key(root, cfg.geometry)
     index: dict[str, int] = {root_key: 0}
     reps: list[Diagram] = [root]
@@ -224,7 +280,7 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
     for depth in range(1, radius + 1):
         found: dict[str, tuple[Diagram, int, str, object]] = {}
         for i in frontier:
-            for out, kind, witness in neighbor_diagrams(reps[i], cfg):
+            for out, kind, witness in neighbor_diagrams(reps[i], cfg, max_length):
                 key = geometry_class_key(out, cfg.geometry)
                 j = index.get(key)
                 if j is None:
@@ -243,7 +299,7 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
         if not frontier:
             break
     for i in frontier:  # outermost shell: record edges back into the ball
-        for out, kind, witness in neighbor_diagrams(reps[i], cfg):
+        for out, kind, witness in neighbor_diagrams(reps[i], cfg, max_length):
             key = geometry_class_key(out, cfg.geometry)
             j = index.get(key)
             if j is not None and j != i:

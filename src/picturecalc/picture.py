@@ -100,7 +100,10 @@ class Diagram:
     def __eq__(self, other):
         if not isinstance(other, Diagram):
             return NotImplemented
-        return canonical_key(self) == canonical_key(other)
+        # the key's tag is a 32-bit checksum of the configuration, so the
+        # configurations are compared as well
+        return (canonical_key(self) == canonical_key(other)
+                and self.pres == other.pres and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash(canonical_key(self))
@@ -138,26 +141,28 @@ class Diagram:
                 raise ValueError(f"wire {w}: missing an endpoint")
         if seen_top != set(self.wires) or seen_bot != set(self.wires):
             raise ValueError("every wire needs exactly one top and one bottom attachment")
-        # transistor order must be acyclic (t1 < t2 when a wire rises from t1 to t2)
+        # transistor order must be acyclic (t1 < t2 when a wire rises from t1 to
+        # t2): Kahn's algorithm, so a deep diagram needs no deep recursion
         above: dict[int, set[int]] = {t: set() for t in self.transistors}
         for w in self.wires:
             b, t = self.wire_bot[w], self.wire_top[w]
             if b[0] == "TT" and t[0] == "TB":
                 above[b[1]].add(t[1])
-        state: dict[int, int] = {}
-
-        def dfs(t):
-            state[t] = 1
+        below_count = dict.fromkeys(self.transistors, 0)
+        for ups in above.values():
+            for u in ups:
+                below_count[u] += 1
+        ready = [t for t, k in below_count.items() if k == 0]
+        placed = 0
+        while ready:
+            t = ready.pop()
+            placed += 1
             for u in above[t]:
-                if state.get(u) == 1:
-                    raise ValueError("transistor order has a cycle")
-                if u not in state:
-                    dfs(u)
-            state[t] = 2
-
-        for t in self.transistors:
-            if t not in state:
-                dfs(t)
+                below_count[u] -= 1
+                if below_count[u] == 0:
+                    ready.append(u)
+        if placed != len(self.transistors):
+            raise ValueError("transistor order has a cycle")
 
 
 # -- canonical keys ------------------------------------------------------------
@@ -199,13 +204,29 @@ def _config_tag(pres: SemigroupPresentation, coeffs: CoefficientSystem) -> str:
     return f"{zlib.crc32(repr((pres, coeffs)).encode()):08x}"
 
 
+_WIRE_TEXTS: dict[tuple[str, object], str] = {}
+_WIRE_TEXTS_MAX = 4096
+
+
+def _wire_text(label: str, c: GroupElement) -> str:
+    """`label:coeff`, memoized by (label, payload): a coefficient's text
+    depends on its payload alone (identity payloads all read ``1``)."""
+    key = (label, c.payload)
+    text = _WIRE_TEXTS.get(key)
+    if text is None:
+        text = f"{label}:{coeff_serialize(c)}"
+        if len(_WIRE_TEXTS) < _WIRE_TEXTS_MAX:
+            _WIRE_TEXTS[key] = text
+    return text
+
+
 def _key_frame(d: Diagram) -> tuple[dict[int, int], str, str]:
     """(wire numbering, key text before the bottom sequence, key text after
     it), from one traversal."""
     worder, wires, trans = _traversal(d)
     head = f"{'a' if d.annular else 'p'}|{_config_tag(d.pres, d.coeffs)}|B"
     dw, dt = d.wires, d.transistors
-    w_part = ";".join([f"{dw[w][0]}:{coeff_serialize(dw[w][1])}" for w in wires])
+    w_part = ";".join([_wire_text(*dw[w]) for w in wires])
     t_part = ";".join([
         f"{dt[t][0]}:{dt[t][1]}:"
         f"{','.join([str(worder[w]) for w in d.t_top[t]])}:"
@@ -469,27 +490,37 @@ def invert(d: Diagram) -> Diagram:
 # -- dipoles and reduction -------------------------------------------------------
 
 
-def _dipoles(wires, transistors, t_top, t_bot, wire_top):
-    """The dipoles (t1 below, t2 above), in transistor order: the wires rising
-    from t1's top are exactly t2's bottom side in order, the outer labels
-    match, and every connecting wire carries the identity coefficient."""
-    for t1 in transistors:
-        conn = t_top[t1]
-        site = wire_top[conn[0]]
-        if site[0] != "TB" or site[2] != 0:
-            continue
-        t2 = site[1]
-        if t_bot[t2] != conn:
-            continue
-        if any(not wires[w][1].is_identity() for w in conn):
-            continue
-        if tuple(wires[w][0] for w in t_top[t2]) != tuple(wires[w][0] for w in t_bot[t1]):
-            continue
-        yield t1, t2
+def _dipole_above(pres, wires, transistors, t_bot, wire_top, conn, rel) -> int | None:
+    """The transistor t2 that forms a dipole with a transistor t1 (below it)
+    carrying the oriented relation `rel` and fed by the wires `conn`, or
+    None: the wires rising from t1's top are exactly t2's bottom side in
+    order, every connecting wire carries the identity coefficient, and the
+    outer labels match (t2's top side spells t1's bottom side).  t1 need not
+    exist yet: `moves` asks this of the transistor a move would add."""
+    site = wire_top[conn[0]]
+    if site[0] != "TB" or site[2] != 0:
+        return None
+    t2 = site[1]
+    if t_bot[t2] != conn:
+        return None
+    if any(not wires[w][1].is_identity() for w in conn):
+        return None
+    if rel_sides(pres, *transistors[t2])[0] != rel_sides(pres, *rel)[1]:
+        return None
+    return t2
+
+
+def _dipoles(pres, wires, transistors, t_top, t_bot, wire_top):
+    """The dipoles (t1 below, t2 above), in transistor order."""
+    for t1, rel in transistors.items():
+        t2 = _dipole_above(pres, wires, transistors, t_bot, wire_top, t_top[t1], rel)
+        if t2 is not None:
+            yield t1, t2
 
 
 def _has_dipole(d: Diagram) -> bool:
-    return next(_dipoles(d.wires, d.transistors, d.t_top, d.t_bot, d.wire_top), None) is not None
+    return next(_dipoles(d.pres, d.wires, d.transistors, d.t_top, d.t_bot, d.wire_top),
+                None) is not None
 
 
 def is_reduced(d: Diagram) -> bool:
@@ -516,7 +547,7 @@ def reduce(d: Diagram, rng=None) -> Diagram:
     wire_bot = dict(d.wire_bot)
 
     while True:
-        dips = _dipoles(wires, transistors, t_top, t_bot, wire_top)
+        dips = _dipoles(d.pres, wires, transistors, t_top, t_bot, wire_top)
         if rng is not None:
             dips = list(dips)
             if not dips:

@@ -5,16 +5,17 @@ from __future__ import annotations
 import random
 
 from .coeff import CoefficientSystem
-from .moves import BallConfig, apply_linear_move, apply_transistor_move, neighbor_diagrams
+from .moves import BallConfig, apply_linear_move, apply_move, apply_transistor_move, unitary_moves
 from .picture import Diagram, atom_permutation, concat, eps, invert, multiply, reduce
 
 
 def _random_moves(d: Diagram, steps: int, rng: random.Random, cfg: BallConfig) -> Diagram:
     for _ in range(steps):
-        options = [out for out, _, _ in neighbor_diagrams(d, cfg)]
-        if not options:
+        moves = list(unitary_moves(d, cfg))
+        if not moves:
             break
-        d = options[rng.randrange(len(options))]
+        kind, witness, _ = moves[rng.randrange(len(moves))]
+        d = apply_move(d, kind, witness, cfg.geometry)
     return d
 
 
@@ -100,37 +101,16 @@ def random_unreduced(pres, coeffs: CoefficientSystem, w, transistor_budget: int,
     d = eps(pres, coeffs, tuple(w), annular=(geometry == "annular"))
     placed = 0
     while placed < transistor_budget:
-        moves = list(_raw_moves(d, cfg))
+        moves = list(unitary_moves(d, cfg))
         if not moves:
             break
-        d, kind = moves[rng.randrange(len(moves))]
+        kind, witness, _ = moves[rng.randrange(len(moves))]
         if kind == "transistor":
+            d = apply_transistor_move(d, *witness, cfg.geometry)
             placed += 1
+        else:
+            d = apply_linear_move(d, *witness)
     return d
-
-
-def _raw_moves(d: Diagram, cfg: BallConfig):
-    """Unreduced variants of neighbor moves (concatenation only)."""
-    from .coeff import TrivialSpec, nontrivial_elements
-    from .moves import _feed_tuples
-    from .picture import rel_sides
-
-    labels = d.bot_word()
-    width = len(labels)
-    for rel_index in range(len(d.pres.relations)):
-        for direction in (1, -1):
-            consumed, produced = rel_sides(d.pres, rel_index, direction)
-            if width - len(consumed) + len(produced) > cfg.max_width:
-                continue
-            for positions in _feed_tuples(labels, consumed, cfg.geometry):
-                yield (apply_transistor_move(d, rel_index, direction, positions,
-                                             cfg.geometry), "transistor")
-    for position, letter in enumerate(labels):
-        spec = cfg.coeffs.spec(letter)
-        if isinstance(spec, TrivialSpec):
-            continue
-        for g in nontrivial_elements(spec):
-            yield apply_linear_move(d, position, g), "linear"
 
 
 def random_tree(rng: random.Random, arity: int, carets: int):

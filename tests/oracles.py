@@ -14,7 +14,21 @@ from collections import deque
 from fractions import Fraction
 
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
-from picturecalc.picture import Diagram, canonical_key, invert, length, multiply, rotate_bottom
+from picturecalc.coeff import TrivialSpec, nontrivial_elements
+from picturecalc.picture import (
+    Diagram,
+    atom_linear,
+    atom_permutation,
+    atom_transistor,
+    canonical_key,
+    concat,
+    invert,
+    length,
+    multiply,
+    rel_sides,
+    rotate_bottom,
+    with_bottom_ports,
+)
 
 
 # -- all reduction orders -------------------------------------------------------
@@ -93,12 +107,9 @@ def reduce_oracle(d: Diagram) -> Diagram:
 
 # -- key text by definition ---------------------------------------------------------
 
-def key_text_oracle(d: Diagram, mode: str = "exact") -> str:
-    """The canonical key spelled out: a deque BFS from the frame top numbers
-    transistors at first visit and wires at discovery; the bottom sequence is
-    the bottom-port numbers (sorted in class mode); wires and transistors are
-    listed by sorting on their numbers; the tag is the CRC-32 of the
-    configuration's repr."""
+def _numbering_oracle(d: Diagram) -> tuple[dict[int, int], dict[int, int]]:
+    """Wire and transistor numbers of a deque BFS from the frame top:
+    transistors at first visit, wires at discovery."""
     worder: dict[int, int] = {}
     torder: dict[int, int] = {}
     queue: deque[int] = deque()
@@ -121,6 +132,15 @@ def key_text_oracle(d: Diagram, mode: str = "exact") -> str:
                         disc(w2)
                     for w2 in d.t_bot[tid]:
                         disc(w2)
+    return worder, torder
+
+
+def key_text_oracle(d: Diagram, mode: str = "exact") -> str:
+    """The canonical key spelled out from `_numbering_oracle`: the bottom
+    sequence is the bottom-port numbers (sorted in class mode); wires and
+    transistors are listed by sorting on their numbers; the tag is the
+    CRC-32 of the configuration's repr."""
+    worder, torder = _numbering_oracle(d)
     bottom = [worder[w] for w in d.bottom_ports]
     if mode == "class":
         bottom.sort()
@@ -147,6 +167,19 @@ def class_key_oracle(d: Diagram, geometry: str) -> str:
     if geometry == "annular":
         return min(key_text_oracle(rotate_bottom(d, k)) for k in range(len(d.bottom_ports)))
     return key_text_oracle(d, "class" if geometry == "braided" else "exact")
+
+
+def class_rep_oracle(d: Diagram, geometry: str) -> Diagram:
+    """A member of [d] whose exact key is the class key of d: bottom ports
+    in BFS-number order (braided), the first least rotation (annular), d
+    itself (planar)."""
+    if geometry == "annular":
+        keys = [key_text_oracle(rotate_bottom(d, k)) for k in range(len(d.bottom_ports))]
+        return rotate_bottom(d, keys.index(min(keys)))
+    if geometry == "braided":
+        worder = _numbering_oracle(d)[0]
+        return with_bottom_ports(d, tuple(sorted(d.bottom_ports, key=worder.__getitem__)))
+    return d
 
 
 # -- distance by the product formula ---------------------------------------------
@@ -330,11 +363,6 @@ def _all_perms_for_geometry(n, geometry):
 def neighbor_keys_oracle(rep, cfg):
     """Definition-level neighbors of [rep]: all geometry permutation diagrams P,
     all unitary atoms U, keys of reduce(rep o P o U)."""
-    from picturecalc.coeff import TrivialSpec, nontrivial_elements
-    from picturecalc.picture import (
-        atom_linear, atom_permutation, atom_transistor, concat, rel_sides,
-    )
-
     out = set()
     pres, coeffs, geometry = cfg.pres, cfg.coeffs, cfg.geometry
     botword = rep.bot_word()
@@ -368,3 +396,137 @@ def neighbor_keys_oracle(rep, cfg):
                 if key != me:
                     out.add(key)
     return out
+
+
+# -- ball and random walks with every neighbour built ----------------------------
+
+def _feed_positions_oracle(word, consumed, geometry):
+    """Ordered position tuples spelling `consumed`, lexicographically:
+    any distinct positions (braided), a cyclic block (annular), a block
+    (planar)."""
+    n, k = len(word), len(consumed)
+    for pos in itertools.permutations(range(n), k):
+        if tuple(word[p] for p in pos) != consumed:
+            continue
+        if geometry == "planar" and pos != tuple(range(pos[0], pos[0] + k)):
+            continue
+        if geometry == "annular" and pos != tuple((pos[0] + j) % n for j in range(k)):
+            continue
+        yield pos
+
+
+def moves_oracle(rep: Diagram, cfg):
+    """Every unitary move from rep as (unreduced result, kind, witness), in
+    the enumeration order of the package, each result built as rep . P . U
+    from atoms: P puts the fed wires where the geometry puts the atom's
+    transistor (after the rest, braided; first, annular; in place,
+    planar)."""
+    pres, coeffs, geometry = cfg.pres, cfg.coeffs, cfg.geometry
+    word = rep.bot_word()
+    n = len(word)
+    for rel_index in range(len(pres.relations)):
+        for direction in (1, -1):
+            consumed, produced = rel_sides(pres, rel_index, direction)
+            if n - len(consumed) + len(produced) > cfg.max_width:
+                continue
+            for pos in _feed_positions_oracle(word, consumed, geometry):
+                if geometry == "planar":
+                    base, a, b = rep, word[:pos[0]], word[pos[0] + len(pos):]
+                else:
+                    if geometry == "braided":
+                        rest = tuple(i for i in range(n) if i not in pos)
+                        order = rest + pos
+                    else:
+                        order = tuple((pos[0] + j) % n for j in range(n))
+                        rest = order[len(pos):]
+                    perm = [0] * n
+                    for new, old in enumerate(order):
+                        perm[old] = new
+                    base = concat(rep, atom_permutation(pres, coeffs, word, perm,
+                                                        annular=rep.annular))
+                    rest_word = tuple(word[i] for i in rest)
+                    a, b = (rest_word, ()) if geometry == "braided" else ((), rest_word)
+                atom = atom_transistor(pres, coeffs, a, rel_index, direction, b,
+                                       annular=rep.annular)
+                yield concat(base, atom), "transistor", (rel_index, direction, pos)
+    for i, letter in enumerate(word):
+        spec = coeffs.spec(letter)
+        if isinstance(spec, TrivialSpec):
+            continue
+        for g in nontrivial_elements(spec):
+            atom = atom_linear(pres, coeffs, word, i, g, annular=rep.annular)
+            yield concat(rep, atom), "linear", (letter, g)
+
+
+def length_oracle(d: Diagram) -> int:
+    r = reduce_oracle(d)
+    return len(r.transistors) + sum(1 for _, c in r.wires.values() if not c.is_identity())
+
+
+def bfs_oracle(base: Diagram, radius: int, cfg):
+    """The ball by breadth-first search that builds, reduces and keys every
+    neighbour of every vertex, the outermost shell included; returns (reps,
+    depths, edges) like `bfs_classes`."""
+    geometry = cfg.geometry
+    root = reduce_oracle(base)
+    if geometry == "annular" and not root.annular:
+        root = Diagram(root.pres, root.coeffs, root.wires, root.transistors, root.t_top,
+                       root.t_bot, root.top_ports, root.bottom_ports, True)
+    root = class_rep_oracle(root, geometry)
+    index = {class_key_oracle(root, geometry): 0}
+    reps, depths, edges = [root], [0], {}
+
+    def neighbours(i):
+        for raw, kind, witness in moves_oracle(reps[i], cfg):
+            out = reduce_oracle(raw)
+            key = class_key_oracle(out, geometry)
+            yield key, index.get(key), out, kind, witness
+
+    frontier = [0]
+    for depth in range(1, radius + 1):
+        found = {}
+        for i in frontier:
+            for key, j, out, kind, witness in neighbours(i):
+                if j is None:
+                    found.setdefault(key, (out, i, kind, witness))
+                elif j != i:
+                    edges.setdefault((min(i, j), max(i, j)), (kind, witness))
+        for key in sorted(found):
+            out, parent, kind, witness = found[key]
+            index[key] = len(reps)
+            edges.setdefault((parent, len(reps)), (kind, witness))
+            reps.append(class_rep_oracle(out, geometry))
+            depths.append(depth)
+        frontier = [i for i in range(len(reps)) if depths[i] == depth]
+        if not frontier:
+            break
+    for i in frontier:
+        for key, j, out, kind, witness in neighbours(i):
+            if j is not None and j != i:
+                edges.setdefault((min(i, j), max(i, j)), (kind, witness))
+    return reps, depths, edges
+
+
+def walk_oracle(d: Diagram, steps: int, rng, cfg) -> Diagram:
+    """The sampler's random walk with every neighbour built and reduced
+    before one is drawn."""
+    for _ in range(steps):
+        options = [reduce_oracle(raw) for raw, _, _ in moves_oracle(d, cfg)]
+        if not options:
+            break
+        d = options[rng.randrange(len(options))]
+    return d
+
+
+def random_unreduced_oracle(base: Diagram, transistor_budget: int, rng, cfg) -> Diagram:
+    """`random_unreduced` with every unreduced neighbour built before one
+    is drawn."""
+    d, placed = base, 0
+    while placed < transistor_budget:
+        options = list(moves_oracle(d, cfg))
+        if not options:
+            break
+        d, kind, _ = options[rng.randrange(len(options))]
+        if kind == "transistor":
+            placed += 1
+    return d

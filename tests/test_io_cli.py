@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from picturecalc.cli import main
-from picturecalc.coeff import CyclicSpec, make_system, trivial_system
+from picturecalc.coeff import CyclicSpec, identity, make_system, trivial_system
 from picturecalc.errors import ParseError
 from picturecalc.io import (
     diagram_from_json,
@@ -17,7 +17,7 @@ from picturecalc.io import (
     tree_pair_from_text,
     tree_pair_to_text,
 )
-from picturecalc.picture import atom_transistor, canonical_key, concat, eps
+from picturecalc.picture import Diagram, atom_transistor, canonical_key, concat, eps
 from picturecalc.presentation import builtin_presentation
 from picturecalc.sampling import random_element, random_tree_pair, random_walk_diagram
 from picturecalc.thompson import TreePair
@@ -215,6 +215,32 @@ def test_cli_bad_transistor_id_exit_2(tmp_path, capsys, tid):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: wire 0: transistor id {tid!r} ") and "Traceback" not in err
+
+
+def test_cli_reduce_deep_chain_bottom_first(tmp_path, capsys):
+    # 1,500 x->xx transistors, each fed by the first bottom wire of the one
+    # above (transistor t has bottom wires 2t+1, 2t+2)
+    n = 1500
+    wires = {w: ("x", identity(TRIV.spec("x"))) for w in range(2 * n + 1)}
+    feeds = [0] + [2 * t + 1 for t in range(n - 1)]
+    bottom = (2 * n - 1,) + tuple(2 * t + 2 for t in reversed(range(n)))
+    chain = Diagram(Q, TRIV, wires, {t: (0, 1) for t in range(n)},
+                    {t: (feeds[t],) for t in range(n)},
+                    {t: (2 * t + 1, 2 * t + 2) for t in range(n)}, (0,), bottom)
+    obj = diagram_to_json(chain)
+    # list the transistors bottom first
+    obj["transistors"].reverse()
+    for wire in obj["wires"]:
+        for end in ("top", "bottom"):
+            site = wire[end]["site"]
+            if isinstance(site, dict):
+                site["transistor"] = n - 1 - site["transistor"]
+    src = tmp_path / "chain.json"
+    src.write_text(json.dumps(obj))
+    rc = main(["reduce", "--in", str(src), "--out", str(tmp_path / "r.json")])
+    out, err = capsys.readouterr()
+    assert rc == 0 and "Traceback" not in err
+    assert f"length {n}" in out
 
 
 def test_cli_verify_inconclusive_plus_still_passes(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,8 @@ from picturecalc.errors import EnumerationError
 from picturecalc.moves import (
     GEOMETRIES,
     BallConfig,
+    apply_linear_move,
+    apply_move,
     apply_transistor_move,
     bfs_classes,
     enumerate_reduced,
@@ -14,6 +17,7 @@ from picturecalc.moves import (
     geometry_class_rep,
     neighbor_diagrams,
     normalize_base,
+    unitary_moves,
 )
 from picturecalc.picture import (
     atom_transistor,
@@ -27,13 +31,34 @@ from picturecalc.picture import (
     with_bottom_ports,
 )
 from picturecalc.presentation import builtin_presentation
-from picturecalc.sampling import random_element, random_walk_diagram
+from picturecalc import sampling
+from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
-from oracles import class_key_oracle, key_text_oracle, neighbor_keys_oracle
+from oracles import (
+    bfs_oracle,
+    class_key_oracle,
+    key_text_oracle,
+    length_oracle,
+    moves_oracle,
+    neighbor_keys_oracle,
+    random_unreduced_oracle,
+    walk_oracle,
+)
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
 CYC2 = make_system(Q.alphabet, {"x": CyclicSpec(2)})
+CYC3 = make_system(Q.alphabet, {"x": CyclicSpec(3)})
+ABC, ABC_WORD = builtin_presentation("commuting_abc")
+ABC2 = make_system(ABC.alphabet, {"a": CyclicSpec(2)})
+
+# (presentation, coefficients, baseword, geometry, radius): the Thompson
+# radius-3 balls in every geometry, planar cyclic:3 (where a linear move can
+# take one nontrivial coefficient to another) and a commuting_abc ball
+MOVE_BALLS = [(Q, CYC2, ("x",), geometry, 3) for geometry in GEOMETRIES] + [
+    (Q, CYC3, ("x",), "planar", 3),
+    (ABC, ABC2, ABC_WORD, "braided", 2),
+]
 
 
 def neighbor_keys(rep, cfg):
@@ -275,3 +300,80 @@ def test_enumerate_keys_match_per_variant_definition(geometry):
     got = enumerate_reduced(Q, CYC2, w, 2, geometry)
     assert [canonical_key(d) for d in got] == sorted(want)
     assert all(key_text_oracle(d) == canonical_key(d) for d in got)
+
+
+# -- move lengths and the pruned ball -------------------------------------------------
+
+def _ball_id(case):
+    pres, coeffs, _, geometry, radius = case
+    return f"{'thompson' if pres is Q else 'abc'}-{coeffs.spec(pres.alphabet[0])}-{geometry}-r{radius}"
+
+
+@pytest.mark.parametrize("case", MOVE_BALLS, ids=_ball_id)
+def test_unitary_moves_predict_length(case):
+    pres, coeffs, w, geometry, radius = case
+    cfg = BallConfig(pres, coeffs, geometry)
+    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+    kinds_seen = set()
+    for rep in reps:
+        moves = list(unitary_moves(rep, cfg))
+        witnesses = [(kind, wit) for _, kind, wit in neighbor_diagrams(rep, cfg)]
+        assert witnesses == [(kind, wit) for _, kind, wit in moves_oracle(rep, cfg)]
+        before = length(rep)
+        for kind, witness, length_after in moves:
+            if kind == "transistor":
+                raw = apply_transistor_move(rep, *witness, geometry)
+            else:
+                raw = apply_linear_move(rep, *witness)
+            assert length_after == length(apply_move(rep, kind, witness, geometry))
+            assert length_after == length_oracle(raw)
+            kinds_seen.add((kind, length_after - before))
+    # every way a move can change the length occurs among these balls
+    assert {("transistor", 1), ("transistor", -1), ("linear", 1), ("linear", -1)} <= kinds_seen
+    if coeffs is CYC3:
+        assert ("linear", 0) in kinds_seen
+
+
+def _assert_same_ball(got, want):
+    reps, depths, edges = got
+    o_reps, o_depths, o_edges = want
+    assert [canonical_key(r) for r in reps] == [key_text_oracle(r) for r in o_reps]
+    assert depths == o_depths
+    assert list(edges.items()) == list(o_edges.items())
+
+
+@pytest.mark.parametrize("case", MOVE_BALLS, ids=_ball_id)
+def test_bfs_classes_matches_unpruned_oracle(case):
+    pres, coeffs, w, geometry, radius = case
+    cfg = BallConfig(pres, coeffs, geometry)
+    base = eps(pres, coeffs, w, annular=geometry == "annular")
+    _assert_same_ball(bfs_classes(base, radius, cfg), bfs_oracle(base, radius, cfg))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_bfs_classes_matches_oracle_around_random_bases(geometry):
+    # a base of nonzero length: the bound is radius + length(base)
+    cfg = BallConfig(Q, CYC2, geometry)
+    for seed in range(3):
+        base = random_walk_diagram(Q, CYC2, "x", 3, random.Random(seed), geometry)
+        assert length(base) > 0
+        _assert_same_ball(bfs_classes(base, 2, cfg), bfs_oracle(base, 2, cfg))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_sampling_matches_walks_that_build_every_neighbour(geometry, monkeypatch):
+    for seed in range(20):
+        pres, coeffs, w = (Q, CYC2, ("x",)) if seed % 2 else (ABC, ABC2, ABC_WORD)
+        cfg = BallConfig(pres, coeffs, geometry)
+        base = eps(pres, coeffs, w, annular=geometry == "annular")
+        got = random_walk_diagram(pres, coeffs, w, 5, random.Random(seed), geometry)
+        want = walk_oracle(base, 5, random.Random(seed), cfg)
+        assert canonical_key(got) == key_text_oracle(want)
+        got = random_unreduced(pres, coeffs, w, 4, random.Random(seed), geometry=geometry)
+        want = random_unreduced_oracle(base, 4, random.Random(seed), cfg)
+        assert canonical_key(got) == key_text_oracle(want)
+        got = canonical_key(random_element(pres, coeffs, w, random.Random(seed), geometry))
+        with monkeypatch.context() as m:
+            m.setattr(sampling, "_random_moves", walk_oracle)
+            want = canonical_key(random_element(pres, coeffs, w, random.Random(seed), geometry))
+        assert got == want

@@ -11,6 +11,7 @@ from picturecalc.coeff import (
     make_system,
     trivial_system,
 )
+from picturecalc import picture
 from picturecalc.errors import CompositionError
 from picturecalc.picture import (
     Diagram,
@@ -34,7 +35,7 @@ from picturecalc.picture import (
 from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
-from oracles import classify_geometry_oracle, count_dipoles, reduce_all_orders
+from oracles import classify_geometry_oracle, count_dipoles, key_text_oracle, reduce_all_orders
 
 Q, XW = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -67,6 +68,42 @@ def test_eps_labelled_and_mismatch():
     assert d.top_word() == ("x", "x")
     with pytest.raises(ValueError):
         eps(Q, TRIV, [("x", g)])  # element from the wrong group
+
+
+def test_equality_compares_configurations(monkeypatch):
+    other = parse_presentation("<x | x=x.x.x>")
+    a, b = eps(Q, TRIV, "x"), eps(other, trivial_system(other.alphabet), "x")
+    # with one tag for every configuration the keys agree, the diagrams do not
+    monkeypatch.setattr(picture, "_config_tag", lambda pres, coeffs: "00000000")
+    assert canonical_key(a) == canonical_key(b)
+    assert a != b
+    assert a == eps(Q, TRIV, "x")
+
+
+def test_keys_spell_coefficients_in_every_configuration():
+    # one label over several groups, keyed in one process: each key spells
+    # its own configuration's coefficient texts
+    cases = [
+        ({"x": CyclicSpec(2)}, lambda s: cyclic_element(s, 1), "x:t"),
+        ({"x": CyclicSpec(3)}, lambda s: cyclic_element(s, 2), "x:t.t"),
+        ({"x": FreeSpec(("u", "v"))}, lambda s: free_element(s, [("u", 1), ("v", -1)]),
+         "x:u.v^-1"),
+        ({}, identity, "x:1"),
+    ]
+    for overrides, element, text in cases:
+        cs = make_system(Q.alphabet, overrides)
+        d = eps(Q, cs, [("x", element(cs.spec("x"))), ("x", None)])
+        assert f"|W{text};x:1|" in canonical_key(d)
+        assert canonical_key(d) == key_text_oracle(d)
+
+
+def test_validate_rejects_cycle():
+    # two transistors, each fed by the other's first bottom wire
+    wires = {w: ("x", identity(TRIV.spec("x"))) for w in range(4)}
+    loop = Diagram(Q, TRIV, wires, {0: (0, 1), 1: (0, 1)}, {0: (0,), 1: (1,)},
+                   {0: (1, 2), 1: (0, 3)}, (), (2, 3))
+    with pytest.raises(ValueError, match="transistor order has a cycle"):
+        loop.validate()
 
 
 def test_atom_transistor_basics():

@@ -17,7 +17,6 @@ from .coeff import make_system, spec_parse
 from .errors import CompositionError, EnumerationError, ParseError
 from .io import (
     diagram_to_json,
-    dump_diagram,
     load_diagram,
     tree_pair_from_text,
     tree_pair_to_text,
@@ -84,27 +83,19 @@ def _emit(obj, path: str | None):
         sys.stdout.write(text)
 
 
-def cmd_reduce(args) -> int:
-    d = load_diagram(args.infile)
-    r = reduce(d)
-    if args.out:
-        dump_diagram(r, args.out)
-    else:
-        _emit(diagram_to_json(r), None)
-    print(f"length {length(r)}")
+def _emit_diagram(d, path: str | None) -> int:
+    _emit(diagram_to_json(d), path)
+    print(f"length {length(d)}")
     return 0
+
+
+def cmd_reduce(args) -> int:
+    return _emit_diagram(reduce(load_diagram(args.infile)), args.out)
 
 
 def cmd_multiply(args) -> int:
-    a = load_diagram(args.infile)
-    b = load_diagram(args.infile2)
-    r = multiply(a, b)
-    if args.out:
-        dump_diagram(r, args.out)
-    else:
-        _emit(diagram_to_json(r), None)
-    print(f"length {length(r)}")
-    return 0
+    return _emit_diagram(multiply(load_diagram(args.infile), load_diagram(args.infile2)),
+                         args.out)
 
 
 def cmd_embed(args) -> int:
@@ -114,13 +105,7 @@ def cmd_embed(args) -> int:
     d = load_diagram(args.infile)
     if d.pres != pres:
         raise ParseError("input diagram is not over the configured presentation")
-    img = psi(d)
-    if args.out:
-        dump_diagram(img, args.out)
-    else:
-        _emit(diagram_to_json(img), None)
-    print(f"length {length(img)}")
-    return 0
+    return _emit_diagram(psi(d), args.out)
 
 
 def cmd_project(args) -> int:
@@ -151,11 +136,16 @@ def cmd_thompson_eval(args) -> int:
     return 0
 
 
-def cmd_ball(args) -> int:
+def _ball(args):
+    """The configured ball and its baseword."""
     pres, coeffs, word = _resolve_config(args)
     cfg = BallConfig(pres, coeffs, args.geometry, args.max_width)
-    g = ball(eps(pres, coeffs, word, annular=(args.geometry == "annular")),
-             args.radius, cfg)
+    return ball(eps(pres, coeffs, word, annular=(args.geometry == "annular")),
+                args.radius, cfg), word
+
+
+def cmd_ball(args) -> int:
+    g, _ = _ball(args)
     _emit(to_json_dict(g), args.out)
     if args.dot:
         with open(args.dot, "w") as f:
@@ -165,12 +155,9 @@ def cmd_ball(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pres, coeffs, word = _resolve_config(args)
-    cfg = BallConfig(pres, coeffs, args.geometry, args.max_width)
-    g = ball(eps(pres, coeffs, word, annular=(args.geometry == "annular")),
-             args.radius, cfg)
+    g, word = _ball(args)
     reports = [verify_qm_axioms(g), pins_report(g), hyperplanes_report(g),
-               condition_plus_check(pres, coeffs, word, args.m_max, args.budget)]
+               condition_plus_check(g.cfg.pres, g.cfg.coeffs, word, args.m_max, args.budget)]
     plus_ok = reports[-1].details.get("holds_within_bounds", False)
     if plus_ok:
         linear_interior = [J for J in hyperplanes(g)

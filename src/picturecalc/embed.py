@@ -29,6 +29,7 @@ from .picture import (
     length,
     reduce,
     rel_sides,
+    replace,
     sum_diagrams,
 )
 from .presentation import SemigroupPresentation
@@ -76,13 +77,6 @@ def make_block(left_pad: int, top_len: int, rel_index: int, sign: int,
     return middle
 
 
-def _with_flag(d: Diagram, annular: bool) -> Diagram:
-    if d.annular == annular:
-        return d
-    return Diagram(d.pres, d.coeffs, d.wires, d.transistors, d.t_top, d.t_bot,
-                   d.top_ports, d.bottom_ports, annular, _reduced=d._reduced)
-
-
 def _perm_of(p: Diagram) -> tuple[int, ...]:
     return tuple(p.wire_bot[w][1] for w in p.top_ports)
 
@@ -116,7 +110,7 @@ def psi_unreduced(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagra
             raise AssertionError("source factors must be transistor atoms")
         out = concat(out, _psi_transistor_atom(u, coeffs))
         out = concat(out, _psi_perm(p, coeffs))
-    return _with_flag(out, d.annular)
+    return out if out.annular == d.annular else replace(out, annular=d.annular)
 
 
 def psi(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagram:
@@ -131,8 +125,7 @@ def kill_coefficients(d: Diagram) -> Diagram:
     triv = trivial_system(QPRES.alphabet)
     one = identity(triv.spec("x"))
     wires = {w: (label, one) for w, (label, _) in d.wires.items()}
-    return Diagram(QPRES, triv, wires, dict(d.transistors), dict(d.t_top),
-                   dict(d.t_bot), d.top_ports, d.bottom_ports, d.annular)
+    return replace(d, coeffs=triv, wires=wires, _reduced=None)
 
 
 def project_to_thompson(d_img: Diagram) -> tuple[TreePair, str]:

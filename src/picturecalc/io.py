@@ -148,9 +148,15 @@ def load_diagram(path: str) -> Diagram:
 
 
 def tree_to_text(tree) -> str:
-    if tree == ():
-        return "."
-    return "(" + "".join(tree_to_text(c) for c in tree) + ")"
+    out = []
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        else:  # a node opens, lists its children and closes; a leaf is "."
+            stack.extend([")", *reversed(t), "("] if t else ["."])
+    return "".join(out)
 
 
 def forest_to_text(forest: Forest) -> str:
@@ -163,22 +169,30 @@ def tree_pair_to_text(tp: TreePair) -> str:
 
 
 def _parse_tree(text: str, pos: int, arity: int):
-    if pos >= len(text):
+    n = len(text)
+    if pos >= n:
         raise ParseError("unexpected end of tree", pos)
-    if text[pos] == ".":
-        return (), pos + 1
-    if text[pos] != "(":
-        raise ParseError(f"expected '(' or '.', found {text[pos]!r}", pos)
-    pos += 1
-    children = []
-    while pos < len(text) and text[pos] != ")":
-        child, pos = _parse_tree(text, pos, arity)
-        children.append(child)
-    if pos >= len(text):
-        raise ParseError("unbalanced parentheses", pos)
-    if len(children) != arity:
-        raise ParseError(f"node has {len(children)} children, arity is {arity}", pos)
-    return tuple(children), pos + 1
+    open_nodes: list[list] = []  # the children read so far of each unclosed '('
+    while True:
+        c = text[pos]
+        if c == "(":
+            open_nodes.append([])
+        elif c == ".":
+            node = ()
+        elif c == ")" and open_nodes:
+            children = open_nodes.pop()
+            if len(children) != arity:
+                raise ParseError(f"node has {len(children)} children, arity is {arity}", pos)
+            node = tuple(children)
+        else:
+            raise ParseError(f"expected '(' or '.', found {c!r}", pos)
+        pos += 1
+        if c != "(":
+            if not open_nodes:
+                return node, pos
+            open_nodes[-1].append(node)
+        if pos >= n:
+            raise ParseError("unbalanced parentheses", pos)
 
 
 def _parse_forest(text: str, arity: int) -> Forest:
@@ -204,4 +218,7 @@ def tree_pair_from_text(text: str, arity: int = 2) -> TreePair:
         perm = tuple(int(x) for x in permpart.strip().split(","))
     except ValueError:
         raise ParseError(f"bad permutation {permpart!r}") from None
-    return TreePair(arity, domain, image, perm)
+    try:
+        return TreePair(arity, domain, image, perm)
+    except ValueError as e:
+        raise ParseError(str(e)) from None

@@ -7,7 +7,10 @@ atom U.  For transistor atoms the neighbor class only depends on which
 bottom wires feed the transistor and in which order, so moves are
 enumerated as feed position tuples: arbitrary ordered tuples (braided),
 cyclically consecutive blocks (annular), consecutive blocks (planar).
-Linear moves right-multiply one bottom wire's coefficient.
+Linear moves right-multiply one bottom wire's coefficient.  The same
+`_feed_tuples` with the whole baseword as the consumed word yields
+`enumerate_reduced`'s placements: the bottom-port orders of a class that
+spell the baseword, all bijections, rotations or only the identity.
 
 `unitary_moves` lists the moves as witnesses, each with the length of its
 result, and `apply_move` builds one of them; the ball explorer, the
@@ -45,6 +48,7 @@ from .picture import (
     length,
     reduce,
     rel_sides,
+    replace,
     rotate_bottom,
     with_bottom_ports,
 )
@@ -174,8 +178,7 @@ def apply_linear_move(d: Diagram, position: int, g: GroupElement) -> Diagram:
     label, c = d.wires[w]
     wires = dict(d.wires)
     wires[w] = (label, coeff_multiply(c, g))
-    return Diagram(d.pres, d.coeffs, wires, d.transistors, d.t_top, d.t_bot,
-                   d.top_ports, d.bottom_ports, d.annular, _reduced=d._reduced)
+    return replace(d, wires=wires)
 
 
 def unitary_moves(rep: Diagram, cfg: BallConfig):
@@ -250,8 +253,7 @@ def neighbor_diagrams(rep: Diagram, cfg: BallConfig, max_length: int | None = No
 def normalize_base(base: Diagram, cfg: BallConfig) -> Diagram:
     d = reduce(base)
     if cfg.geometry == "annular" and not d.annular:
-        d = Diagram(d.pres, d.coeffs, d.wires, d.transistors, d.t_top, d.t_bot,
-                    d.top_ports, d.bottom_ports, True, _reduced=True)
+        d = replace(d, annular=True)
     return geometry_class_rep(d, cfg.geometry)
 
 
@@ -310,30 +312,6 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
 
 # -- enumeration ---------------------------------------------------------------------
 
-def _anagram_placements(labels: tuple[str, ...], target: tuple[str, ...]):
-    """All bijections sigma with labels[i] == target[sigma(i)], as tuples."""
-    pools: dict[str, list[int]] = {}
-    for j, lab in enumerate(target):
-        pools.setdefault(lab, []).append(j)
-    n = len(labels)
-    acc = [0] * n
-    used: set[int] = set()
-
-    def rec(i):
-        if i == n:
-            yield tuple(acc)
-            return
-        for j in pools.get(labels[i], ()):
-            if j not in used:
-                used.add(j)
-                acc[i] = j
-                yield from rec(i + 1)
-                used.discard(j)
-
-    if sorted(labels) == sorted(target):
-        yield from rec(0)
-
-
 def enumerate_reduced(pres, coeffs, w, budget: int, geometry: str = "braided",
                       max_width: int = 12) -> list[Diagram]:
     """All reduced (w,w)-diagrams of the geometry with length <= budget,
@@ -348,21 +326,11 @@ def enumerate_reduced(pres, coeffs, w, budget: int, geometry: str = "braided",
     out: dict[str, Diagram] = {}
     for rep in reps:
         labels = rep.bot_word()
-        if geometry == "planar":
-            if labels == target:
-                out.setdefault(canonical_key(rep), rep)
+        if sorted(labels) != sorted(target):
             continue
         bottom = rep.bottom_ports
-        if geometry == "annular":
-            orders = [bottom[-k:] + bottom[:-k] for k in range(len(bottom))
-                      if labels[-k:] + labels[:-k] == target]
-        else:
-            orders = []
-            for sigma in _anagram_placements(labels, target):
-                ports = [0] * len(labels)
-                for i, j in enumerate(sigma):
-                    ports[j] = bottom[i]
-                orders.append(tuple(ports))
+        orders = [tuple(bottom[p] for p in positions)
+                  for positions in _feed_tuples(labels, target, geometry)]
         if not orders:
             continue
         # every variant shares the rep's traversal; build only the new ones

@@ -165,6 +165,16 @@ class Diagram:
             raise ValueError("transistor order has a cycle")
 
 
+def replace(d: Diagram, **fields) -> Diagram:
+    """A new diagram with d's constructor fields, the given ones changed.
+    The reduced flag carries over unless `_reduced` is given: callers that
+    could create a dipole pass ``_reduced=None``."""
+    return Diagram(**{"pres": d.pres, "coeffs": d.coeffs, "wires": d.wires,
+                      "transistors": d.transistors, "t_top": d.t_top, "t_bot": d.t_bot,
+                      "top_ports": d.top_ports, "bottom_ports": d.bottom_ports,
+                      "annular": d.annular, "_reduced": d._reduced, **fields})
+
+
 # -- canonical keys ------------------------------------------------------------
 
 
@@ -286,9 +296,7 @@ def class_representative(d: Diagram) -> Diagram:
     Its exact key is the class key of d: the traversal is unchanged and its
     bottom sequence is already sorted."""
     worder = _traversal(d)[0]
-    ports = tuple(sorted(d.bottom_ports, key=worder.__getitem__))
-    out = Diagram(d.pres, d.coeffs, d.wires, d.transistors, d.t_top, d.t_bot,
-                  d.top_ports, ports, d.annular, _reduced=d._reduced)
+    out = replace(d, bottom_ports=sorted(d.bottom_ports, key=worder.__getitem__))
     out._exact_key = out._class_key = d._class_key
     return out
 
@@ -297,16 +305,13 @@ def rotate_bottom(d: Diagram, k: int) -> Diagram:
     """Right-concatenate the rotation sending top port i to bottom port i+k."""
     n = len(d.bottom_ports)
     k %= n
-    ports = tuple(d.bottom_ports[(i - k) % n] for i in range(n))
-    return Diagram(d.pres, d.coeffs, d.wires, d.transistors, d.t_top, d.t_bot,
-                   d.top_ports, ports, d.annular, _reduced=d._reduced)
+    return replace(d, bottom_ports=[d.bottom_ports[(i - k) % n] for i in range(n)])
 
 
 def with_bottom_ports(d: Diagram, ports: tuple[int, ...]) -> Diagram:
     if sorted(ports) != sorted(d.bottom_ports):
         raise ValueError("new bottom ports must be a permutation of the old")
-    return Diagram(d.pres, d.coeffs, d.wires, d.transistors, d.t_top, d.t_bot,
-                   d.top_ports, ports, d.annular, _reduced=d._reduced)
+    return replace(d, bottom_ports=ports)
 
 
 # -- construction atoms --------------------------------------------------------
@@ -518,25 +523,27 @@ def _dipoles(pres, wires, transistors, t_top, t_bot, wire_top):
             yield t1, t2
 
 
-def _has_dipole(d: Diagram) -> bool:
-    return next(_dipoles(d.pres, d.wires, d.transistors, d.t_top, d.t_bot, d.wire_top),
-                None) is not None
+def _first_dipole(d: Diagram) -> tuple[int, int] | None:
+    """The first dipole of d in transistor order, or None, in which case d
+    is marked reduced: the one entry scan of `is_reduced` and `reduce`."""
+    if d._reduced:
+        return None
+    pair = next(_dipoles(d.pres, d.wires, d.transistors, d.t_top, d.t_bot, d.wire_top), None)
+    if pair is None:
+        d._reduced = True
+    return pair
 
 
 def is_reduced(d: Diagram) -> bool:
-    if not d._reduced and not _has_dipole(d):
-        d._reduced = True
-    return bool(d._reduced)
+    return _first_dipole(d) is None
 
 
 def reduce(d: Diagram, rng=None) -> Diagram:
     """Cancel dipoles until none remain.  The result is independent of the
     order in which dipoles are reduced; `rng` randomizes the order (used by
     the confluence tests).  A diagram without dipoles is returned itself."""
-    if d._reduced:
-        return d
-    if not _has_dipole(d):
-        d._reduced = True
+    pair = _first_dipole(d)
+    if pair is None:
         return d
     wires = dict(d.wires)
     transistors = dict(d.transistors)
@@ -546,18 +553,11 @@ def reduce(d: Diagram, rng=None) -> Diagram:
     wire_top = dict(d.wire_top)
     wire_bot = dict(d.wire_bot)
 
-    while True:
-        dips = _dipoles(d.pres, wires, transistors, t_top, t_bot, wire_top)
+    while pair is not None:
         if rng is not None:
-            dips = list(dips)
-            if not dips:
-                break
-            t1, t2 = dips[rng.randrange(len(dips))]
-        else:
-            pair = next(dips, None)
-            if pair is None:
-                break
-            t1, t2 = pair
+            found = list(_dipoles(d.pres, wires, transistors, t_top, t_bot, wire_top))
+            pair = found[rng.randrange(len(found))]
+        t1, t2 = pair
         for w in t_top[t1]:
             del wires[w], wire_top[w], wire_bot[w]
         uppers, lowers = t_top[t2], t_bot[t1]
@@ -577,6 +577,7 @@ def reduce(d: Diagram, rng=None) -> Diagram:
             del wires[b], wire_top[b], wire_bot[b]
         for t in (t1, t2):
             del transistors[t], t_top[t], t_bot[t]
+        pair = next(_dipoles(d.pres, wires, transistors, t_top, t_bot, wire_top), None)
     return Diagram(d.pres, d.coeffs, wires, transistors, t_top, t_bot,
                    d.top_ports, tuple(bottom), d.annular, _reduced=True)
 
@@ -595,35 +596,13 @@ def length(d: Diagram) -> int:
 # -- classification -------------------------------------------------------------
 
 
-def _sweep_planar(d: Diagram) -> bool:
+def _sweep(d: Diagram, cyclic: bool) -> bool:
     """Fire transistors downward whenever their top wires occupy consecutive
     boundary slots in matching order; planar iff everything fires and no
-    permutation remains.  Firing order is immaterial: blocks are disjoint and
+    permutation remains.  With `cyclic`, blocks may wrap around, and the
+    final boundary only has to match up to rotation (winding shifts the
+    basepoint).  Firing order is immaterial: blocks are disjoint and
     replacements are nonempty, so fireability is stable."""
-    cut = list(d.top_ports)
-    unfired = set(d.transistors)
-    while unfired:
-        pos = {w: i for i, w in enumerate(cut)}
-        fired = None
-        for tid in unfired:
-            tt = d.t_top[tid]
-            i0 = pos.get(tt[0])
-            if i0 is None:
-                continue
-            if all(pos.get(w) == i0 + j for j, w in enumerate(tt)):
-                fired = (tid, i0)
-                break
-        if fired is None:
-            return False
-        tid, i0 = fired
-        cut[i0:i0 + len(d.t_top[tid])] = list(d.t_bot[tid])
-        unfired.discard(tid)
-    return cut == list(d.bottom_ports)
-
-
-def _sweep_annular(d: Diagram) -> bool:
-    """Cyclic variant: blocks may wrap around, and the final boundary only has
-    to match up to rotation (winding shifts the basepoint)."""
     cut = list(d.top_ports)
     unfired = set(d.transistors)
     while unfired:
@@ -632,10 +611,8 @@ def _sweep_annular(d: Diagram) -> bool:
         fired = None
         for tid in unfired:
             tt = d.t_top[tid]
-            if len(tt) > n:
-                continue
             i0 = pos.get(tt[0])
-            if i0 is None:
+            if i0 is None or len(tt) > (n if cyclic else n - i0):
                 continue
             if all(pos.get(w) == (i0 + j) % n for j, w in enumerate(tt)):
                 fired = (tid, i0)
@@ -643,20 +620,21 @@ def _sweep_annular(d: Diagram) -> bool:
         if fired is None:
             return False
         tid, i0 = fired
-        cut = cut[i0:] + cut[:i0]
-        cut = list(d.t_bot[tid]) + cut[len(d.t_top[tid]):]
+        if cyclic:
+            cut = cut[i0:] + cut[:i0]
+            i0 = 0
+        cut[i0:i0 + len(d.t_top[tid])] = d.t_bot[tid]
         unfired.discard(tid)
-    n = len(cut)
     target = list(d.bottom_ports)
-    return any(cut[k:] + cut[:k] == target for k in range(n))
+    return any(cut[k:] + cut[:k] == target for k in range(len(cut) if cyclic else 1))
 
 
 def classify_geometry(d: Diagram) -> str:
     """'planar' | 'annular_not_planar' | 'braided_only' (embeddability of the
     combinatorics, regardless of the annular flag)."""
-    if _sweep_planar(d):
+    if _sweep(d, cyclic=False):
         return "planar"
-    if _sweep_annular(d):
+    if _sweep(d, cyclic=True):
         return "annular_not_planar"
     return "braided_only"
 
@@ -710,9 +688,7 @@ def factorize(d: Diagram) -> tuple[Diagram, list[tuple[Diagram, Diagram]]]:
             p = eps(pres, coeffs, botword)
             wires = dict(rest.wires)
             wires[w] = (wires[w][0], identity(g.spec))
-            rest = Diagram(pres, coeffs, wires, rest.transistors, rest.t_top,
-                           rest.t_bot, rest.top_ports, rest.bottom_ports,
-                           rest.annular, _reduced=True)
+            rest = replace(rest, wires=wires)
             rev.append((u, p))
             continue
         # transistor peel: a <-minimal transistor, all bottom wires on the frame

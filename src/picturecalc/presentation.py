@@ -86,8 +86,6 @@ def validate_presentation(p: SemigroupPresentation) -> list[Violation]:
 
 # --- parsing ---------------------------------------------------------------
 
-_PUNCT = set("<>|=,.^")
-
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Yield (kind, value, position) with kind in {punct, ident, int}."""
@@ -98,15 +96,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c in _PUNCT:
+        if c in RESERVED:
             toks.append(("punct", c, i))
             i += 1
             continue
         j = i
-        while j < n and not text[j].isspace() and text[j] not in _PUNCT:
+        while j < n and not text[j].isspace() and text[j] not in RESERVED:
             j += 1
         val = text[i:j]
-        toks.append(("int" if val.isdigit() else "ident", val, i))
+        # isdecimal, not isdigit: int() rejects digits such as '²'
+        toks.append(("int" if val.isdecimal() else "ident", val, i))
         i = j
     return toks
 
@@ -150,6 +149,28 @@ def _expand_atom(token: str, at: int, alphabet: tuple[str, ...]) -> list[str]:
     raise ParseError(f"undeclared letter {token!r}", at)
 
 
+def _parse_word(p: _Parser, alphabet: tuple[str, ...]) -> Word:
+    """word := atom ('.' atom)*, read from the parser's position."""
+    letters: list[str] = []
+    while True:
+        tok, at = p.ident()
+        expanded = _expand_atom(tok, at, alphabet)
+        kind, val, _ = p._peek()
+        if val == "^":
+            p._next()
+            k, v, at2 = p._next()
+            if k != "int" or int(v) < 1:
+                raise ParseError("power must be a positive integer", at2)
+            expanded = expanded * int(v)
+        letters.extend(expanded)
+        kind, val, _ = p._peek()
+        if val == ".":
+            p._next()
+            continue
+        break
+    return tuple(letters)
+
+
 def parse_presentation(text: str) -> SemigroupPresentation:
     p = _Parser(text)
     p.expect("<")
@@ -169,31 +190,11 @@ def parse_presentation(text: str) -> SemigroupPresentation:
     p.expect("|")
     alpha = tuple(alphabet)
 
-    def parse_word() -> Word:
-        letters: list[str] = []
-        while True:
-            tok, at = p.ident()
-            expanded = _expand_atom(tok, at, alpha)
-            kind, val, _ = p._peek()
-            if val == "^":
-                p._next()
-                k, v, at2 = p._next()
-                if k != "int" or int(v) < 1:
-                    raise ParseError("power must be a positive integer", at2)
-                expanded = expanded * int(v)
-            letters.extend(expanded)
-            kind, val, _ = p._peek()
-            if val == ".":
-                p._next()
-                continue
-            break
-        return tuple(letters)
-
     relations: list[tuple[Word, Word]] = []
     while True:
-        lhs = parse_word()
+        lhs = _parse_word(p, alpha)
         p.expect("=")
-        rhs = parse_word()
+        rhs = _parse_word(p, alpha)
         relations.append((lhs, rhs))
         kind, val, _ = p._peek()
         if val == ",":
@@ -220,29 +221,13 @@ def serialize_presentation(p: SemigroupPresentation) -> str:
 def parse_word(text: str, p: SemigroupPresentation) -> Word:
     """Parse a baseword in the presentation's alphabet (same atom grammar)."""
     parser = _Parser(text)
-    letters: list[str] = []
-    while True:
-        tok, at = parser.ident()
-        expanded = _expand_atom(tok, at, p.alphabet)
-        kind, val, _ = parser._peek()
-        if val == "^":
-            parser._next()
-            k, v, at2 = parser._next()
-            if k != "int" or int(v) < 1:
-                raise ParseError("power must be a positive integer", at2)
-            expanded = expanded * int(v)
-        letters.extend(expanded)
-        kind, val, _ = parser._peek()
-        if val == ".":
-            parser._next()
-            continue
-        break
+    letters = _parse_word(parser, p.alphabet)
     kind, val, at = parser._peek()
     if kind != "eof":
         raise ParseError(f"trailing input {val!r}", at)
     if not letters:
         raise ParseError("empty word")
-    return tuple(letters)
+    return letters
 
 
 # --- builtin fixtures -------------------------------------------------------

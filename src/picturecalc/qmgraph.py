@@ -76,6 +76,7 @@ from .picture import (
     length,
     multiply,
     reduce,
+    replace,
 )
 
 
@@ -170,7 +171,9 @@ class BallGraph:
 
 
 def neighbors(v: VertexClass, cfg: BallConfig) -> set[tuple[VertexClass, str]]:
-    """All adjacent classes with the kind of a realizing unitary move."""
+    """All adjacent classes with the kind of a realizing unitary move.
+    Public API for exploring single vertices; `ball` and `verify` do not
+    call it (they go through `bfs_classes`)."""
     out: dict[str, tuple[VertexClass, str]] = {}
     for d, kind, _ in neighbor_diagrams(v.rep, cfg):
         key = geometry_class_key(d, cfg.geometry)
@@ -245,7 +248,9 @@ def pair_distance(a: VertexClass, b: VertexClass) -> int:
 
 
 def geodesic(a: VertexClass, b: VertexClass, cfg: BallConfig) -> list[VertexClass]:
-    """Vertex path of length pair_distance(a,b) built from factor prefixes."""
+    """Vertex path of length pair_distance(a,b) built from factor prefixes.
+    Public API; `verify` does not call it (it takes geodesics by descent
+    through the exact distances, see the module docstring)."""
     g = multiply(invert(a.rep), b.rep)
     lead, factors = factorize(g)
     path = [a]
@@ -372,10 +377,7 @@ def _pin_members(g: BallGraph, i: int, position: int):
     for value in [coeff_identity(spec)] + list(nontrivial_elements(spec)):
         wires = dict(repd.wires)
         wires[wid] = (letter, value)
-        d = Diagram(repd.pres, repd.coeffs, wires, repd.transistors, repd.t_top,
-                    repd.t_bot, repd.top_ports, repd.bottom_ports, repd.annular,
-                    _reduced=True)
-        keys.append(geometry_class_key(d, g.geometry))
+        keys.append(geometry_class_key(replace(repd, wires=wires), g.geometry))
     return frozenset(keys), letter
 
 

@@ -7,6 +7,7 @@ import random
 from .coeff import CoefficientSystem
 from .moves import BallConfig, apply_linear_move, apply_move, apply_transistor_move, unitary_moves
 from .picture import Diagram, atom_permutation, concat, eps, invert, multiply, reduce
+from .thompson import TreePair, _replace, forest_leaves, leaf_addresses, reduce_pair
 
 
 def _random_moves(d: Diagram, steps: int, rng: random.Random, cfg: BallConfig) -> Diagram:
@@ -113,42 +114,21 @@ def random_unreduced(pres, coeffs: CoefficientSystem, w, transistor_budget: int,
     return d
 
 
-def random_tree(rng: random.Random, arity: int, carets: int):
-    """Grow a tree by replacing `carets` random leaves with nodes."""
-    from .thompson import leaf_addresses, _replace
-
-    forest = ((),)
-    for _ in range(carets):
-        leaves = leaf_addresses(forest)
-        root, addr = leaves[rng.randrange(len(leaves))]
-        forest = _replace(forest, root, addr, ((),) * arity)
-    return forest[0]
-
-
 def random_tree_pair(rng: random.Random, arity: int = 2, carets: int = 3,
                      roots: int = 1, reduced: bool = True):
     """Random (reduced) tree pair with `carets` carets per side."""
-    from .thompson import TreePair, reduce_pair
-
-    domain = tuple(random_tree(rng, arity, rng.randrange(carets + 1)) for _ in range(roots))
-    carets_used = sum(_count_carets(t) for t in domain)
-    image = _random_forest_with_carets(rng, arity, roots, carets_used)
-    n_leaves = carets_used * (arity - 1) + roots
+    domain = tuple(_random_forest_with_carets(rng, arity, 1, rng.randrange(carets + 1))[0]
+                   for _ in range(roots))
+    n_leaves = forest_leaves(domain)
+    image = _random_forest_with_carets(rng, arity, roots, (n_leaves - roots) // (arity - 1))
     perm = list(range(n_leaves))
     rng.shuffle(perm)
     tp = TreePair(arity, domain, image, tuple(perm))
     return reduce_pair(tp) if reduced else tp
 
 
-def _count_carets(tree) -> int:
-    if tree == ():
-        return 0
-    return 1 + sum(_count_carets(c) for c in tree)
-
-
 def _random_forest_with_carets(rng, arity, roots, carets):
-    from .thompson import leaf_addresses, _replace
-
+    """Grow a forest by replacing `carets` random leaves with nodes."""
     forest = ((),) * roots
     for _ in range(carets):
         leaves = leaf_addresses(forest)

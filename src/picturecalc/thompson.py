@@ -25,7 +25,6 @@ from .picture import (
     eps,
     invert,
     is_reduced,
-    sum_diagrams,
 )
 from .coeff import trivial_system
 from .presentation import SemigroupPresentation
@@ -39,43 +38,50 @@ def thompson_presentation(arity: int) -> SemigroupPresentation:
 
 
 def tree_leaves(tree: Tree) -> int:
-    if tree == ():
-        return 1
-    return sum(tree_leaves(c) for c in tree)
+    return forest_leaves((tree,))
 
 
 def forest_leaves(forest: Forest) -> int:
-    return sum(tree_leaves(t) for t in forest)
+    n, stack = 0, list(forest)
+    while stack:
+        t = stack.pop()
+        if t:
+            stack.extend(t)
+        else:
+            n += 1
+    return n
 
 
 def leaf_addresses(forest: Forest) -> list[tuple[int, tuple[int, ...]]]:
     """(root index, digit path) of every leaf, left to right."""
     out = []
-
-    def walk(tree, root, addr):
-        if tree == ():
-            out.append((root, addr))
-            return
-        for i, c in enumerate(tree):
-            walk(c, root, addr + (i,))
-
     for r, t in enumerate(forest):
-        walk(t, r, ())
+        stack = [(t, ())]
+        while stack:
+            tree, addr = stack.pop()
+            if tree:
+                for i in range(len(tree) - 1, -1, -1):
+                    stack.append((tree[i], addr + (i,)))
+            else:
+                out.append((r, addr))
     return out
 
 
-def _merge_tree(t1: Tree, t2: Tree) -> Tree:
-    if t1 == ():
-        return t2
-    if t2 == ():
-        return t1
-    return tuple(_merge_tree(a, b) for a, b in zip(t1, t2))
-
-
 def merge_forest(f1: Forest, f2: Forest) -> Forest:
+    """The least common refinement: each leaf of f1 that is a node of f2
+    gets f2's subtree there."""
     if len(f1) != len(f2):
         raise ValueError("forests have different root counts")
-    return tuple(_merge_tree(a, b) for a, b in zip(f1, f2))
+    out = f1
+    for root, addr in leaf_addresses(f1):
+        t = f2[root]
+        for i in addr:
+            if not t:
+                break
+            t = t[i]
+        if t:
+            out = _replace(out, root, addr, t)
+    return out
 
 
 def subtree_at(forest: Forest, root: int, addr: tuple[int, ...]) -> Tree:
@@ -86,12 +92,14 @@ def subtree_at(forest: Forest, root: int, addr: tuple[int, ...]) -> Tree:
 
 
 def _replace(forest: Forest, root: int, addr: tuple[int, ...], sub: Tree) -> Forest:
-    def rep(tree, path):
-        if not path:
-            return sub
-        return tuple(rep(c, path[1:]) if i == path[0] else c for i, c in enumerate(tree))
-
-    return tuple(rep(t, addr) if r == root else t for r, t in enumerate(forest))
+    path = []
+    t = forest[root]
+    for i in addr:
+        path.append(t)
+        t = t[i]
+    for node, i in zip(reversed(path), reversed(addr)):
+        sub = node[:i] + (sub,) + node[i + 1:]
+    return forest[:root] + (sub,) + forest[root + 1:]
 
 
 @dataclass(frozen=True)
@@ -120,19 +128,18 @@ def _caret_sites(forest: Forest, arity: int):
     """(root, address, leftmost leaf index) of each all-leaf internal node."""
     out = []
     idx = 0
-
-    def walk(tree, root, addr):
-        nonlocal idx
-        if tree == ():
-            idx += 1
-            return
-        if all(c == () for c in tree):
-            out.append((root, addr, idx))
-        for i, c in enumerate(tree):
-            walk(c, root, addr + (i,))
-
     for r, t in enumerate(forest):
-        walk(t, r, ())
+        stack = [(t, ())]
+        while stack:
+            tree, addr = stack.pop()
+            if not tree:
+                idx += 1
+            elif not any(tree):
+                out.append((r, addr, idx))
+                idx += len(tree)
+            else:
+                for i in range(len(tree) - 1, -1, -1):
+                    stack.append((tree[i], addr + (i,)))
     return out
 
 
@@ -315,21 +322,19 @@ def evaluate_map(tp: TreePair, q: NAdic) -> NAdic:
 # -- bridge to diagrams over <x | x=x^n> --------------------------------------------
 
 
-def _tree_diagram(tree: Tree, pres, coeffs) -> Diagram:
-    if tree == ():
-        return eps(pres, coeffs, "x")
-    children = [_tree_diagram(c, pres, coeffs) for c in tree]
-    below = children[0]
-    for c in children[1:]:
-        below = sum_diagrams(below, c)
-    return concat(atom_transistor(pres, coeffs, (), 0, 1, ()), below)
-
-
 def _forest_diagram(forest: Forest, pres, coeffs) -> Diagram:
-    out = _tree_diagram(forest[0], pres, coeffs)
-    for t in forest[1:]:
-        out = sum_diagrams(out, _tree_diagram(t, pres, coeffs))
-    return out
+    """One positive caret atom per internal node, in preorder: every node
+    left of a node is then expanded, so it sits at the bottom position of
+    its leftmost leaf.  Leaf i is leftmost below one node per trailing zero
+    digit of its address."""
+    d = eps(pres, coeffs, ("x",) * len(forest))
+    for i, (_, addr) in enumerate(leaf_addresses(forest)):
+        depth = len(addr)
+        while depth and addr[depth - 1] == 0:
+            depth -= 1
+            rest = ("x",) * (len(d.bottom_ports) - i - 1)
+            d = concat(d, atom_transistor(pres, coeffs, ("x",) * i, 0, 1, rest))
+    return d
 
 
 def tree_pair_to_diagram(tp: TreePair) -> Diagram:
@@ -372,30 +377,36 @@ def diagram_to_tree_pair(d: Diagram) -> TreePair:
 
     positive = {t for t, (_, s) in d.transistors.items() if s == 1}
     negative = {t for t, (_, s) in d.transistors.items() if s == -1}
-    seen_pos, seen_neg = set(), set()
-    dom_leaf_wires: list[int] = []
-    img_leaf_wires: list[int] = []
 
-    def walk_down(w) -> Tree:
-        site = d.wire_bot[w]
-        if site[0] == "TT" and site[1] in positive:
-            t = site[1]
-            seen_pos.add(t)
-            return tuple(walk_down(c) for c in d.t_bot[t])
-        dom_leaf_wires.append(w)
-        return ()
+    def grow(ports, end, tag, carets, children):
+        """The forest hanging from `ports`: a wire whose `end` site is
+        `tag` on one of `carets` goes on into that transistor's
+        `children` wires; any other wire is a leaf.  Returns the forest,
+        the carets met and the leaf wires, left to right."""
+        built: list[Tree] = []
+        seen = set()
+        leaf_wires: list[int] = []
+        stack = [(w, None) for w in reversed(ports)]
+        while stack:
+            w, t = stack.pop()
+            if t is not None:  # t's children are built
+                k = len(children[t])
+                node = tuple(built[-k:])
+                del built[-k:]
+                built.append(node)
+                continue
+            site = end[w]
+            if site[0] == tag and site[1] in carets:
+                seen.add(site[1])
+                stack.append((w, site[1]))
+                stack.extend([(c, None) for c in reversed(children[site[1]])])
+            else:
+                leaf_wires.append(w)
+                built.append(())
+        return tuple(built), seen, leaf_wires
 
-    def walk_up(w) -> Tree:
-        site = d.wire_top[w]
-        if site[0] == "TB" and site[1] in negative:
-            t = site[1]
-            seen_neg.add(t)
-            return tuple(walk_up(c) for c in d.t_top[t])
-        img_leaf_wires.append(w)
-        return ()
-
-    domain = tuple(walk_down(w) for w in d.top_ports)
-    image = tuple(walk_up(w) for w in d.bottom_ports)
+    domain, seen_pos, dom_leaf_wires = grow(d.top_ports, d.wire_bot, "TT", positive, d.t_bot)
+    image, seen_neg, img_leaf_wires = grow(d.bottom_ports, d.wire_top, "TB", negative, d.t_top)
     if seen_pos != positive or seen_neg != negative:
         raise ValueError("diagram does not have the forest-permutation-forest shape")
     if sorted(dom_leaf_wires) != sorted(img_leaf_wires):

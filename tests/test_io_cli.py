@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +20,14 @@ from picturecalc.io import (
     tree_pair_to_text,
 )
 from picturecalc.picture import Diagram, atom_transistor, canonical_key, concat, eps
-from picturecalc.presentation import builtin_presentation
+from picturecalc.presentation import (
+    builtin_presentation,
+    parse_presentation,
+    parse_word,
+    word_str,
+)
 from picturecalc.sampling import random_element, random_tree_pair, random_walk_diagram
-from picturecalc.thompson import TreePair
+from picturecalc.thompson import TreePair, leaf_addresses
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -108,6 +115,20 @@ def test_cli_thompson_eval(capsys):
                "--point", "1/2^1"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "1/2^2"
+
+
+def test_cli_thompson_eval_deep_comb(capsys):
+    # a right comb 1,200 carets deep over a left comb: the pair maps the left
+    # comb's last leaf, address 1, onto the right comb's last leaf 1^1200,
+    # so 1/2 goes to 1 - 2^-1200
+    n = 1200
+    right = "(." * n + "." + ")" * n
+    left = "(" * n + "." + ".)" * n
+    pair = f"{right}|{left}@perm={','.join(map(str, range(n + 1)))}"
+    rc = main(["thompson", "eval", "--pair", pair, "--point", "1/2^1"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and "Traceback" not in err
+    assert out.strip() == f"{2 ** n - 1}/2^{n}"
 
 
 def test_cli_ball_and_dot(tmp_path, capsys):
@@ -256,3 +277,120 @@ def _write_pres(tmp_path):
     p = tmp_path / "ap.txt"
     p.write_text("<a,p | a=a.p>")
     return str(p)
+
+
+# -- fuzzed parsers ----------------------------------------------------------------
+
+FUZZ_CHARS = "<>|=,.^()+@ \t0123456789xyab²"
+
+
+def _mutate(rng, text):
+    """text with one to three characters deleted, inserted or swapped."""
+    chars = list(text)
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 and i < len(chars):
+            del chars[i]
+        elif op == 1:
+            chars.insert(i, rng.choice(FUZZ_CHARS))
+        elif i + 1 < len(chars):
+            chars[i], chars[i + 1] = chars[i + 1], chars[i]
+    return "".join(chars)
+
+
+def _random_word_text(rng, letters):
+    atoms = [rng.choice(letters) for _ in range(rng.randrange(1, 5))]
+    return ".".join(a + f"^{rng.randrange(1, 13)}" if rng.random() < 0.2 else a for a in atoms)
+
+
+def _random_presentation_text(rng):
+    letters = rng.choice([["x"], ["a", "b", "c"], ["r", "x1", "x2"]])
+    rels = ", ".join(f"{_random_word_text(rng, letters)}={_random_word_text(rng, letters)}"
+                     for _ in range(rng.randrange(1, 4)))
+    return f"<{','.join(letters)} | {rels}>"
+
+
+def _parse_or_parse_error(parse, text):
+    """Call parse(text): a value and ParseError are both accepted, any other
+    exception fails the test."""
+    if re.search(r"[0-9]{3}", text):  # x^<huge> would allocate the whole word
+        return
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+def test_fuzzed_parsers_return_a_value_or_raise_parse_error():
+    rng = random.Random(20261018)
+    presentations = [builtin_presentation(name, params)[0] for name, params in
+                     (("thompson", ()), ("houghton", (2, 1)), ("commuting_abc", ()))]
+    for _ in range(300):
+        text = _random_presentation_text(rng)
+        for t in (text, _mutate(rng, text)):
+            _parse_or_parse_error(parse_presentation, t)
+
+        pres = rng.choice(presentations)
+        w = tuple(rng.choice(pres.alphabet) for _ in range(rng.randrange(1, 6)))
+        assert parse_word(word_str(w), pres) == w
+        _parse_or_parse_error(lambda t: parse_word(t, pres), _mutate(rng, word_str(w)))
+
+        arity = rng.choice((2, 3))
+        tp = random_tree_pair(rng, arity, rng.randrange(5), rng.choice((1, 2)), reduced=False)
+        text = tree_pair_to_text(tp)
+        assert tree_pair_from_text(text, arity) == tp
+        _parse_or_parse_error(lambda t: tree_pair_from_text(t, arity), _mutate(rng, text))
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("tree", "|.@perm=0", "unexpected end of tree (at position 0)"),
+    ("tree", "x|.@perm=0", "expected '(' or '.', found 'x' (at position 0)"),
+    ("tree", ").|.@perm=0", "expected '(' or '.', found ')' (at position 0)"),
+    ("tree", "(..|.@perm=0", "unbalanced parentheses (at position 3)"),
+    ("tree", "(.)).|.@perm=0", "node has 1 children, arity is 2 (at position 2)"),
+    ("tree", "(..)|.@perm=0", "leaf bijection does not match the leaf counts"),
+    ("word", "x^\u00b2", "power must be a positive integer (at position 2)"),
+])
+def test_parse_errors_name_the_fault(kind, text, message):
+    with pytest.raises(ParseError) as e:
+        tree_pair_from_text(text) if kind == "tree" else parse_word(text, Q)
+    assert str(e.value) == message
+
+
+def test_tree_pair_text_roundtrip_deep_comb():
+    n = 1200
+    left = right = ((), ())
+    for _ in range(n - 1):
+        left, right = (left, ()), ((), right)
+    tp = TreePair(2, (right,), (left,), tuple(range(n + 1)))
+    back = tree_pair_from_text(tree_pair_to_text(tp))
+    # `==` on tuples nested 1,200 deep recurses in C past the recursion
+    # limit, so the forests are compared by their leaf addresses
+    assert leaf_addresses(back.domain) == leaf_addresses(tp.domain)
+    assert leaf_addresses(back.image) == leaf_addresses(tp.image)
+    assert back.perm == tp.perm
+
+
+def test_runtime_imports_are_stdlib_only(tmp_path):
+    """The package and two CLI runs import nothing outside the standard
+    library.  Runs in a fresh interpreter, and snapshots sys.modules first:
+    site hooks may preload third-party modules."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import picturecalc\n"
+        "from picturecalc import cli\n"
+        f"assert cli.main(['verify', '--builtin', 'thompson', '--radius', '2', "
+        f"'--out', {str(tmp_path / 'v.json')!r}]) == 0\n"
+        f"assert cli.main(['enumerate', '--builtin', 'commuting_abc', '--budget', '1', "
+        f"'--out', {str(tmp_path / 'e.json')!r}]) == 0\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(m for m in new\n"
+        "             if m not in sys.stdlib_module_names and m != 'picturecalc'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"

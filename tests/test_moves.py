@@ -283,23 +283,43 @@ def test_canonical_key_matches_key_text_oracle(geometry, rng):
             assert canonical_key(d, mode) == key_text_oracle(d, mode)
 
 
-@pytest.mark.parametrize("geometry", ["braided", "annular"])
-def test_enumerate_keys_match_per_variant_definition(geometry):
+def _check_enumerate_against_variants(pres, coeffs, w, budget, geometry):
     # every bottom-port variant of every class, built and keyed one by one
-    w = ("x", "x")
-    cfg = BallConfig(Q, CYC2, geometry)
-    reps, _, _ = bfs_classes(eps(Q, CYC2, w, annular=geometry == "annular"), 2, cfg)
+    cfg = BallConfig(pres, coeffs, geometry)
+    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), budget, cfg)
     want = set()
     for rep in reps:
-        if geometry == "annular":
-            variants = [rotate_bottom(rep, k) for k in range(len(rep.bottom_ports))]
-        else:
+        if geometry == "braided":
             variants = [with_bottom_ports(rep, ports)
                         for ports in itertools.permutations(rep.bottom_ports)]
+        else:
+            turns = len(rep.bottom_ports) if geometry == "annular" else 1
+            variants = [rotate_bottom(rep, k) for k in range(turns)]
         want |= {key_text_oracle(v) for v in variants if v.bot_word() == w}
-    got = enumerate_reduced(Q, CYC2, w, 2, geometry)
+    got = enumerate_reduced(pres, coeffs, w, budget, geometry)
     assert [canonical_key(d) for d in got] == sorted(want)
     assert all(key_text_oracle(d) == canonical_key(d) for d in got)
+    return reps
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_enumerate_keys_match_per_variant_definition(geometry):
+    _check_enumerate_against_variants(Q, CYC2, ("x", "x"), 2, geometry)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_enumerate_commuting_abc_keys_match_per_variant_definition(geometry):
+    # a.b.c: braided and annular classes reach it from reordered bottom words
+    _check_enumerate_against_variants(ABC, ABC2, ABC_WORD, 2, geometry)
+
+
+def test_enumerate_houghton_keys_match_per_variant_definition():
+    # from r.a the ball reaches x1.x2, a word of the baseword's length over
+    # another multiset of letters: it has no placement onto r.a
+    pres, w = builtin_presentation("houghton", (2, 1))
+    reps = _check_enumerate_against_variants(pres, trivial_system(pres.alphabet), w, 2,
+                                             "braided")
+    assert ("x1", "x2") in {rep.bot_word() for rep in reps}
 
 
 # -- move lengths and the pruned ball -------------------------------------------------

@@ -55,6 +55,8 @@ def diagram_to_json(d: Diagram) -> dict:
 
 
 def _site_from_json(obj, w: int, n_transistors: int):
+    if not isinstance(obj, dict):
+        raise ParseError(f"wire {w}: bad site {obj!r}")
     site, index = obj.get("site"), obj.get("index")
     if not isinstance(index, int) or index < 0:
         raise ParseError(f"bad site index in {obj!r}")

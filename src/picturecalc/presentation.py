@@ -27,6 +27,7 @@ from .errors import ParseError
 Word = tuple[str, ...]
 
 RESERVED = set("<>|=,.^")
+MAX_WORD_LENGTH = 1_000_000  # letters in one parsed word, checked before a power expands
 
 
 def _letter_ok(name: str) -> bool:
@@ -156,13 +157,19 @@ def _parse_word(p: _Parser, alphabet: tuple[str, ...]) -> Word:
         tok, at = p.ident()
         expanded = _expand_atom(tok, at, alphabet)
         kind, val, _ = p._peek()
+        power = 1
         if val == "^":
             p._next()
-            k, v, at2 = p._next()
-            if k != "int" or int(v) < 1:
-                raise ParseError("power must be a positive integer", at2)
-            expanded = expanded * int(v)
-        letters.extend(expanded)
+            k, v, at = p._next()
+            try:
+                power = int(v) if k == "int" else 0
+            except ValueError:  # over 4,300 digits: longer than any word allowed
+                power = MAX_WORD_LENGTH + 1
+            if power < 1:
+                raise ParseError("power must be a positive integer", at)
+        if len(letters) + len(expanded) * power > MAX_WORD_LENGTH:
+            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", at)
+        letters.extend(expanded * power)
         kind, val, _ = p._peek()
         if val == ".":
             p._next()

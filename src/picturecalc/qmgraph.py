@@ -5,25 +5,30 @@ quotiented per geometry), edges are unitary moves.  Distances are exact
 and global: d([A],[B]) = length(A^-1 . B), so only containment questions
 need boundary margins.
 
-`pair_distance` evaluates that formula without building the product, by
-matching the reduced A and B from the frame top.  Since A and B are each
-reduced, every dipole cancelled while reducing A^-1 . B pairs one
-transistor of A^-1 with one transistor of B (a dipole inside either half
-would already be a dipole of A or of B), and every merged wire runs from
-the A^-1 part down into the B part, so merges never chain.  Hence
-length(A^-1 . B) = |A| + |B| - 2m + (wires of the reduced product with a
-nontrivial coefficient), where m is the number of cancelled pairs; the
-reduced product is unique by confluence, so the order of cancellation does
-not matter.  Frame-top port i of A is mated with port i of B; a transistor
-of A cancels with one of B when their top wires are mated slot by slot
-with equal coefficients and their bottom label words agree, which mates
-their bottom wires in turn.  A mated pair left over is one wire of the
-product with coefficient c_a^-1 c_b, nontrivial iff c_a != c_b; an unmated
-wire keeps its coefficient.  With N_A, N_B the wires of A and B with a
-nontrivial coefficient, the count is |N_A| + |N_B| minus, over mated pairs
-(w, m), [w in N_A] + [m in N_B] - [c_w != c_m].  That term vanishes unless
-both wires are in N (one nontrivial side makes c_w != c_m), so only the
-mates of N_A are visited, and coefficients are compared only there.
+Distances come from hyperplane coordinates.  As A and B are reduced, each
+dipole cancelled in A^-1 . B pairs a transistor of A^-1 with one of B (a
+dipole inside either half would be one of A or of B), and merged wires
+never chain, so length(A^-1 . B) = |A| + |B| - 2m + (wires of the reduced
+product with a nontrivial coefficient), m the cancelled pairs; by
+confluence the order of cancellation does not matter.  Name wires and
+transistors from the frame top down: the wire at frame-top port i is
+("F", i); a transistor's cone id interns the (id, coefficient) of its top
+wires with its bottom label word; the wire at its bottom slot s is
+(cone id, s).  By induction from the top, a wire of A merges with one of B
+iff they share an id, and a transistor of A cancels with one of B iff they
+share a cone id (top wires merged slot by slot with equal coefficients,
+bottom words equal).  A merged pair leaves one wire with coefficient
+c_a^-1 c_b, nontrivial iff c_a != c_b.  So, with K_v the cone ids of v,
+W_v the ids of its wires with a nontrivial coefficient and C_v their
+(id, coefficient) pairs,
+
+    d(u, v) = |u| + |v| - 2|K_u & K_v| - |W_u & W_v| - |C_u & C_v|
+
+The ids are the hyperplanes of X that the diagrams meet, and d counts those
+that separate u from v: the distance formula of quasi-median graphs.
+`BallGraph` interns the ids of its vertices in one table, keeps each set as
+an int bitmask, and reads every distance as three popcounts into one row
+per vertex.
 
 `verify` checks hyperplane crossings on one geodesic per certified pair
 (x, y), one with depth(x) + depth(y) + d(x, y) <= 2r, and takes it by
@@ -50,8 +55,11 @@ as counterexamples.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 from .coeff import coeff_serialize, identity as coeff_identity, nontrivial_elements
 from .errors import CompositionError
@@ -90,13 +98,6 @@ class VertexClass:
     def length(self) -> int:
         return length(self.rep)
 
-    @cached_property
-    def reduced(self) -> tuple[Diagram, frozenset[int]]:
-        """The reduced representative and its wires with a nontrivial
-        coefficient, for `pair_distance`."""
-        d = self.rep if self.rep._reduced else reduce(self.rep)
-        return d, frozenset([w for w, (_, c) in d.wires.items() if not c.is_identity()])
-
     def __repr__(self):
         return f"<VertexClass len={self.length} {self.key[:24]}...>"
 
@@ -114,7 +115,7 @@ class BallGraph:
         for (i, j) in edges:
             self.adj[i].add(j)
             self.adj[j].add(i)
-        self._dist: dict[tuple[int, int], int] = {}
+        self._rows: list[array | None] = [None] * len(vertices)
         self._hyperplanes: list[Hyperplane] | None = None
         self._pins: list[tuple[frozenset[str], str, bool]] | None = None
 
@@ -131,16 +132,30 @@ class BallGraph:
     def edge_kind(self, i: int, j: int) -> str:
         return self.edges[(i, j) if i < j else (j, i)][0]
 
+    @cached_property
+    def coordinates(self) -> list[tuple[int, int, int, int]]:
+        """(length, K, W, C) of every vertex, over one intern table."""
+        return hyperplane_coordinates([v.rep for v in self.vertices])
+
+    @cached_property
+    def _typecode(self) -> str:
+        # a distance is at most the sum of two lengths: bytes up to length 127
+        return "B" if max(c[0] for c in self.coordinates) < 128 else "I"
+
+    def row(self, i: int) -> array:
+        """d(i, j) for every vertex j by the formula of the module
+        docstring, built on first use."""
+        if self._rows[i] is None:
+            coords = self.coordinates
+            s, k, w, c = coords[i]
+            self._rows[i] = array(self._typecode, [
+                s + t - 2 * (k & kt).bit_count() - (w & wt).bit_count() - (c & ct).bit_count()
+                for t, kt, wt, ct in coords])
+        return self._rows[i]
+
     def distance(self, i: int, j: int) -> int:
         """Global distance via the length formula (valid beyond the ball)."""
-        if i == j:
-            return 0
-        key = (i, j) if i < j else (j, i)
-        out = self._dist.get(key)
-        if out is None:
-            out = pair_distance(self.vertices[key[0]], self.vertices[key[1]])
-            self._dist[key] = out
-        return out
+        return self.row(i)[j]
 
     def bfs_distances(self, start: int) -> list[int | None]:
         out: list[int | None] = [None] * len(self.vertices)
@@ -192,59 +207,51 @@ def ball(base: Diagram, radius: int, cfg: BallConfig) -> BallGraph:
     return BallGraph(cfg, radius, vertices, edges)
 
 
+def hyperplane_coordinates(diagrams) -> list[tuple[int, int, int, int]]:
+    """(length, K, W, C) of each diagram's reduction, with K, W and C as int
+    bitmasks over one intern table filled in diagram order (see the module
+    docstring).  Raises CompositionError unless all diagrams share the
+    baseword, presentation and coefficient system."""
+    first, table, out = diagrams[0], {}, []
+    word, intern = first.top_word(), table.setdefault
+    for d in map(reduce, diagrams):
+        if d.top_word() != word:
+            raise CompositionError("vertices live over different basewords")
+        if d.pres != first.pres or d.coeffs != first.coeffs:
+            raise CompositionError("presentation or coefficient system mismatch")
+        wires, wire_bot, t_top, t_bot = d.wires, d.wire_bot, d.t_top, d.t_bot
+        name = {w: intern(("F", i), len(table)) for i, w in enumerate(d.top_ports)}
+        unnamed_tops: dict[int, int] = {}  # transistor -> top wires not yet named
+        stack, cones = list(d.top_ports), 0
+        while stack:
+            site = wire_bot[stack.pop()]
+            if site[0] != "TT":
+                continue
+            t = site[1]
+            unnamed_tops[t] = left = unnamed_tops.get(t, len(t_top[t])) - 1
+            if left:
+                continue
+            # a wire's label fixes its group, so the payload names the coefficient
+            cone = intern((tuple((name[w], wires[w][1].payload) for w in t_top[t]),
+                           tuple(wires[w][0] for w in t_bot[t])), len(table))
+            cones |= 1 << cone
+            for slot, w in enumerate(t_bot[t]):
+                name[w] = intern((cone, slot), len(table))
+                stack.append(w)
+        nontrivial = coefficients = 0
+        for w, (_, c) in wires.items():
+            if not c.is_identity():
+                nontrivial |= 1 << name[w]
+                coefficients |= 1 << intern(("C", name[w], c.payload), len(table))
+        out.append((len(d.transistors) + nontrivial.bit_count(), cones, nontrivial,
+                    coefficients))
+    return out
+
+
 def pair_distance(a: VertexClass, b: VertexClass) -> int:
-    """length(A^-1 . B) by matching the reduced A and B from the frame top,
+    """length(A^-1 . B) from the hyperplane coordinates of the two vertices,
     without building the product (see the module docstring)."""
-    da, na = a.reduced
-    db, nb = b.reduced
-    if da.top_word() != db.top_word():
-        raise CompositionError("vertices live over different basewords")
-    if ((da.pres is not db.pres and da.pres != db.pres)
-            or (da.coeffs is not db.coeffs and da.coeffs != db.coeffs)):
-        raise CompositionError("presentation or coefficient system mismatch")
-    a_wires, b_wires = da.wires, db.wires
-    a_bot, b_bot = da.wire_bot, db.wire_bot
-    a_top, b_top = da.t_top, db.t_top
-    # mate: A-wire -> B-wire merged with it in the product
-    mate = dict(zip(da.top_ports, db.top_ports))
-    unmated_tops = {}          # A-transistor -> top wires not yet mated
-    cancelled = 0
-    stack = list(da.top_ports)
-    while stack:
-        site = a_bot[stack.pop()]
-        if site[0] != "TT":
-            continue
-        ta = site[1]
-        left = unmated_tops.get(ta, len(a_top[ta])) - 1
-        unmated_tops[ta] = left
-        if left:
-            continue
-        # every top wire of ta is mated: test the dipole against its partner
-        tops = a_top[ta]
-        mates = tuple(mate[w] for w in tops)
-        first = b_bot[mates[0]]
-        if first[0] != "TT" or b_top[first[1]] != mates:
-            continue
-        tb = first[1]
-        if any(a_wires[w][1] != b_wires[m][1] for w, m in zip(tops, mates)):
-            continue
-        a_lower, b_lower = da.t_bot[ta], db.t_bot[tb]
-        if (tuple(a_wires[w][0] for w in a_lower)
-                != tuple(b_wires[w][0] for w in b_lower)):
-            continue
-        cancelled += 1
-        for wa, wb in zip(a_lower, b_lower):
-            mate[wa] = wb
-            stack.append(wa)
-    # a mated pair (w, m) takes [w in N_A] + [m in N_B] - [c_w != c_m] off
-    # |N_A| + |N_B|: 0 unless both are in N; the connecting wires of
-    # cancelled pairs are mated with equal coefficients, so they count 0
-    nontrivial = len(na) + len(nb)
-    for w in na:
-        m = mate.get(w)
-        if m in nb:
-            nontrivial -= 2 - (a_wires[w][1] != b_wires[m][1])
-    return len(da.transistors) + len(db.transistors) - 2 * cancelled + nontrivial
+    return BallGraph(None, 0, [a, b], {}).distance(0, 1)  # a graph of the two alone
 
 
 def geodesic(a: VertexClass, b: VertexClass, cfg: BallConfig) -> list[VertexClass]:
@@ -296,52 +303,52 @@ def verify_qm_axioms(g: BallGraph) -> Report:
     with premises restricted so the promised witness must lie in the ball."""
     rep = Report("qm_axioms")
     margin = g.radius - 1
-    inner = [i for i in g.within(margin)]
+    inner = g.within(margin)
     inner_set = set(inner)
     n = len(g.vertices)
+    row = g.row  # row(x)[u] = d(u, x): one row serves every u
     # triangle condition
     for (v, w) in g.edges:
         if v not in inner_set or w not in inner_set:
             rep.skipped += 1
             continue
-        commons = g.adj[v] & g.adj[w]
+        to_v, to_w = row(v), row(w)
+        to_commons = [row(x) for x in g.adj[v] & g.adj[w]]
         for u in range(n):
-            k = g.distance(u, v)
-            if k != g.distance(u, w) or u in (v, w):
+            k = to_v[u]
+            if k != to_w[u] or u == v or u == w:
                 continue
             rep.hit()
-            if not any(g.distance(u, x) == k - 1 for x in commons):
+            if not any(to_x[u] == k - 1 for to_x in to_commons):
                 rep.fail(("triangle", u, v, w))
     # quadrangle condition
     for z in range(n):
         nbrs = sorted(g.adj[z])
-        for ai in range(len(nbrs)):
-            for bi in range(ai + 1, len(nbrs)):
-                v, w = nbrs[ai], nbrs[bi]
-                if v not in inner_set or w not in inner_set:
-                    rep.skipped += 1
+        to_z = row(z)
+        for v, w in combinations(nbrs, 2):
+            if v not in inner_set or w not in inner_set:
+                rep.skipped += 1
+                continue
+            if w in g.adj[v]:
+                continue
+            to_v, to_w = row(v), row(w)
+            to_commons = [row(x) for x in (g.adj[v] & g.adj[w]) - {z}]
+            for u in range(n):
+                k = to_z[u]
+                if to_v[u] != k - 1 or to_w[u] != k - 1:
                     continue
-                if w in g.adj[v]:
-                    continue
-                commons = (g.adj[v] & g.adj[w]) - {z}
-                for u in range(n):
-                    k = g.distance(u, z)
-                    if g.distance(u, v) != k - 1 or g.distance(u, w) != k - 1:
-                        continue
-                    rep.hit()
-                    if not any(g.distance(u, x) == k - 2 for x in commons):
-                        rep.fail(("quadrangle", u, z, v, w))
+                rep.hit()
+                if not any(to_x[u] == k - 2 for to_x in to_commons):
+                    rep.fail(("quadrangle", u, z, v, w))
     # induced K4- : an edge with two nonadjacent common neighbors
     for (a, b) in g.edges:
         if a not in inner_set or b not in inner_set:
             continue
         commons = sorted((g.adj[a] & g.adj[b]) & inner_set)
         rep.hit()
-        for ci in range(len(commons)):
-            for di in range(ci + 1, len(commons)):
-                c, d = commons[ci], commons[di]
-                if d not in g.adj[c]:
-                    rep.fail(("K4-", a, b, c, d))
+        for c, d in combinations(commons, 2):
+            if d not in g.adj[c]:
+                rep.fail(("K4-", a, b, c, d))
     # induced K3,2: two nonadjacent vertices with 3 pairwise nonadjacent commons
     for a in inner:
         for b in inner:
@@ -351,15 +358,9 @@ def verify_qm_axioms(g: BallGraph) -> Report:
             if len(commons) < 3:
                 continue
             rep.hit()
-            for ci in range(len(commons)):
-                for di in range(ci + 1, len(commons)):
-                    c, d = commons[ci], commons[di]
-                    if d in g.adj[c]:
-                        continue
-                    for ei in range(di + 1, len(commons)):
-                        e = commons[ei]
-                        if e not in g.adj[c] and e not in g.adj[d]:
-                            rep.fail(("K3,2", a, b, c, d, e))
+            for c, d, e in combinations(commons, 3):
+                if d not in g.adj[c] and e not in g.adj[c] and e not in g.adj[d]:
+                    rep.fail(("K3,2", a, b, c, d, e))
     rep.details["triangle_free"] = not g.triangles()
     return rep
 
@@ -384,12 +385,8 @@ def _pin_members(g: BallGraph, i: int, position: int):
 def enumerate_pins(g: BallGraph):
     """All pins meeting the ball, as (frozenset of keys, letter, complete).
     Computed once per ball and shared."""
-    if g._pins is None:
-        g._pins = _enumerate_pins(g)
-    return g._pins
-
-
-def _enumerate_pins(g: BallGraph):
+    if g._pins is not None:
+        return g._pins
     seen: dict[frozenset, tuple[str, bool]] = {}
     for i, v in enumerate(g.vertices):
         repd = v.rep
@@ -401,7 +398,8 @@ def _enumerate_pins(g: BallGraph):
             pin, letter = _pin_members(g, i, position)
             complete = all(k in g.index for k in pin)
             seen.setdefault(pin, (letter, complete))
-    return [(pin, letter, complete) for pin, (letter, complete) in seen.items()]
+    g._pins = [(pin, letter, complete) for pin, (letter, complete) in seen.items()]
+    return g._pins
 
 
 def pins_report(g: BallGraph) -> Report:
@@ -423,11 +421,10 @@ def pins_report(g: BallGraph) -> Report:
             for b in ids:
                 if a < b and b not in g.adj[a]:
                     rep.fail(("pin_not_clique", a, b))
-    for x in range(len(complete)):
-        for y in range(x + 1, len(complete)):
-            rep.hit()
-            if len(complete[x] & complete[y]) > 1:
-                rep.fail(("pin_intersection", sorted(complete[x] & complete[y])))
+    for p, q in combinations(complete, 2):
+        rep.hit()
+        if len(p & q) > 1:
+            rep.fail(("pin_intersection", sorted(p & q)))
     margin = g.radius - 1
     for (a, b, c) in g.triangles(margin):
         rep.hit()
@@ -475,12 +472,9 @@ def induced_squares(g: BallGraph):
         for c in range(a + 1, n):
             if c in g.adj[a]:
                 continue
-            commons = sorted(g.adj[a] & g.adj[c])
-            for x in range(len(commons)):
-                for y in range(x + 1, len(commons)):
-                    b, d = commons[x], commons[y]
-                    if d not in g.adj[b]:
-                        out.append((a, b, c, d))
+            for b, d in combinations(sorted(g.adj[a] & g.adj[c]), 2):
+                if d not in g.adj[b]:
+                    out.append((a, b, c, d))
     return out
 
 
@@ -497,12 +491,8 @@ def hyperplanes(g: BallGraph) -> list[Hyperplane]:
     """Edge classes under same-clique / opposite-in-square closure, with
     their carrier cliques (pins for linear, the edges themselves for
     transistor hyperplanes).  Computed once per ball and shared."""
-    if g._hyperplanes is None:
-        g._hyperplanes = _hyperplanes(g)
-    return g._hyperplanes
-
-
-def _hyperplanes(g: BallGraph) -> list[Hyperplane]:
+    if g._hyperplanes is not None:
+        return g._hyperplanes
     uf = _UnionFind(list(g.edges))
 
     def norm(i, j):
@@ -511,15 +501,9 @@ def _hyperplanes(g: BallGraph) -> list[Hyperplane]:
     pins = [pin for pin, _, complete in enumerate_pins(g) if complete]
     pin_ids = [frozenset(g.index[k] for k in pin) for pin in pins]
     for ids in pin_ids:
-        members = sorted(ids)
-        first = None
-        for a in members:
-            for b in members:
-                if a < b and (a, b) in g.edges:
-                    if first is None:
-                        first = (a, b)
-                    else:
-                        uf.union(first, (a, b))
+        clique_edges = [e for e in combinations(sorted(ids), 2) if e in g.edges]
+        for e in clique_edges[1:]:
+            uf.union(clique_edges[0], e)
     for (a, b, c, d) in induced_squares(g):
         uf.union(norm(a, b), norm(c, d))
         uf.union(norm(b, c), norm(d, a))
@@ -531,18 +515,16 @@ def _hyperplanes(g: BallGraph) -> list[Hyperplane]:
     for hid, (root, members) in enumerate(sorted(groups.items())):
         kinds = {g.edge_kind(*e) for e in members}
         kind = kinds.pop() if len(kinds) == 1 else "mixed"
-        carriers: list[frozenset[int]] = []
         if kind == "linear":
-            for ids in pin_ids:
-                vs = sorted(ids)
-                if any((min(a, b), max(a, b)) in set(members)
-                       for i, a in enumerate(vs) for b in vs[i + 1:]):
-                    carriers.append(ids)
+            member_set = set(members)
+            carriers = [ids for ids in pin_ids
+                        if any(e in member_set for e in combinations(sorted(ids), 2))]
         else:
             carriers = [frozenset(e) for e in members]
         interior = any(g.depth(i) <= margin and g.depth(j) <= margin
                        for (i, j) in members)
         out.append(Hyperplane(hid, kind, sorted(members), carriers, interior))
+    g._hyperplanes = out
     return out
 
 
@@ -550,12 +532,12 @@ def _descent_path(g: BallGraph, x: int, y: int) -> list[int] | None:
     """Vertex ids of the geodesic x..y that steps each time to the
     lowest-index neighbour one closer to y, or None when some vertex on the
     way has no such neighbour in the ball."""
+    to_y = g.row(y)
     path = [x]
-    left = g.distance(x, y)
+    left = to_y[x]
     while left:
         left -= 1
-        nxt = min((z for z in g.adj[path[-1]] if g.distance(z, y) == left),
-                  default=None)
+        nxt = min((z for z in g.adj[path[-1]] if to_y[z] == left), default=None)
         if nxt is None:
             return None
         path.append(nxt)
@@ -569,10 +551,11 @@ def _certified_geodesic_edges(g: BallGraph, rep: Report):
     by descent through the exact distances (see the module docstring)."""
     out = []
     n = len(g.vertices)
+    depth = [v.depth for v in g.vertices]
     for x in range(n):
+        to_x = g.row(x)
         for y in range(x + 1, n):
-            dxy = g.distance(x, y)
-            if g.depth(x) + g.depth(y) + dxy > 2 * g.radius:
+            if depth[x] + depth[y] + to_x[y] > 2 * g.radius:
                 continue
             path = _descent_path(g, x, y)
             if path is None:
@@ -606,8 +589,9 @@ def hyperplanes_report(g: BallGraph) -> Report:
                 comp.union(i, j)
         gates: dict[int, int] = {}
         gate_ok = True
+        to_carrier = [(g.row(c), c) for c in carrier]
         for x in range(len(g.vertices)):
-            dists = sorted((g.distance(x, c), c) for c in carrier)
+            dists = sorted((to_c[x], c) for to_c, c in to_carrier)
             if len(dists) > 1 and dists[0][0] == dists[1][0]:
                 rep.fail(("gate_not_unique", J.hid, x, sorted(carrier)))
                 gate_ok = False
@@ -615,15 +599,13 @@ def hyperplanes_report(g: BallGraph) -> Report:
             gates[x] = dists[0][1]
         rep.hit()
         if gate_ok:
-            for xi in range(len(inner)):
-                for yi in range(xi + 1, len(inner)):
-                    x, y = inner[xi], inner[yi]
-                    same_comp = comp.find(x) == comp.find(y)
-                    same_fiber = gates[x] == gates[y]
-                    if same_comp and not same_fiber:
-                        rep.fail(("sector_mismatch", J.hid, x, y))
-                    elif same_fiber and not same_comp:
-                        rep.inconclusive.append(("sector_truncated", J.hid, x, y))
+            for x, y in combinations(inner, 2):
+                same_comp = comp.find(x) == comp.find(y)
+                same_fiber = gates[x] == gates[y]
+                if same_comp and not same_fiber:
+                    rep.fail(("sector_mismatch", J.hid, x, y))
+                elif same_fiber and not same_comp:
+                    rep.inconclusive.append(("sector_truncated", J.hid, x, y))
         # (2) geodesics cross the hyperplane at most once
         for x, y, path_edges in geodesics:
             crossings = sum(1 for e in path_edges if e in member_set)
@@ -665,17 +647,10 @@ def _reachable_multisets(pres, w, size_cap: int, step_cap: int) -> set[tuple[str
         for m in frontier:
             for lhs, rhs in pres.relations:
                 for a, b in ((lhs, rhs), (rhs, lhs)):
-                    counts = list(m)
-                    ok = True
-                    for letter in a:
-                        if letter in counts:
-                            counts.remove(letter)
-                        else:
-                            ok = False
-                            break
-                    if not ok:
+                    have, need = Counter(m), Counter(a)
+                    if not need <= have:
                         continue
-                    new = tuple(sorted(counts + list(b)))
+                    new = tuple(sorted((have - need + Counter(b)).elements()))
                     if len(new) <= size_cap and new not in seen:
                         seen.add(new)
                         nxt.append(new)

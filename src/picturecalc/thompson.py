@@ -102,7 +102,7 @@ def _replace(forest: Forest, root: int, addr: tuple[int, ...], sub: Tree) -> For
     return forest[:root] + (sub,) + forest[root + 1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreePair:
     arity: int
     domain: Forest
@@ -113,6 +113,17 @@ class TreePair:
         nd, ni = forest_leaves(self.domain), forest_leaves(self.image)
         if nd != ni or sorted(self.perm) != list(range(nd)):
             raise ValueError("leaf bijection does not match the leaf counts")
+
+    def _flat(self) -> tuple:
+        # leaf addresses determine a forest and compare without deep recursion
+        return (self.arity, self.perm, tuple(leaf_addresses(self.domain)),
+                tuple(leaf_addresses(self.image)))
+
+    def __eq__(self, other):
+        return self._flat() == other._flat() if isinstance(other, TreePair) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._flat())
 
     @property
     def roots(self) -> int:
@@ -144,6 +155,7 @@ def _caret_sites(forest: Forest, arity: int):
 
 
 def reduce_pair(tp: TreePair) -> TreePair:
+    """Cancel matched carets until none is left; tp itself if none does."""
     n = tp.arity
     while True:
         image_carets = {leftmost: (root, addr)
@@ -170,7 +182,7 @@ def reduce_pair(tp: TreePair) -> TreePair:
 
 
 def is_reduced_pair(tp: TreePair) -> bool:
-    return reduce_pair(tp) == tp
+    return reduce_pair(tp) is tp
 
 
 def _expand(tp: TreePair, refined: Forest, side: str) -> TreePair:

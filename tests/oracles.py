@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
 from picturecalc.coeff import TrivialSpec, nontrivial_elements
+from picturecalc.errors import CompositionError
 from picturecalc.picture import (
     Diagram,
     atom_linear,
@@ -187,6 +188,61 @@ def class_rep_oracle(d: Diagram, geometry: str) -> Diagram:
 def pair_distance_oracle(a, b) -> int:
     """d([A],[B]) = length(A^-1 . B), with the product built and reduced."""
     return length(multiply(invert(a.rep), b.rep))
+
+
+def pair_distance_matching_oracle(a, b) -> int:
+    """length(A^-1 . B) by matching the reduced A and B from the frame top:
+    port i of A is mated with port i of B, and a transistor of A cancels
+    with one of B when their top wires are mated slot by slot with equal
+    coefficients and their bottom label words agree, which mates their
+    bottom wires in turn.  A mated pair (w, m) takes [w in N_A] + [m in N_B]
+    - [c_w != c_m] off |N_A| + |N_B|, N the wires with a nontrivial
+    coefficient; the term is 0 unless both are in N."""
+    da, db = reduce_oracle(a.rep), reduce_oracle(b.rep)
+    if da.top_word() != db.top_word():
+        raise CompositionError("vertices live over different basewords")
+    if da.pres != db.pres or da.coeffs != db.coeffs:
+        raise CompositionError("presentation or coefficient system mismatch")
+    na = {w for w, (_, c) in da.wires.items() if not c.is_identity()}
+    nb = {w for w, (_, c) in db.wires.items() if not c.is_identity()}
+    a_wires, b_wires = da.wires, db.wires
+    a_bot, b_bot = da.wire_bot, db.wire_bot
+    a_top, b_top = da.t_top, db.t_top
+    mate = dict(zip(da.top_ports, db.top_ports))
+    unmated_tops = {}
+    cancelled = 0
+    stack = list(da.top_ports)
+    while stack:
+        site = a_bot[stack.pop()]
+        if site[0] != "TT":
+            continue
+        ta = site[1]
+        left = unmated_tops.get(ta, len(a_top[ta])) - 1
+        unmated_tops[ta] = left
+        if left:
+            continue
+        tops = a_top[ta]
+        mates = tuple(mate[w] for w in tops)
+        first = b_bot[mates[0]]
+        if first[0] != "TT" or b_top[first[1]] != mates:
+            continue
+        tb = first[1]
+        if any(a_wires[w][1] != b_wires[m][1] for w, m in zip(tops, mates)):
+            continue
+        a_lower, b_lower = da.t_bot[ta], db.t_bot[tb]
+        if (tuple(a_wires[w][0] for w in a_lower)
+                != tuple(b_wires[w][0] for w in b_lower)):
+            continue
+        cancelled += 1
+        for wa, wb in zip(a_lower, b_lower):
+            mate[wa] = wb
+            stack.append(wa)
+    nontrivial = len(na) + len(nb)
+    for w in na:
+        m = mate.get(w)
+        if m in nb:
+            nontrivial -= 2 - (a_wires[w][1] != b_wires[m][1])
+    return len(da.transistors) + len(db.transistors) - 2 * cancelled + nontrivial
 
 
 # -- backtracking embeddability (planar / annular) ------------------------------

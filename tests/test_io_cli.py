@@ -1,9 +1,9 @@
 import json
 import os
 import random
-import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,7 @@ from picturecalc.presentation import (
     word_str,
 )
 from picturecalc.sampling import random_element, random_tree_pair, random_walk_diagram
-from picturecalc.thompson import TreePair, leaf_addresses
+from picturecalc.thompson import TreePair
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -168,19 +168,23 @@ def test_cli_verify_determinism(tmp_path):
 
 
 def test_module_run_is_hash_seed_independent(tmp_path):
-    """`python -m picturecalc` writes the same --out bytes under two hash seeds."""
+    """`python -m picturecalc` gives the same exit code, stdout and --out
+    bytes under two hash seeds."""
     src = Path(__file__).resolve().parents[1] / "src"
     ball = ["ball", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "2"]
+    verify = ["verify", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "3"]
     for k, argv in enumerate([ball, ball + ["--geometry", "annular"],
-                              ["enumerate", "--builtin", "commuting_abc", "--budget", "2"]]):
-        outs = []
+                              ["enumerate", "--builtin", "commuting_abc", "--budget", "2"],
+                              verify]):
+        runs = []
         for seed in ("1", "2"):
             out = tmp_path / f"run{k}_{seed}.json"
             env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
-            subprocess.run([sys.executable, "-m", "picturecalc", *argv, "--out", str(out)],
-                           env=env, check=True, capture_output=True)
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1], argv
+            done = subprocess.run([sys.executable, "-m", "picturecalc", *argv, "--out", str(out)],
+                                  env=env, capture_output=True)
+            runs.append((done.returncode, done.stdout, out.read_bytes()))
+        assert runs[0] == runs[1], argv
+        assert runs[0][0] == 0, (argv, runs[0][1])
 
 
 def test_cli_enumerate(tmp_path, capsys):
@@ -202,6 +206,20 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     assert rc == 2
     rc = main(["ball", "--builtin", "thompson", "--coeff", "x=free:1", "--radius", "1"])
     assert rc == 2
+
+
+def test_cli_huge_power_exits_2_before_expanding(capsys):
+    # the expanded word would have 10^9 letters: rejected from its length alone
+    t0 = time.perf_counter()
+    rc = main(["ball", "--builtin", "thompson", "--word", "x^999999999", "--radius", "1"])
+    assert rc == 2 and time.perf_counter() - t0 < 1.0
+    assert ("error: word longer than 1000000 letters (at position 2)"
+            in capsys.readouterr().err)
+    with pytest.raises(ParseError, match="word longer than"):
+        parse_presentation("<x | x=x.x.x^999999>")
+    with pytest.raises(ParseError, match="word longer than"):
+        parse_word("x^" + "9" * 5000, Q)  # too many digits for int()
+    assert len(parse_word("x^1000000", Q)) == 1_000_000
 
 
 @pytest.mark.parametrize("path, value", [
@@ -314,8 +332,6 @@ def _random_presentation_text(rng):
 def _parse_or_parse_error(parse, text):
     """Call parse(text): a value and ParseError are both accepted, any other
     exception fails the test."""
-    if re.search(r"[0-9]{3}", text):  # x^<huge> would allocate the whole word
-        return
     try:
         parse(text)
     except ParseError:
@@ -343,6 +359,73 @@ def test_fuzzed_parsers_return_a_value_or_raise_parse_error():
         _parse_or_parse_error(lambda t: tree_pair_from_text(t, arity), _mutate(rng, text))
 
 
+JSON_RETYPES = [None, True, -1, 0, 7, 10 ** 9, 1.5, "x", "", [], {},
+                {"site": "frame_top", "index": 0}]
+
+
+def _json_paths(obj, path=()):
+    """The path of every value below the root, parents first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutate_json(rng, obj):
+    """A copy of the diagram JSON with one or two values dropped, retyped,
+    pushed out of range (ints: site indices, transistor ids, rel, dir) or,
+    for lists, truncated."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(rng.randrange(1, 3)):
+        path = rng.choice(list(_json_paths(obj)))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        op = rng.randrange(4)
+        if op == 0:
+            del parent[key]
+        elif op == 2 and type(value) is int:
+            parent[key] = rng.choice((-1, value + 1, value + 2, 10 ** 9))
+        elif op == 3 and isinstance(value, list):
+            del value[rng.randrange(len(value) + 1):]
+        else:
+            parent[key] = rng.choice(JSON_RETYPES)
+    return obj
+
+
+def test_fuzzed_diagram_json_parses_or_exits_2(tmp_path, capsys):
+    rng = random.Random(20261019)
+    abc, abc_word = builtin_presentation("commuting_abc")
+    abc_cyc2 = make_system(abc.alphabet, {"a": CyclicSpec(2)})
+    sources = [diagram_to_json(random_walk_diagram(pres, coeffs, word, steps, rng))
+               for pres, coeffs, word in ((Q, CYC2, "x"), (abc, abc_cyc2, abc_word))
+               for steps in (1, 3, 5)]
+    for value in JSON_RETYPES:
+        with pytest.raises(ParseError):
+            diagram_from_json(value)
+    src = tmp_path / "fuzz.json"
+    outcomes = set()
+    for k in range(300):
+        obj = _mutate_json(rng, rng.choice(sources))
+        try:
+            diagram_from_json(obj)
+            outcomes.add("parsed")
+        except ParseError:
+            outcomes.add("ParseError")
+        if k % 3:  # every third mutant also goes through the CLI
+            continue
+        text = json.dumps(obj)
+        if k % 2:  # and every other one of those is cut short
+            text = text[:rng.randrange(len(text))]
+        src.write_text(text)
+        rc = main(["reduce", "--in", str(src), "--out", str(tmp_path / "out.json")])
+        out, err = capsys.readouterr()
+        assert rc in (0, 2) and "Traceback" not in err, (text, err)
+        assert (rc == 2) == err.startswith("error:"), (text, err)
+    assert outcomes == {"parsed", "ParseError"}
+
+
 @pytest.mark.parametrize("kind, text, message", [
     ("tree", "|.@perm=0", "unexpected end of tree (at position 0)"),
     ("tree", "x|.@perm=0", "expected '(' or '.', found 'x' (at position 0)"),
@@ -365,11 +448,7 @@ def test_tree_pair_text_roundtrip_deep_comb():
         left, right = (left, ()), ((), right)
     tp = TreePair(2, (right,), (left,), tuple(range(n + 1)))
     back = tree_pair_from_text(tree_pair_to_text(tp))
-    # `==` on tuples nested 1,200 deep recurses in C past the recursion
-    # limit, so the forests are compared by their leaf addresses
-    assert leaf_addresses(back.domain) == leaf_addresses(tp.domain)
-    assert leaf_addresses(back.image) == leaf_addresses(tp.image)
-    assert back.perm == tp.perm
+    assert back is not tp and back == tp
 
 
 def test_runtime_imports_are_stdlib_only(tmp_path):

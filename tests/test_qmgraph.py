@@ -4,7 +4,16 @@ from picturecalc.coeff import CyclicSpec, free_element, make_system, spec_parse,
 from picturecalc.embed import gamma
 from picturecalc.errors import CompositionError
 from picturecalc.moves import BallConfig, apply_linear_move, apply_transistor_move, geometry_class_key
-from picturecalc.picture import Diagram, canonical_key, eps, length, multiply, reduce
+from picturecalc.picture import (
+    Diagram,
+    atom_transistor,
+    canonical_key,
+    concat,
+    eps,
+    length,
+    multiply,
+    reduce,
+)
 from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.qmgraph import (
     BallGraph,
@@ -23,9 +32,9 @@ from picturecalc.qmgraph import (
     to_json_dict,
     verify_qm_axioms,
 )
-from picturecalc.sampling import random_element, random_unreduced
+from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
-from oracles import pair_distance_oracle
+from oracles import pair_distance_matching_oracle, pair_distance_oracle
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -136,8 +145,94 @@ def test_pair_distance_unreduced_rep_and_basewords(rng):
             assert pair_distance(v, w) == pair_distance_oracle(v, w)
             assert pair_distance(w, v) == pair_distance_oracle(w, v)
     other = mkvertex(eps(Q, CYC2, "xx"), cfg)
-    with pytest.raises(CompositionError):
+    with pytest.raises(CompositionError, match="different basewords"):
         pair_distance(g.vertices[0], other)
+    plain = mkvertex(eps(Q, TRIV, "x"), BallConfig(Q, TRIV))
+    with pytest.raises(CompositionError, match="coefficient system mismatch"):
+        pair_distance(g.vertices[0], plain)
+    with pytest.raises(CompositionError, match="coefficient system mismatch"):
+        BallGraph(cfg, 2, g.vertices + [plain], g.edges).row(0)
+
+
+def test_rows_match_matching_oracle_on_every_pair():
+    abc, abc_word = builtin_presentation("commuting_abc")
+    abc_cyc2 = make_system(abc.alphabet, {"a": CyclicSpec(2)})
+    cases = [
+        (eps(Q, CYC2, "x"), BallConfig(Q, CYC2, "braided"), 3),
+        (eps(Q, CYC2, "x", annular=True), BallConfig(Q, CYC2, "annular"), 3),
+        (eps(Q, CYC2, "x"), BallConfig(Q, CYC2, "planar"), 3),
+        (eps(abc, abc_cyc2, abc_word), BallConfig(abc, abc_cyc2), 2),
+    ]
+    for name, params in (("higman", (3, 1)), ("houghton", (2, 0))):
+        pres, word = builtin_presentation(name, params)
+        triv = trivial_system(pres.alphabet)
+        cases.append((eps(pres, triv, word), BallConfig(pres, triv), 2))
+    for base, cfg, radius in cases:
+        g = ball(base, radius, cfg)
+        assert len(g.vertices) > 3
+        for i, a in enumerate(g.vertices):
+            assert list(g.row(i)) == [pair_distance_matching_oracle(a, b) for b in g.vertices]
+
+
+def test_rows_match_product_formula_around_random_bases(rng):
+    abc, abc_word = builtin_presentation("commuting_abc")
+    abc_cyc2 = make_system(abc.alphabet, {"a": CyclicSpec(2)})
+    for pres, coeffs, word, geometry in [(Q, CYC2, "x", "braided"), (Q, CYC2, "x", "annular"),
+                                         (Q, CYC3, "x", "planar"),
+                                         (abc, abc_cyc2, abc_word, "braided")]:
+        cfg = BallConfig(pres, coeffs, geometry)
+        for walk in (False, True):
+            base = (random_walk_diagram(pres, coeffs, word, 3, rng, geometry) if walk
+                    else random_element(pres, coeffs, word, rng, geometry, steps=3))
+            g = ball(base, 2, cfg)
+            n = len(g.vertices)
+            for _ in range(25):
+                i, j = rng.randrange(n), rng.randrange(n)
+                assert g.distance(i, j) == pair_distance_oracle(g.vertices[i], g.vertices[j])
+
+
+def test_edges_move_one_coordinate_and_hyperplanes_are_the_ids():
+    for radius in (3, 4):
+        cfg = BallConfig(Q, CYC2)
+        g = ball(eps(Q, CYC2, "x"), radius, cfg)
+        coords = g.coordinates
+        toggled = {}
+        for (i, j), (kind, _) in g.edges.items():
+            (_, ki, wi, ci), (_, kj, wj, cj) = coords[i], coords[j]
+            if kind == "transistor":
+                # one transistor more or less: one cone id, no coefficient
+                assert (ki ^ kj).bit_count() == 1 and (wi, ci) == (wj, cj)
+                toggled[(i, j)] = ki ^ kj
+            else:
+                # one wire's coefficient: trivial <-> nontrivial moves its id
+                # and its pair, nontrivial <-> nontrivial swaps its pair
+                assert ki == kj and ci != cj
+                assert (wi ^ wj).bit_count() + (ci ^ cj).bit_count() == 2
+        cones = wires = 0
+        for _, k, w, _ in coords:
+            cones, wires = cones | k, wires | w
+        hyps = hyperplanes(g)
+        assert len(hyps) == cones.bit_count() + wires.bit_count()
+        # each transistor hyperplane is the edge class of one cone id
+        cone_of = []
+        for J in hyps:
+            if J.kind == "transistor":
+                assert len({toggled[e] for e in J.member_edges}) == 1
+                cone_of.append(toggled[J.member_edges[0]])
+        assert len(set(cone_of)) == len(cone_of) == cones.bit_count()
+
+
+def test_rows_are_bytes_up_to_length_127():
+    cfg = BallConfig(Q, CYC2)
+    g = ball(eps(Q, CYC2, "x"), 2, cfg)
+    assert g.row(0).typecode == "B"
+    d = eps(Q, CYC2, "x")
+    for k in range(128):  # a caret on the first wire, 128 times: length 128
+        d = concat(d, atom_transistor(Q, CYC2, (), 0, 1, ("x",) * k))
+    far = VertexClass(canonical_key(d), d)
+    wide = BallGraph(cfg, 2, g.vertices + [far], {})
+    assert wide.row(0).typecode != "B"
+    assert wide.distance(0, len(g.vertices)) == 128 == pair_distance_oracle(g.vertices[0], far)
 
 
 def test_depth_is_formula_distance_to_base():

@@ -97,6 +97,27 @@ def test_unreduced_pair_gives_dipole():
     assert reduce(d) == tree_pair_to_diagram(FGEN)
 
 
+def _comb_pair(n: int) -> TreePair:
+    """A right comb n carets deep over a left comb, built from scratch."""
+    left = right = CARET
+    for _ in range(n - 1):
+        left, right = (left, ()), ((), right)
+    return TreePair(2, (right,), (left,), tuple(range(n + 1)))
+
+
+def test_tree_pair_equality_and_hash_at_depth():
+    a, b = _comb_pair(1200), _comb_pair(1200)
+    assert a.domain is not b.domain
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert is_reduced_pair(a) and reduce_pair(a) is a
+    assert a != _comb_pair(1199)
+    assert a != TreePair(2, a.domain, a.image, (1, 0) + a.perm[2:])
+    assert a != TreePair(2, a.image, a.domain, a.perm)
+    assert FGEN == TreePair(2, (LEFT,), (RIGHT,), (0, 1, 2)) != identity_pair(2)
+    assert TreePair(3, ((),), ((),), (0,)) != identity_pair(2)
+    assert FGEN != (FGEN.arity, FGEN.domain, FGEN.image, FGEN.perm)
+
+
 def test_reduction_coherence_random(rng):
     for _ in range(40):
         tp = random_tree_pair(rng, 2, 3, reduced=False)

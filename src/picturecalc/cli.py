@@ -17,6 +17,7 @@ from .coeff import make_system, spec_parse
 from .errors import CompositionError, EnumerationError, ParseError
 from .io import (
     diagram_to_json,
+    json_text,
     load_diagram,
     tree_pair_from_text,
     tree_pair_to_text,
@@ -75,7 +76,7 @@ def _resolve_config(args) -> tuple:
 
 
 def _emit(obj, path: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json_text(obj) + "\n"
     if path:
         with open(path, "w") as f:
             f.write(text)
@@ -156,8 +157,9 @@ def cmd_ball(args) -> int:
 
 def cmd_verify(args) -> int:
     g, word = _ball(args)
-    reports = [verify_qm_axioms(g), pins_report(g), hyperplanes_report(g),
-               condition_plus_check(g.cfg.pres, g.cfg.coeffs, word, args.m_max, args.budget)]
+    # first, so that a bad --m-max or --budget stops the run before the verifiers
+    plus = condition_plus_check(g.cfg.pres, g.cfg.coeffs, word, args.m_max, args.budget)
+    reports = [verify_qm_axioms(g), pins_report(g), hyperplanes_report(g), plus]
     plus_ok = reports[-1].details.get("holds_within_bounds", False)
     if plus_ok:
         linear_interior = [J for J in hyperplanes(g)

@@ -14,7 +14,12 @@ spell the baseword, all bijections, rotations or only the identity.
 
 `unitary_moves` lists the moves as witnesses, each with the length of its
 result, and `apply_move` builds one of them; the ball explorer, the
-sampler and `neighbor_diagrams` all go through that one list.  Lengths
+sampler and `neighbor_diagrams` all go through that one list.
+`apply_move` relies on `unitary_moves`' dipole prediction: the only dipole
+a transistor move can add to a reduced representative is the new
+transistor with the one above its feed, so when `_dipole_above` finds
+none the result is reduced as built.  A move's child derives its endpoint
+maps from its parent's rather than rebuilding them.  Lengths
 are Lipschitz along moves: d([A],[B]) = length(A^-1 . B), one unitary move
 changes the length of the reduced representative by at most one, and a
 permutation diagram changes it not at all.  So a vertex at depth k of the
@@ -39,6 +44,7 @@ from .coeff import (
 from .errors import EnumerationError
 from .picture import (
     Diagram,
+    _assemble,
     _dipole_above,
     bottom_variant_keys,
     canonical_key,
@@ -66,6 +72,8 @@ class BallConfig:
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
+        if self.max_width < 1:
+            raise ValueError("max_width must be >= 1")
 
 
 def check_finite_coeffs(coeffs: CoefficientSystem) -> None:
@@ -137,48 +145,56 @@ def _feed_tuples(labels: tuple[str, ...], consumed: tuple[str, ...], geometry: s
 def apply_transistor_move(d: Diagram, rel_index: int, direction: int,
                           positions: tuple[int, ...], geometry: str = "braided") -> Diagram:
     """D . P . (eps(a)+T+eps(b)) built directly: the bottom wires at
-    `positions` (in that order) feed the new transistor.  Not reduced."""
+    `positions` (in that order) feed the new transistor.  Not reduced, and
+    its reduced flag stays unset (`apply_move` sets it).  The endpoint maps
+    are d's, updated for the fed wires, the produced wires and the frame
+    bottom."""
     top_side, bot_side = rel_sides(d.pres, rel_index, direction)
     sel = tuple(d.bottom_ports[p] for p in positions)
     if tuple(d.wires[w][0] for w in sel) != top_side:
         raise ValueError("selected wires do not spell the relation side")
-    wires = dict(d.wires)
+    wires = d.wires.copy()
     tid = (max(d.transistors) if d.transistors else 0) + 1
     wid = (max(d.wires) if d.wires else 0) + 1
-    produced = []
-    for letter in bot_side:
-        wires[wid] = (letter, coeff_identity(d.coeffs.spec(letter)))
-        produced.append(wid)
-        wid += 1
-    transistors = dict(d.transistors)
+    produced = tuple(range(wid, wid + len(bot_side)))
+    for w, letter in zip(produced, bot_side):
+        wires[w] = (letter, coeff_identity(d.coeffs.spec(letter)))
+    transistors = d.transistors.copy()
     transistors[tid] = (rel_index, direction)
-    t_top = dict(d.t_top)
-    t_bot = dict(d.t_bot)
+    t_top = d.t_top.copy()
+    t_bot = d.t_bot.copy()
     t_top[tid] = sel
-    t_bot[tid] = tuple(produced)
+    t_bot[tid] = produced
 
-    ports = list(d.bottom_ports)
-    pos_set = set(positions)
+    ports = d.bottom_ports
     if geometry == "planar":
         i0 = positions[0]
         new_ports = ports[:i0] + produced + ports[i0 + len(positions):]
     elif geometry == "annular":
         i0 = positions[0]
-        rotated = ports[i0:] + ports[:i0]
-        new_ports = produced + rotated[len(positions):]
+        new_ports = produced + (ports[i0:] + ports[:i0])[len(positions):]
     else:
-        new_ports = [w for i, w in enumerate(ports) if i not in pos_set] + produced
-    return Diagram(d.pres, d.coeffs, wires, transistors, t_top, t_bot,
-                   d.top_ports, tuple(new_ports), d.annular)
+        pos_set = set(positions)
+        new_ports = tuple(w for i, w in enumerate(ports) if i not in pos_set) + produced
+    wire_top = d.wire_top.copy()
+    wire_bot = d.wire_bot.copy()
+    for i, w in enumerate(sel):
+        wire_bot[w] = ("TT", tid, i)
+    for i, w in enumerate(produced):
+        wire_top[w] = ("TB", tid, i)
+    for i, w in enumerate(new_ports):
+        wire_bot[w] = ("FB", i)
+    return _assemble(d, wires, transistors, t_top, t_bot, new_ports, wire_top, wire_bot)
 
 
 def apply_linear_move(d: Diagram, position: int, g: GroupElement) -> Diagram:
     """Right-multiply the coefficient of the bottom wire at `position` by g."""
     w = d.bottom_ports[position]
     label, c = d.wires[w]
-    wires = dict(d.wires)
+    wires = d.wires.copy()
     wires[w] = (label, coeff_multiply(c, g))
-    return replace(d, wires=wires)
+    return _assemble(d, wires, d.transistors, d.t_top, d.t_bot, d.bottom_ports,
+                     d.wire_top, d.wire_bot, d._reduced, d._trav)
 
 
 def unitary_moves(rep: Diagram, cfg: BallConfig):
@@ -223,10 +239,20 @@ def unitary_moves(rep: Diagram, cfg: BallConfig):
 
 
 def apply_move(rep: Diagram, kind: str, witness, geometry: str) -> Diagram:
-    """The reduced result of the move (kind, witness) of `unitary_moves`."""
-    if kind == "transistor":
-        return reduce(apply_transistor_move(rep, *witness, geometry))
-    return apply_linear_move(rep, *witness)
+    """The reduced result of the move (kind, witness) of `unitary_moves`.
+    A reduced rep's transistor move can only form a dipole with the
+    transistor above its feed; when it forms none, the result is marked
+    reduced and not passed through `reduce`."""
+    if kind == "linear":
+        return apply_linear_move(rep, *witness)
+    rel_index, direction, positions = witness
+    out = apply_transistor_move(rep, rel_index, direction, positions, geometry)
+    sel = tuple(rep.bottom_ports[p] for p in positions)
+    if rep._reduced and _dipole_above(rep.pres, rep.wires, rep.transistors, rep.t_bot,
+                                      rep.wire_top, sel, (rel_index, direction)) is None:
+        out._reduced = True
+        return out
+    return reduce(out)
 
 
 def neighbor_diagrams(rep: Diagram, cfg: BallConfig, max_length: int | None = None):

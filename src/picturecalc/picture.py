@@ -51,7 +51,7 @@ class Diagram:
     __slots__ = (
         "pres", "coeffs", "wires", "transistors", "t_top", "t_bot",
         "top_ports", "bottom_ports", "annular",
-        "wire_top", "wire_bot", "_exact_key", "_class_key", "_reduced",
+        "wire_top", "wire_bot", "_exact_key", "_class_key", "_reduced", "_trav",
     )
 
     def __init__(self, pres, coeffs, wires, transistors, t_top, t_bot,
@@ -82,6 +82,7 @@ class Diagram:
         self._exact_key = None
         self._class_key = None
         self._reduced = _reduced
+        self._trav = None
 
     # -- basic views ---------------------------------------------------------
 
@@ -165,6 +166,23 @@ class Diagram:
             raise ValueError("transistor order has a cycle")
 
 
+def _assemble(d: Diagram, wires, transistors, t_top, t_bot, bottom_ports,
+              wire_top, wire_bot, reduced=None, trav=None) -> Diagram:
+    """A diagram with d's configuration, frame top and annular flag and the
+    given fields, endpoint maps included: the one constructor path that
+    derives a diagram's maps from its parent's instead of rebuilding them.
+    The maps are taken as they are, so callers pass fresh or unchanged
+    dicts; `trav` is a `_traversal` result that still holds."""
+    out = Diagram.__new__(Diagram)
+    out.pres, out.coeffs, out.annular = d.pres, d.coeffs, d.annular
+    out.wires, out.transistors, out.t_top, out.t_bot = wires, transistors, t_top, t_bot
+    out.top_ports, out.bottom_ports = d.top_ports, bottom_ports
+    out.wire_top, out.wire_bot = wire_top, wire_bot
+    out._exact_key = out._class_key = None
+    out._reduced, out._trav = reduced, trav
+    return out
+
+
 def replace(d: Diagram, **fields) -> Diagram:
     """A new diagram with d's constructor fields, the given ones changed.
     The reduced flag carries over unless `_reduced` is given: callers that
@@ -182,7 +200,10 @@ def _traversal(d: Diagram) -> tuple[dict[int, int], list[int], list[int]]:
     """Canonical numbering: BFS from the frame-top ports in order; transistors
     numbered at first visit, wires at discovery.  Returns the wire numbering
     and the wires and transistors in numbering order.  Independent of the
-    bottom-port order (frame-bottom sites feed nothing)."""
+    bottom-port order (frame-bottom sites feed nothing), so it is kept on d
+    next to the cached keys and carried onto d's bottom-port variants."""
+    if d._trav is not None:
+        return d._trav
     worder: dict[int, int] = {}
     wires: list[int] = []
     torder: set[int] = set()
@@ -204,7 +225,8 @@ def _traversal(d: Diagram) -> tuple[dict[int, int], list[int], list[int]]:
                         wires.append(w2)
     if len(wires) != len(d.wires):
         raise ValueError("diagram has wires unreachable from the frame top")
-    return worder, wires, trans
+    d._trav = worder, wires, trans
+    return d._trav
 
 
 @lru_cache(maxsize=64)
@@ -296,7 +318,7 @@ def class_representative(d: Diagram) -> Diagram:
     Its exact key is the class key of d: the traversal is unchanged and its
     bottom sequence is already sorted."""
     worder = _traversal(d)[0]
-    out = replace(d, bottom_ports=sorted(d.bottom_ports, key=worder.__getitem__))
+    out = with_bottom_ports(d, sorted(d.bottom_ports, key=worder.__getitem__))
     out._exact_key = out._class_key = d._class_key
     return out
 
@@ -305,13 +327,21 @@ def rotate_bottom(d: Diagram, k: int) -> Diagram:
     """Right-concatenate the rotation sending top port i to bottom port i+k."""
     n = len(d.bottom_ports)
     k %= n
-    return replace(d, bottom_ports=[d.bottom_ports[(i - k) % n] for i in range(n)])
+    return with_bottom_ports(d, [d.bottom_ports[(i - k) % n] for i in range(n)])
 
 
-def with_bottom_ports(d: Diagram, ports: tuple[int, ...]) -> Diagram:
+def with_bottom_ports(d: Diagram, ports) -> Diagram:
+    """d with its bottom ports in the order `ports`: only the frame-bottom
+    sites change, so the other fields, the reduced flag and the traversal
+    (which ignores the bottom order) carry over."""
+    ports = tuple(ports)
     if sorted(ports) != sorted(d.bottom_ports):
         raise ValueError("new bottom ports must be a permutation of the old")
-    return replace(d, bottom_ports=ports)
+    wire_bot = d.wire_bot.copy()
+    for i, w in enumerate(ports):
+        wire_bot[w] = ("FB", i)
+    return _assemble(d, d.wires, d.transistors, d.t_top, d.t_bot, ports,
+                     d.wire_top, wire_bot, d._reduced, d._trav)
 
 
 # -- construction atoms --------------------------------------------------------
@@ -578,8 +608,8 @@ def reduce(d: Diagram, rng=None) -> Diagram:
         for t in (t1, t2):
             del transistors[t], t_top[t], t_bot[t]
         pair = next(_dipoles(d.pres, wires, transistors, t_top, t_bot, wire_top), None)
-    return Diagram(d.pres, d.coeffs, wires, transistors, t_top, t_bot,
-                   d.top_ports, tuple(bottom), d.annular, _reduced=True)
+    return _assemble(d, wires, transistors, t_top, t_bot, tuple(bottom),
+                     wire_top, wire_bot, reduced=True)
 
 
 def multiply(d1: Diagram, d2: Diagram) -> Diagram:

@@ -664,6 +664,10 @@ def condition_plus_check(pres, coeffs, w, m_max: int, budget: int) -> Report:
     """For every relevant word m (some (w, m.l)-diagram exists with G_l
     nontrivial), try to exclude every nontrivial permutation (m,m)-diagram P
     by exhibiting U with U^-1 P U not a permutation diagram."""
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     from itertools import permutations
 
     from .coeff import TrivialSpec, trivial_system

@@ -67,6 +67,18 @@ def leaf_addresses(forest: Forest) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+def _shape_code(forest: Forest) -> tuple[int, ...]:
+    """The child count of every node in preorder, tree after tree: a code of
+    linear length from which the forest can be read back."""
+    code = []
+    stack = list(reversed(forest))
+    while stack:
+        t = stack.pop()
+        code.append(len(t))
+        stack.extend(reversed(t))
+    return tuple(code)
+
+
 def merge_forest(f1: Forest, f2: Forest) -> Forest:
     """The least common refinement: each leaf of f1 that is a node of f2
     gets f2's subtree there."""
@@ -115,9 +127,8 @@ class TreePair:
             raise ValueError("leaf bijection does not match the leaf counts")
 
     def _flat(self) -> tuple:
-        # leaf addresses determine a forest and compare without deep recursion
-        return (self.arity, self.perm, tuple(leaf_addresses(self.domain)),
-                tuple(leaf_addresses(self.image)))
+        # shape codes determine the forests and compare without deep recursion
+        return self.arity, self.perm, _shape_code(self.domain), _shape_code(self.image)
 
     def __eq__(self, other):
         return self._flat() == other._flat() if isinstance(other, TreePair) else NotImplemented

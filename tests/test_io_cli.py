@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from picturecalc import cli
 from picturecalc.cli import main
 from picturecalc.coeff import CyclicSpec, identity, make_system, trivial_system
 from picturecalc.errors import ParseError
@@ -15,6 +17,7 @@ from picturecalc.io import (
     diagram_from_json,
     diagram_to_json,
     dump_diagram,
+    json_text,
     load_diagram,
     tree_pair_from_text,
     tree_pair_to_text,
@@ -206,6 +209,78 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     assert rc == 2
     rc = main(["ball", "--builtin", "thompson", "--coeff", "x=free:1", "--radius", "1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--builtin", "thompson", "--radius", "1", "--m-max", "-1"], "m_max"),
+    (["verify", "--builtin", "thompson", "--radius", "1", "--budget", "-1"], "budget"),
+    (["verify", "--builtin", "thompson", "--radius", "2", "--max-width", "-3"], "max_width"),
+    (["ball", "--builtin", "thompson", "--radius", "1", "--max-width", "0"], "max_width"),
+    (["enumerate", "--builtin", "commuting_abc", "--budget", "1", "--max-width", "0"],
+     "max_width"),
+])
+def test_cli_flags_that_would_check_nothing_exit_2(argv, flag, capsys):
+    # each of these used to pass with "0 checked" or an empty result
+    assert main(argv) == 2
+    assert f"error: {flag} must be >= " in capsys.readouterr().err
+
+
+_JSON_EDGE_CASES = [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {}, [{}]], {"x": {"y": {"z": {}}}},
+    (1, (2, (3,))), True, False, None, [True, False, None], 0, -7, 10 ** 40, -(10 ** 40),
+    1.5, -0.0, 1e-7, 1e300, 2.0 ** 70, float("inf"), float("-inf"), float("nan"), "",
+    'say "hi"', "back\\slash", "ctl\x00\x01\x1f\t\n\r\x7f", "Gödel ŝ 群 \U0001d54f",
+    {"é": 1, "\"": 2, "a b": [1, "x"], "": None, "Z": {"k": (1.25, -3)}},
+]
+
+
+@pytest.mark.parametrize("obj", _JSON_EDGE_CASES, ids=range(len(_JSON_EDGE_CASES)))
+def test_json_text_matches_json_dumps_on_edge_cases(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_text_matches_json_dumps_on_every_cli_output(tmp_path, monkeypatch, capsys, rng):
+    emitted = []
+
+    def checked(obj):
+        text = json_text(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        emitted.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "json_text", checked)
+    a, b = (tmp_path / n for n in ("a.json", "b.json"))
+    dump_diagram(random_walk_diagram(Q, make_system(Q.alphabet, {"x": CyclicSpec(2)}),
+                                     "x", 4, rng), str(a))
+    dump_diagram(random_walk_diagram(Q, TRIV, "x", 4, rng), str(b))
+    P3, w3 = builtin_presentation("higman", (3, 1))
+    h = tmp_path / "h.json"
+    dump_diagram(random_element(P3, trivial_system(P3.alphabet), w3, rng), str(h))
+    out = str(tmp_path / "out.json")
+    runs = [
+        ["ball", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "2"],
+        ["verify", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "2"],
+        ["enumerate", "--builtin", "commuting_abc", "--budget", "2"],
+        ["reduce", "--in", str(a)],
+        ["multiply", "--in", str(b), "--in2", str(b)],
+        ["embed", "--builtin", "higman:3,1", "--in", str(h)],
+    ]
+    for argv in runs:
+        assert main(argv + ["--out", out]) == 0
+    assert len(emitted) == len(runs)
+    # stdout goes through the same text
+    capsys.readouterr()
+    assert main(runs[2]) == 0
+    assert capsys.readouterr().out.startswith(json.dumps(emitted[2], indent=2, sort_keys=True))
+
+
+def test_src_writes_indented_json_only_through_json_text():
+    src = Path(cli.__file__).parent
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert not (node.func.attr in ("dump", "dumps")
+                            and any(k.arg == "indent" for k in node.keywords)), path.name
 
 
 def test_cli_huge_power_exits_2_before_expanding(capsys):

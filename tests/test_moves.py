@@ -20,6 +20,8 @@ from picturecalc.moves import (
     unitary_moves,
 )
 from picturecalc.picture import (
+    Diagram,
+    _traversal,
     atom_transistor,
     canonical_key,
     classify_geometry,
@@ -42,6 +44,7 @@ from oracles import (
     moves_oracle,
     neighbor_keys_oracle,
     random_unreduced_oracle,
+    reduce_oracle,
     walk_oracle,
 )
 
@@ -352,6 +355,44 @@ def test_unitary_moves_predict_length(case):
     assert {("transistor", 1), ("transistor", -1), ("linear", 1), ("linear", -1)} <= kinds_seen
     if coeffs is CYC3:
         assert ("linear", 0) in kinds_seen
+
+
+def _fresh(d: Diagram) -> Diagram:
+    """d rebuilt by the public constructor: endpoint maps from scratch, no
+    flag, no cached traversal."""
+    return Diagram(d.pres, d.coeffs, d.wires, d.transistors, d.t_top, d.t_bot,
+                   d.top_ports, d.bottom_ports, d.annular)
+
+
+def _assert_fresh_maps(d: Diagram):
+    fresh = _fresh(d)
+    assert d.wire_top == fresh.wire_top and d.wire_bot == fresh.wire_bot
+
+
+@pytest.mark.parametrize("case", [c for c in MOVE_BALLS if c[1] is not CYC3], ids=_ball_id)
+def test_derived_diagrams_match_fresh_ones(case):
+    """Moves derive a child's endpoint maps from its parent's, `apply_move`
+    flags a result reduced without `reduce` when no dipole is predicted,
+    and bottom-port rebuilds carry the parent's traversal: each must agree
+    with a fresh construction, `reduce_oracle` and a fresh `_traversal`."""
+    pres, coeffs, w, geometry, radius = case
+    cfg = BallConfig(pres, coeffs, geometry)
+    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+    for rep in reps:
+        for kind, witness, _ in unitary_moves(rep, cfg):
+            if kind == "transistor":
+                raw = apply_transistor_move(rep, *witness, geometry)
+                assert raw._reduced is None
+                _assert_fresh_maps(raw)
+        for out, _, _ in neighbor_diagrams(rep, cfg):
+            _assert_fresh_maps(out)
+            assert out._reduced and reduce_oracle(out) is out
+            geometry_class_key(out, geometry)  # computes out's traversal, as the ball does
+            for variant in (geometry_class_rep(out, geometry), rotate_bottom(out, 1),
+                            with_bottom_ports(out, out.bottom_ports[::-1])):
+                _assert_fresh_maps(variant)
+                assert variant._trav is not None
+                assert variant._trav == _traversal(_fresh(variant))
 
 
 def _assert_same_ball(got, want):

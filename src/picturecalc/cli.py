@@ -110,10 +110,10 @@ def cmd_embed(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from .embed import pi, project_to_thompson
+    from .embed import QPRES, pi, project_to_thompson
 
     d = load_diagram(args.infile)
-    if len(d.pres.alphabet) == 1 and d.pres.alphabet[0] == "x" and d.pres.relations == ((("x",), ("x", "x")),):
+    if d.pres == QPRES:
         tp, tag = project_to_thompson(d)
     else:
         tp, tag = pi(d)

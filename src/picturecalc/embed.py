@@ -1,11 +1,13 @@
 """Universal embedding of diagram groups into picture products over <x | x=x.x>.
 
-Each transistor of a source diagram is replaced by a block: left padding,
-an inverted ladder, a single wire labelled by the relation's free-group
-generator (signed by the transistor direction), a ladder, right padding.
-Permutation diagrams just get their wires relabelled by x.  The ladder
-indices are one less than the relation side lengths so that a block over
-a relation u=v is an (x^|u|, x^|v|)-diagram and images concatenate.
+psi works by local substitution.  Every wire of the reduced source becomes
+an x wire with the identity coefficient, and each transistor over a
+relation u=v is replaced by a block: an inverted ladder (a left comb of
+|u|-1 negative transistors) merges its top wires into a single wire
+labelled by the relation's free-group generator (signed by the transistor
+direction), and a ladder of |v|-1 positive transistors splits that wire
+into its bottom wires.  A block over u=v is an (x^|u|, x^|v|)-diagram; a
+one-letter side leaves its source wire in place as the labelled wire.
 
 The label-forgetting projection kills all coefficients, reduces (the
 previously blocked dipoles collapse) and bridges to a tree pair, landing
@@ -15,29 +17,18 @@ in F/T/V according to the source geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .coeff import CoefficientSystem, FreeSpec, free_element, identity, make_system, trivial_system
-from .picture import (
-    Diagram,
-    atom_permutation,
-    atom_transistor,
-    classify_kind,
-    concat,
-    eps,
-    factorize,
-    invert,
-    length,
-    reduce,
-    rel_sides,
-    replace,
-    sum_diagrams,
-)
+from .coeff import CoefficientSystem, FreeSpec, GroupElement, coeff_multiply, free_element
+from .coeff import identity, make_system, trivial_system
+from .picture import Diagram, length, reduce, replace
 from .presentation import SemigroupPresentation
 from .thompson import TreePair, diagram_to_tree_pair, membership, thompson_presentation
 
 QPRES = thompson_presentation(2)
 
 
+@lru_cache(maxsize=16)
 def free_system(kappa: int) -> CoefficientSystem:
     """{x: F_kappa} with basis R1..Rkappa, one generator per source relation."""
     if kappa < 1:
@@ -45,18 +36,61 @@ def free_system(kappa: int) -> CoefficientSystem:
     return make_system(QPRES.alphabet, {"x": FreeSpec(tuple(f"R{i}" for i in range(1, kappa + 1)))})
 
 
+class _Combs:
+    """A diagram over QPRES under construction: x wires and ladder
+    transistors, numbered in creation order."""
+
+    def __init__(self, coeffs: CoefficientSystem):
+        self.coeffs = coeffs
+        self.one = identity(coeffs.spec("x"))
+        self.wires: dict[int, tuple[str, GroupElement]] = {}
+        self.transistors: dict[int, tuple[int, int]] = {}
+        self.t_top: dict[int, tuple[int, ...]] = {}
+        self.t_bot: dict[int, tuple[int, ...]] = {}
+
+    def wire(self) -> int:
+        w = len(self.wires)
+        self.wires[w] = ("x", self.one)
+        return w
+
+    def _transistor(self, direction: int, top: tuple[int, ...], bot: tuple[int, ...]) -> None:
+        t = len(self.transistors)
+        self.transistors[t] = (0, direction)
+        self.t_top[t], self.t_bot[t] = top, bot
+
+    def block(self, tops: list[int], label: GroupElement, n_bot: int) -> list[int]:
+        """gamma(len(tops)-1)^-1 . eps(x, label) . gamma(n_bot-1) hung below
+        the wires `tops`; returns its bottom wires, left to right.  A single
+        top wire is the middle wire itself and gets `label` after its own
+        coefficient; with n_bot = 1 the middle wire is the bottom wire."""
+        middle = tops[0]
+        for w in tops[1:]:  # inverse left comb: merge the leftmost pair
+            merged = self.wire()
+            self._transistor(-1, (middle, w), (merged,))
+            middle = merged
+        upper = self.wires[middle][1]
+        self.wires[middle] = ("x", label if upper.is_identity() else coeff_multiply(upper, label))
+        rights = []
+        for _ in range(n_bot - 1):  # left comb: split the leftmost wire
+            left, right = self.wire(), self.wire()
+            self._transistor(1, (middle,), (left, right))
+            rights.append(right)
+            middle = left
+        return [middle] + rights[::-1]
+
+    def diagram(self, top_ports, bottom_ports, annular: bool = False) -> Diagram:
+        return Diagram(QPRES, self.coeffs, self.wires, self.transistors, self.t_top,
+                       self.t_bot, top_ports, bottom_ports, annular)
+
+
 def gamma(n: int, coeffs: CoefficientSystem | None = None) -> Diagram:
     """Left comb: an (x, x^(n+1))-diagram with n positive transistors, each
     glued under the leftmost wire of the previous stage."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if coeffs is None:
-        coeffs = trivial_system(QPRES.alphabet)
-    d = eps(QPRES, coeffs, "x")
-    for i in range(n):
-        step = atom_transistor(QPRES, coeffs, (), 0, 1, ("x",) * i)
-        d = concat(d, step)
-    return d
+    combs = _Combs(coeffs if coeffs is not None else trivial_system(QPRES.alphabet))
+    top = combs.wire()
+    return combs.diagram([top], combs.block([top], combs.one, n + 1))
 
 
 def make_block(left_pad: int, top_len: int, rel_index: int, sign: int,
@@ -65,52 +99,46 @@ def make_block(left_pad: int, top_len: int, rel_index: int, sign: int,
     + eps(x^right): the image of one transistor."""
     if top_len < 1 or bot_len < 1:
         raise ValueError("relation sides are nonempty")
-    spec = coeffs.spec("x")
-    label = free_element(spec, [(f"R{rel_index + 1}", sign)])
-    middle = concat(invert(gamma(top_len - 1, coeffs)),
-                    concat(eps(QPRES, coeffs, [("x", label)]),
-                           gamma(bot_len - 1, coeffs)))
-    if left_pad:
-        middle = sum_diagrams(eps(QPRES, coeffs, ("x",) * left_pad), middle)
-    if right_pad:
-        middle = sum_diagrams(middle, eps(QPRES, coeffs, ("x",) * right_pad))
-    return middle
-
-
-def _perm_of(p: Diagram) -> tuple[int, ...]:
-    return tuple(p.wire_bot[w][1] for w in p.top_ports)
-
-
-def _psi_perm(p: Diagram, coeffs: CoefficientSystem) -> Diagram:
-    return atom_permutation(QPRES, coeffs, ("x",) * len(p.top_ports), _perm_of(p))
-
-
-def _psi_transistor_atom(u: Diagram, coeffs: CoefficientSystem) -> Diagram:
-    (tid, (rel_index, direction)), = u.transistors.items()
-    top_side, bot_side = rel_sides(u.pres, rel_index, direction)
-    # the atom's transistor block starts where its first top wire sits
-    positions = [u.wire_top[w][1] for w in u.t_top[tid]]
-    left = min(positions)
-    right = len(u.top_ports) - left - len(top_side)
-    return make_block(left, len(top_side), rel_index, direction, len(bot_side), right, coeffs)
+    combs = _Combs(coeffs)
+    label = free_element(coeffs.spec("x"), [(f"R{rel_index + 1}", sign)])
+    left = [combs.wire() for _ in range(left_pad)]
+    tops = [combs.wire() for _ in range(top_len)]
+    right = [combs.wire() for _ in range(right_pad)]
+    return combs.diagram(left + tops + right, left + combs.block(tops, label, bot_len) + right)
 
 
 def psi_unreduced(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagram:
-    """The raw concatenation of the factor images (no dipole reduction)."""
+    """The image of d before dipole reduction, by substitution in one pass
+    over reduce(d): every wire becomes an x wire with the identity
+    coefficient, and each transistor, taken top-down (its top wires already
+    placed), becomes its block below them, R{rel+1}^direction on the middle
+    wire.  Where one-letter sides chain several blocks onto one wire, the
+    labels multiply upper first."""
     if any(not c.is_identity() for _, c in d.wires.values()):
         raise ValueError("the embedding applies to diagrams with trivial coefficients")
     if coeffs is None:
         coeffs = free_system(max(1, len(d.pres.relations)))
     dr = reduce(d)
-    lead, factors = factorize(dr)
-    out = _psi_perm(lead, coeffs)
-    for u, p in factors:
-        kind = classify_kind(u)
-        if kind != "transistor":
-            raise AssertionError("source factors must be transistor atoms")
-        out = concat(out, _psi_transistor_atom(u, coeffs))
-        out = concat(out, _psi_perm(p, coeffs))
-    return out if out.annular == d.annular else replace(out, annular=d.annular)
+    combs = _Combs(coeffs)
+    labels = {rel: free_element(combs.one.spec, [(f"R{rel[0] + 1}", rel[1])])
+              for rel in set(dr.transistors.values())}
+    image = {w: combs.wire() for w in dr.top_ports}
+    # Kahn's order: a transistor is ready once every top wire is placed
+    waiting = {t: sum(1 for w in top if dr.wire_top[w][0] == "TB") for t, top in dr.t_top.items()}
+    ready = [t for t, k in waiting.items() if k == 0]
+    while ready:
+        t = ready.pop()
+        bots = combs.block([image[w] for w in dr.t_top[t]], labels[dr.transistors[t]],
+                           len(dr.t_bot[t]))
+        for w, v in zip(dr.t_bot[t], bots):
+            image[w] = v
+            site = dr.wire_bot[w]
+            if site[0] == "TT":
+                waiting[site[1]] -= 1
+                if not waiting[site[1]]:
+                    ready.append(site[1])
+    return combs.diagram([image[w] for w in dr.top_ports],
+                         [image[w] for w in dr.bottom_ports], d.annular)
 
 
 def psi(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagram:

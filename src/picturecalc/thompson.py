@@ -146,50 +146,88 @@ def identity_pair(arity: int, roots: int = 1) -> TreePair:
     return TreePair(arity, forest, forest, tuple(range(roots)))
 
 
-def _caret_sites(forest: Forest, arity: int):
-    """(root, address, leftmost leaf index) of each all-leaf internal node."""
-    out = []
-    idx = 0
-    for r, t in enumerate(forest):
-        stack = [(t, ())]
-        while stack:
-            tree, addr = stack.pop()
-            if not tree:
-                idx += 1
-            elif not any(tree):
-                out.append((r, addr, idx))
-                idx += len(tree)
-            else:
-                for i in range(len(tree) - 1, -1, -1):
-                    stack.append((tree[i], addr + (i,)))
+def _caret_starts(forest: Forest) -> list[int]:
+    """The leftmost leaf index of every caret, a node whose children are
+    all leaves."""
+    out, i = [], 0
+    stack = list(reversed(forest))
+    while stack:
+        t = stack.pop()
+        if not t:
+            i += 1
+        elif any(t):
+            stack.extend(reversed(t))
+        else:
+            out.append(i)
+            i += len(t)
     return out
 
 
+def _fold(forest: Forest, leaf, node) -> list:
+    """The values of a forest's roots, folded bottom-up without recursion:
+    leaf(i) at leaf i, node(the children's values) at an internal node."""
+    done: list = []
+    i = 0
+    stack = list(reversed(forest))
+    while stack:
+        t = stack.pop()
+        if type(t) is int:  # the node's t children are done
+            kids = done[-t:]
+            del done[-t:]
+            done.append(node(kids))
+        elif t:
+            stack.append(len(t))
+            stack.extend(reversed(t))
+        else:
+            done.append(leaf(i))
+            i += 1
+    return done
+
+
 def reduce_pair(tp: TreePair) -> TreePair:
-    """Cancel matched carets until none is left; tp itself if none does."""
-    n = tp.arity
-    while True:
-        image_carets = {leftmost: (root, addr)
-                        for root, addr, leftmost in _caret_sites(tp.image, n)}
-        hit = None
-        for root, addr, i in _caret_sites(tp.domain, n):
-            j = tp.perm[i]
-            if all(tp.perm[i + t] == j + t for t in range(n)) and j in image_carets:
-                hit = (root, addr, i, j)
-                break
-        if hit is None:
-            return tp
-        root, addr, i, j = hit
-        iroot, iaddr = image_carets[j]
-        domain = _replace(tp.domain, root, addr, ())
-        image = _replace(tp.image, iroot, iaddr, ())
-        perm = []
-        for k in range(forest_leaves(tp.domain)):
-            if i < k < i + n:
-                continue
-            v = tp.perm[k]
-            perm.append(v - (n - 1) if v > j else v)
-        tp = TreePair(n, domain, image, tuple(perm))
+    """Cancel matched carets until none is left; tp itself if none does.
+
+    Every cascade of cancellations starts at a caret pair, so a pair with
+    none is returned after one scan.  Otherwise one bottom-up pass over the
+    domain decides every cancellation at once, naming each node by its
+    leaf interval (lo, hi), which no other node of its forest shares (an
+    internal node has at least two children): a domain leaf collapses onto the image leaf the
+    bijection sends it to, and a domain node onto an image node when its
+    children collapse, in order, onto that node's children.  The collapsed
+    nodes whose parents stay are the leaves of the reduced pair."""
+    n, perm = tp.arity, tp.perm
+    image_carets = set(_caret_starts(tp.image))
+    if not any(perm[i] in image_carets and all(perm[i + k] == perm[i] + k for k in range(1, n))
+               for i in _caret_starts(tp.domain)):
+        return tp
+    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def image_node(kids):
+        children[kids[0][0], kids[-1][1]] = kids
+        return kids[0][0], kids[-1][1]
+
+    _fold(tp.image, lambda i: (i, i + 1), image_node)
+    mated: list[tuple[int, tuple[int, int]]] = []  # (domain lo, image span) per new leaf
+
+    def domain_node(kids):  # kids: (image span or None, rebuilt tree, domain lo)
+        spans = [k[0] for k in kids]
+        if None not in spans and children.get((spans[0][0], spans[-1][1])) == spans:
+            return (spans[0][0], spans[-1][1]), (), kids[0][2]
+        mated.extend([(k[2], k[0]) for k in kids if k[0] is not None])
+        return None, tuple([k[1] for k in kids]), kids[0][2]
+
+    roots = _fold(tp.domain, lambda i: ((perm[i], perm[i] + 1), (), i), domain_node)
+    mated.extend([(r[2], r[0]) for r in roots if r[0] is not None])
+    leaves = {span for _, span in mated}
+
+    def image_cut(kids):  # kids: (span, rebuilt tree)
+        span = (kids[0][0][0], kids[-1][0][1])
+        return span, () if span in leaves else tuple([k[1] for k in kids])
+
+    image = _fold(tp.image, lambda i: ((i, i + 1), ()), image_cut)
+    rank = {span: j for j, span in enumerate(sorted(leaves))}
+    return TreePair(n, tuple([r[1] for r in roots]), tuple([r[1] for r in image]),
+                    tuple([rank[span] for _, span in sorted(mated)]))
 
 
 def is_reduced_pair(tp: TreePair) -> bool:

@@ -14,7 +14,8 @@ from collections import deque
 from fractions import Fraction
 
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
-from picturecalc.coeff import TrivialSpec, nontrivial_elements
+from picturecalc.coeff import TrivialSpec, free_element, nontrivial_elements
+from picturecalc.embed import QPRES, free_system
 from picturecalc.errors import CompositionError
 from picturecalc.picture import (
     Diagram,
@@ -22,14 +23,21 @@ from picturecalc.picture import (
     atom_permutation,
     atom_transistor,
     canonical_key,
+    classify_kind,
     concat,
+    eps,
+    factorize,
     invert,
     length,
     multiply,
+    reduce,
     rel_sides,
+    replace,
     rotate_bottom,
+    sum_diagrams,
     with_bottom_ports,
 )
+from picturecalc.thompson import TreePair, forest_leaves
 
 
 # -- all reduction orders -------------------------------------------------------
@@ -586,3 +594,112 @@ def random_unreduced_oracle(base: Diagram, transistor_budget: int, rng, cfg) -> 
         if kind == "transistor":
             placed += 1
     return d
+
+
+# -- tree pairs: the rescanning caret cancellation -----------------------------------
+
+def _caret_sites_oracle(forest, arity: int):
+    """(root, address, leftmost leaf index) of each all-leaf internal node."""
+    out = []
+    idx = 0
+    for r, t in enumerate(forest):
+        stack = [(t, ())]
+        while stack:
+            tree, addr = stack.pop()
+            if not tree:
+                idx += 1
+            elif not any(tree):
+                out.append((r, addr, idx))
+                idx += len(tree)
+            else:
+                for i in range(len(tree) - 1, -1, -1):
+                    stack.append((tree[i], addr + (i,)))
+    return out
+
+
+def _replace_oracle(forest, root: int, addr, sub):
+    path = []
+    t = forest[root]
+    for i in addr:
+        path.append(t)
+        t = t[i]
+    for node, i in zip(reversed(path), reversed(addr)):
+        sub = node[:i] + (sub,) + node[i + 1:]
+    return forest[:root] + (sub,) + forest[root + 1:]
+
+
+def reduce_pair_oracle(tp: TreePair) -> TreePair:
+    """Cancel one matched caret pair per pass, rescanning both forests from
+    the start after each cancellation."""
+    n = tp.arity
+    while True:
+        image_carets = {leftmost: (root, addr)
+                        for root, addr, leftmost in _caret_sites_oracle(tp.image, n)}
+        hit = None
+        for root, addr, i in _caret_sites_oracle(tp.domain, n):
+            j = tp.perm[i]
+            if all(tp.perm[i + t] == j + t for t in range(n)) and j in image_carets:
+                hit = (root, addr, i, j)
+                break
+        if hit is None:
+            return tp
+        root, addr, i, j = hit
+        iroot, iaddr = image_carets[j]
+        domain = _replace_oracle(tp.domain, root, addr, ())
+        image = _replace_oracle(tp.image, iroot, iaddr, ())
+        perm = []
+        for k in range(forest_leaves(tp.domain)):
+            if i < k < i + n:
+                continue
+            v = tp.perm[k]
+            perm.append(v - (n - 1) if v > j else v)
+        tp = TreePair(n, domain, image, tuple(perm))
+
+
+# -- the universal embedding, factor by factor -----------------------------------------
+
+def gamma_oracle(n: int, coeffs) -> Diagram:
+    """n positive x -> x.x atoms, each under the leftmost wire of the last."""
+    d = eps(QPRES, coeffs, "x")
+    for i in range(n):
+        d = concat(d, atom_transistor(QPRES, coeffs, (), 0, 1, ("x",) * i))
+    return d
+
+
+def block_oracle(left: int, top_len: int, rel_index: int, sign: int,
+                  bot_len: int, right: int, coeffs) -> Diagram:
+    label = free_element(coeffs.spec("x"), [(f"R{rel_index + 1}", sign)])
+    out = concat(invert(gamma_oracle(top_len - 1, coeffs)),
+                 concat(eps(QPRES, coeffs, [("x", label)]), gamma_oracle(bot_len - 1, coeffs)))
+    if left:
+        out = sum_diagrams(eps(QPRES, coeffs, ("x",) * left), out)
+    if right:
+        out = sum_diagrams(out, eps(QPRES, coeffs, ("x",) * right))
+    return out
+
+
+def _relabelled_permutation_oracle(p: Diagram, coeffs) -> Diagram:
+    perm = tuple(p.wire_bot[w][1] for w in p.top_ports)
+    return atom_permutation(QPRES, coeffs, ("x",) * len(perm), perm)
+
+
+def psi_unreduced_factor_oracle(d: Diagram, coeffs=None) -> Diagram:
+    """The unreduced image of d as the concatenation of its factors' images:
+    each permutation factor relabelled by x, each transistor atom replaced
+    by its padded block."""
+    if any(not c.is_identity() for _, c in d.wires.values()):
+        raise ValueError("the embedding applies to diagrams with trivial coefficients")
+    if coeffs is None:
+        coeffs = free_system(max(1, len(d.pres.relations)))
+    lead, factors = factorize(reduce(d))
+    out = _relabelled_permutation_oracle(lead, coeffs)
+    for u, p in factors:
+        assert classify_kind(u) == "transistor"
+        (tid, (rel_index, direction)), = u.transistors.items()
+        top_side, bot_side = rel_sides(u.pres, rel_index, direction)
+        left = min(u.wire_top[w][1] for w in u.t_top[tid])
+        right = len(u.top_ports) - left - len(top_side)
+        out = concat(out, block_oracle(left, len(top_side), rel_index, direction,
+                                        len(bot_side), right, coeffs))
+        out = concat(out, _relabelled_permutation_oracle(p, coeffs))
+    return replace(out, annular=d.annular)

@@ -10,6 +10,7 @@ from picturecalc.embed import (
     kill_coefficients,
     make_block,
     pi,
+    project_to_thompson,
     psi,
     psi_unreduced,
     side_constant,
@@ -28,9 +29,11 @@ from picturecalc.picture import (
     multiply,
     reduce,
 )
-from picturecalc.presentation import builtin_presentation
+from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.sampling import random_element
 from picturecalc.thompson import identity_pair, tp_multiply
+
+from oracles import block_oracle, gamma_oracle, psi_unreduced_factor_oracle
 
 TRIVQ = trivial_system(QPRES.alphabet)
 
@@ -70,6 +73,57 @@ def test_block_lengths_and_blocked_dipole():
         assert is_reduced(b)
         assert b.top_word() == ("x",) * (1 + t + 2)
         assert b.bot_word() == ("x",) * (1 + m + 2)
+
+
+def test_gamma_and_block_match_concatenated_atoms():
+    fs = free_system(3)
+    for n in range(6):
+        assert canonical_key(gamma(n)) == canonical_key(gamma_oracle(n, TRIVQ))
+        assert canonical_key(gamma(n, fs)) == canonical_key(gamma_oracle(n, fs))
+    for args in [(0, 1, 0, 1, 1, 0), (0, 1, 2, -1, 3, 0), (2, 3, 1, 1, 1, 0),
+                 (1, 2, 0, -1, 4, 3), (0, 4, 2, 1, 2, 1)]:
+        assert canonical_key(make_block(*args, fs)) == canonical_key(block_oracle(*args, fs))
+
+
+def _assert_psi_matches_factor_oracle(d):
+    raw = psi_unreduced_factor_oracle(d)
+    out = psi_unreduced(d)
+    assert canonical_key(out) == canonical_key(raw)
+    assert out.annular == raw.annular == d.annular
+    img = psi(d)
+    assert canonical_key(img) == canonical_key(reduce(raw)) and img.annular == d.annular
+    assert pi(d) == project_to_thompson(reduce(raw))
+
+
+def test_psi_matches_factor_oracle_on_builtins(rng):
+    for name, params in BUILTINS + [("higman", (2, 2)), ("quasi_auto", (2, 1, 1))]:
+        pres, w = builtin_presentation(name, params)
+        triv = trivial_system(pres.alphabet)
+        for geometry in ("planar", "annular", "braided"):
+            for _ in range(6):
+                a = random_element(pres, triv, w, rng, geometry, steps=3, max_width=8)
+                b = random_element(pres, triv, w, rng, geometry, steps=3, max_width=8)
+                _assert_psi_matches_factor_oracle(a)
+                _assert_psi_matches_factor_oracle(multiply(a, b))
+
+
+def test_psi_matches_factor_oracle_with_one_letter_sides(rng):
+    # a one-letter side puts the block's labelled wire on the source wire
+    # itself, and a one-letter = one-letter transistor chains the labels of
+    # the blocks above and below onto one wire
+    seen = set()
+    for text, w in [("<a,b | a=b, b=a.a>", "a"), ("<a,b,c | a=b, b=c, c=a.a>", "a.b"),
+                    ("<a,b | a=b>", "a.b.a")]:
+        pres = parse_presentation(text)
+        triv = trivial_system(pres.alphabet)
+        w = tuple(w.split("."))
+        for geometry in ("planar", "annular", "braided"):
+            for _ in range(12):
+                d = random_element(pres, triv, w, rng, geometry, steps=4, max_width=8)
+                _assert_psi_matches_factor_oracle(d)
+                seen.update(s for r, s in reduce(d).transistors.values()
+                            if len(pres.relations[r][0]) == len(pres.relations[r][1]) == 1)
+    assert seen == {1, -1}
 
 
 def test_psi_of_permutation_is_relabelled_permutation():

@@ -173,19 +173,30 @@ def test_cli_verify_determinism(tmp_path):
 def test_module_run_is_hash_seed_independent(tmp_path):
     """`python -m picturecalc` gives the same exit code, stdout and --out
     bytes under two hash seeds."""
+    from picturecalc.embed import psi
+
     src = Path(__file__).resolve().parents[1] / "src"
+    P3, w3 = builtin_presentation("higman", (3, 1))
+    d = random_element(P3, trivial_system(P3.alphabet), w3, random.Random(5), steps=4)
+    dump_diagram(d, str(tmp_path / "g.json"))
+    dump_diagram(psi(d), str(tmp_path / "psi.json"))
     ball = ["ball", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "2"]
     verify = ["verify", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "3"]
     for k, argv in enumerate([ball, ball + ["--geometry", "annular"],
                               ["enumerate", "--builtin", "commuting_abc", "--budget", "2"],
-                              verify]):
+                              verify,
+                              ["embed", "--builtin", "higman:3,1", "--in", str(tmp_path / "g.json")],
+                              ["project", "--in", str(tmp_path / "g.json")],
+                              ["project", "--in", str(tmp_path / "psi.json")]]):
         runs = []
         for seed in ("1", "2"):
             out = tmp_path / f"run{k}_{seed}.json"
+            # `project` writes to stdout only
+            argv_out = argv if argv[0] == "project" else argv + ["--out", str(out)]
             env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
-            done = subprocess.run([sys.executable, "-m", "picturecalc", *argv, "--out", str(out)],
+            done = subprocess.run([sys.executable, "-m", "picturecalc", *argv_out],
                                   env=env, capture_output=True)
-            runs.append((done.returncode, done.stdout, out.read_bytes()))
+            runs.append((done.returncode, done.stdout, out.read_bytes() if out.exists() else None))
         assert runs[0] == runs[1], argv
         assert runs[0][0] == 0, (argv, runs[0][1])
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,12 @@ from picturecalc.sampling import random_element, random_tree_pair
 from picturecalc.thompson import (
     NAdic,
     TreePair,
+    _replace,
     diagram_to_tree_pair,
     evaluate_map,
     identity_pair,
     is_reduced_pair,
+    leaf_addresses,
     membership,
     nadic,
     reduce_pair,
@@ -30,7 +33,7 @@ from picturecalc.thompson import (
     tree_pair_to_diagram,
 )
 
-from oracles import evaluate_oracle
+from oracles import evaluate_oracle, reduce_pair_oracle
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -116,6 +119,45 @@ def test_tree_pair_equality_and_hash_at_depth():
     assert FGEN == TreePair(2, (LEFT,), (RIGHT,), (0, 1, 2)) != identity_pair(2)
     assert TreePair(3, ((),), ((),), (0,)) != identity_pair(2)
     assert FGEN != (FGEN.arity, FGEN.domain, FGEN.image, FGEN.perm)
+
+
+def _graft(tp: TreePair, i: int) -> TreePair:
+    """tp with a caret grown under domain leaf i and under its image leaf:
+    the same element with one more cancellable caret pair."""
+    n, j = tp.arity, tp.perm[i]
+    caret = ((),) * n
+    domain = _replace(tp.domain, *leaf_addresses(tp.domain)[i], caret)
+    image = _replace(tp.image, *leaf_addresses(tp.image)[j], caret)
+    perm = []
+    for k, v in enumerate(tp.perm):
+        if k == i:
+            perm.extend(range(j, j + n))
+        else:
+            perm.append(v + n - 1 if v > j else v)
+    return TreePair(n, domain, image, tuple(perm))
+
+
+def test_reduce_pair_matches_rescanning_oracle(rng):
+    cancelled = 0
+    for _ in range(150):
+        arity = rng.choice((2, 3))
+        tp = random_tree_pair(rng, arity, rng.randrange(1, 7), rng.choice((1, 2)), reduced=False)
+        for _ in range(rng.randrange(6)):  # a graft on a grafted leaf makes a cascade
+            tp = _graft(tp, rng.randrange(len(tp.perm)))
+        out, want = reduce_pair(tp), reduce_pair_oracle(tp)
+        assert out == want and (out is tp) == (want is tp)
+        cancelled += out is not tp
+    assert cancelled > 100
+
+
+def test_reduce_pair_deep_comb_over_itself():
+    right = CARET
+    for _ in range(1199):
+        right = ((), right)
+    tp = TreePair(2, (right,), (right,), tuple(range(1201)))
+    t0 = time.perf_counter()
+    assert reduce_pair(tp) == identity_pair(2)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_reduction_coherence_random(rng):

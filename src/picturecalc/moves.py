@@ -18,7 +18,8 @@ sampler and `neighbor_diagrams` all go through that one list.
 `apply_move` relies on `unitary_moves`' dipole prediction: the only dipole
 a transistor move can add to a reduced representative is the new
 transistor with the one above its feed, so when `_dipole_above` finds
-none the result is reduced as built.  A move's child derives its endpoint
+none the result is reduced as built, and when it finds one that pair is
+cancelled in the child's own dicts.  A move's child derives its endpoint
 maps from its parent's rather than rebuilding them.  Lengths
 are Lipschitz along moves: d([A],[B]) = length(A^-1 . B), one unitary move
 changes the length of the reduced representative by at most one, and a
@@ -45,6 +46,7 @@ from .errors import EnumerationError
 from .picture import (
     Diagram,
     _assemble,
+    _cancel,
     _dipole_above,
     bottom_variant_keys,
     canonical_key,
@@ -242,17 +244,21 @@ def apply_move(rep: Diagram, kind: str, witness, geometry: str) -> Diagram:
     """The reduced result of the move (kind, witness) of `unitary_moves`.
     A reduced rep's transistor move can only form a dipole with the
     transistor above its feed; when it forms none, the result is marked
-    reduced and not passed through `reduce`."""
+    reduced as built, and when it does, the pair is cancelled in place in
+    the move's fresh dicts, the new transistor the only seed."""
     if kind == "linear":
         return apply_linear_move(rep, *witness)
     rel_index, direction, positions = witness
     out = apply_transistor_move(rep, rel_index, direction, positions, geometry)
+    if not rep._reduced:
+        return reduce(out)
     sel = tuple(rep.bottom_ports[p] for p in positions)
-    if rep._reduced and _dipole_above(rep.pres, rep.wires, rep.transistors, rep.t_bot,
-                                      rep.wire_top, sel, (rel_index, direction)) is None:
+    if _dipole_above(rep.pres, rep.wires, rep.transistors, rep.t_bot,
+                     rep.wire_top, sel, (rel_index, direction)) is None:
         out._reduced = True
-        return out
-    return reduce(out)
+    else:
+        _cancel(out, (next(reversed(out.transistors)),), in_order=False)
+    return out
 
 
 def neighbor_diagrams(rep: Diagram, cfg: BallConfig, max_length: int | None = None):

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import zlib
 from functools import lru_cache
+from heapq import heappop, heappush
+from itertools import islice
 
 from .coeff import (
     CoefficientSystem,
@@ -454,8 +456,12 @@ def _relabel(d: Diagram, wire_off: int, trans_off: int):
     return wires, transistors, t_top, t_bot, top, bottom
 
 
-def concat(d1: Diagram, d2: Diagram) -> Diagram:
-    """Glue d2 below d1; merged wires carry (d1's coefficient)*(d2's).  Not reduced."""
+def _glue(d1: Diagram, d2: Diagram) -> Diagram:
+    """d2 glued below d1, owning fresh dicts that `_cancel` may change in
+    place.  d2's ids move past d1's, but each frame-top wire of d2 merges
+    into the frame-bottom wire of d1 above it, which keeps its id and place
+    and carries (d1's coefficient)*(d2's).  d1's dicts are copied, and only
+    d2's items are relabelled and appended."""
     if d1.pres != d2.pres or d1.coeffs != d2.coeffs:
         raise CompositionError("presentation or coefficient system mismatch")
     if d1.bot_word() != d2.top_word():
@@ -463,31 +469,34 @@ def concat(d1: Diagram, d2: Diagram) -> Diagram:
             f"boundary mismatch: {'.'.join(d1.bot_word())} vs {'.'.join(d2.top_word())}")
     w_off = (max(d1.wires) if d1.wires else 0) + 1
     t_off = (max(d1.transistors) if d1.transistors else 0) + 1
-    wires2, trans2, ttop2, tbot2, top2, bottom2 = _relabel(d2, w_off, t_off)
+    ren = {w: w + w_off for w in d2.wires}
+    ren.update(zip(d2.top_ports, d1.bottom_ports))
+    wires = d1.wires.copy()
+    for w, v in d2.wires.items():
+        u = ren[w]
+        wires[u] = (v[0], coeff_multiply(wires[u][1], v[1])) if u in wires else v
+    transistors = d1.transistors.copy()
+    t_top, t_bot = d1.t_top.copy(), d1.t_bot.copy()
+    wire_top, wire_bot = d1.wire_top.copy(), d1.wire_bot.copy()
+    for t, v in d2.transistors.items():
+        transistors[t + t_off] = v
+    for t, tup in d2.t_top.items():
+        t_top[t + t_off] = tuple(map(ren.__getitem__, tup))
+    for t, tup in d2.t_bot.items():
+        t_bot[t + t_off] = tuple(w + w_off for w in tup)
+        for i, w in enumerate(tup):
+            wire_top[w + w_off] = ("TB", t + t_off, i)
+    for w, site in d2.wire_bot.items():
+        wire_bot[ren[w]] = site if site[0] == "FB" else ("TT", site[1] + t_off, site[2])
+    out = _assemble(d1, wires, transistors, t_top, t_bot,
+                    tuple(map(ren.__getitem__, d2.bottom_ports)), wire_top, wire_bot)
+    out.annular = d1.annular or d2.annular
+    return out
 
-    wires = dict(d1.wires)
-    wires.update(wires2)
-    transistors = dict(d1.transistors)
-    transistors.update(trans2)
-    t_top = dict(d1.t_top)
-    t_top.update(ttop2)
-    t_bot = dict(d1.t_bot)
-    t_bot.update(tbot2)
 
-    # Merge each lower port wire of d1 with the matching upper port wire of d2:
-    # keep the upper wire id, give it the lower wire's bottom endpoint.
-    replace: dict[int, int] = {}
-    for upper, lower in zip(d1.bottom_ports, top2):
-        lu, cu = wires[upper]
-        ll, cl = wires[lower]
-        wires[upper] = (lu, coeff_multiply(cu, cl))
-        replace[lower] = upper
-        del wires[lower]
-    bottom = tuple(replace.get(w, w) for w in bottom2)
-    for t in list(tbot2):
-        t_top[t] = tuple(replace.get(w, w) for w in t_top[t])
-    return Diagram(d1.pres, d1.coeffs, wires, transistors, t_top, t_bot,
-                   d1.top_ports, bottom, d1.annular or d2.annular)
+def concat(d1: Diagram, d2: Diagram) -> Diagram:
+    """Glue d2 below d1; merged wires carry (d1's coefficient)*(d2's).  Not reduced."""
+    return _glue(d1, d2)
 
 
 def sum_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
@@ -545,76 +554,121 @@ def _dipole_above(pres, wires, transistors, t_bot, wire_top, conn, rel) -> int |
     return t2
 
 
-def _dipoles(pres, wires, transistors, t_top, t_bot, wire_top):
-    """The dipoles (t1 below, t2 above), in transistor order."""
-    for t1, rel in transistors.items():
-        t2 = _dipole_above(pres, wires, transistors, t_bot, wire_top, t_top[t1], rel)
-        if t2 is not None:
-            yield t1, t2
+def _dipole_at(d: Diagram, t1: int) -> int | None:
+    """The transistor forming a dipole with t1 above it, or None."""
+    return _dipole_above(d.pres, d.wires, d.transistors, d.t_bot, d.wire_top,
+                         d.t_top[t1], d.transistors[t1])
 
 
-def _first_dipole(d: Diagram) -> tuple[int, int] | None:
-    """The first dipole of d in transistor order, or None, in which case d
-    is marked reduced: the one entry scan of `is_reduced` and `reduce`."""
+def _first_dipole(d: Diagram) -> int | None:
+    """The dict position of the first transistor of d that is the lower one
+    of a dipole, or None, in which case d is marked reduced: the one entry
+    scan of `is_reduced` and `reduce`."""
     if d._reduced:
         return None
-    pair = next(_dipoles(d.pres, d.wires, d.transistors, d.t_top, d.t_bot, d.wire_top), None)
-    if pair is None:
+    pos = next((i for i, t in enumerate(d.transistors) if _dipole_at(d, t) is not None), None)
+    if pos is None:
         d._reduced = True
-    return pair
+    return pos
 
 
 def is_reduced(d: Diagram) -> bool:
     return _first_dipole(d) is None
 
 
+def _cancel_pair(d: Diagram, bottom: list, t1: int, t2: int) -> list[int]:
+    """Cancel the dipole (t1 below, t2 above) of d in place, `bottom` being
+    d's frame-bottom wires as a list: t1's top wires go, and each of t2's
+    top wires takes the place of the t1 bottom wire under it.  Returns the
+    transistors below those merged wires."""
+    wires, t_top, wire_top, wire_bot = d.wires, d.t_top, d.wire_top, d.wire_bot
+    for w in t_top[t1]:
+        del wires[w], wire_top[w], wire_bot[w]
+    below = []
+    for a, b in zip(t_top[t2], d.t_bot[t1]):
+        la, ca = wires[a]
+        wires[a] = (la, coeff_multiply(ca, wires[b][1]))
+        site = wire_bot[b]
+        wire_bot[a] = site
+        if site[0] == "FB":
+            bottom[site[1]] = a
+        else:
+            _, tid, idx = site
+            tup = list(t_top[tid])
+            tup[idx] = a
+            t_top[tid] = tuple(tup)
+            below.append(tid)
+        del wires[b], wire_top[b], wire_bot[b]
+    for t in (t1, t2):
+        del d.transistors[t], t_top[t], d.t_bot[t]
+    return below
+
+
+def _cancel(d: Diagram, seeds, in_order: bool = True, rng=None) -> None:
+    """Cancel d's dipoles in place (d owns its dicts) and mark it reduced;
+    `seeds` must hold the lower transistor of every dipole.  A cancellation
+    changes the top sides of the transistors below its merged wires only,
+    so only those are pushed.  The heap holds dict positions when
+    `in_order`, so the dipole cancelled is always the first in dict order,
+    as if d were rescanned after each cancellation, and ids otherwise, for
+    callers whose dipoles cannot overlap.  With `rng` (the confluence
+    tests) each step cancels a random dipole."""
+    bottom = list(d.bottom_ports)
+    if rng is not None:
+        while found := [(t, t2) for t in d.transistors if (t2 := _dipole_at(d, t)) is not None]:
+            _cancel_pair(d, bottom, *found[rng.randrange(len(found))])
+    else:
+        if in_order:
+            order = list(d.transistors)
+            rank = {t: i for i, t in enumerate(order)}.__getitem__
+        else:
+            order, rank = None, int  # a transistor's id is its own key
+        heap = sorted(set(map(rank, seeds)))
+        while heap:
+            t1 = heappop(heap)
+            if order is not None:
+                t1 = order[t1]
+            t2 = _dipole_at(d, t1) if t1 in d.transistors else None
+            if t2 is not None:
+                for t in _cancel_pair(d, bottom, t1, t2):
+                    heappush(heap, rank(t))
+    d.bottom_ports = tuple(bottom)
+    d._reduced = True
+
+
 def reduce(d: Diagram, rng=None) -> Diagram:
     """Cancel dipoles until none remain.  The result is independent of the
     order in which dipoles are reduced; `rng` randomizes the order (used by
-    the confluence tests).  A diagram without dipoles is returned itself."""
-    pair = _first_dipole(d)
-    if pair is None:
+    the confluence tests).  Without it, `_cancel` seeds every transistor
+    from the first dipole's on, and cancels the first dipole in transistor
+    order each time.  A diagram without dipoles is returned itself."""
+    start = _first_dipole(d)
+    if start is None:
         return d
-    wires = dict(d.wires)
-    transistors = dict(d.transistors)
-    t_top = dict(d.t_top)
-    t_bot = dict(d.t_bot)
-    bottom = list(d.bottom_ports)
-    wire_top = dict(d.wire_top)
-    wire_bot = dict(d.wire_bot)
-
-    while pair is not None:
-        if rng is not None:
-            found = list(_dipoles(d.pres, wires, transistors, t_top, t_bot, wire_top))
-            pair = found[rng.randrange(len(found))]
-        t1, t2 = pair
-        for w in t_top[t1]:
-            del wires[w], wire_top[w], wire_bot[w]
-        uppers, lowers = t_top[t2], t_bot[t1]
-        for a, b in zip(uppers, lowers):
-            la, ca = wires[a]
-            _, cb = wires[b]
-            wires[a] = (la, coeff_multiply(ca, cb))
-            site = wire_bot[b]
-            wire_bot[a] = site
-            if site[0] == "FB":
-                bottom[site[1]] = a
-            else:
-                _, tid, idx = site
-                tup = list(t_top[tid])
-                tup[idx] = a
-                t_top[tid] = tuple(tup)
-            del wires[b], wire_top[b], wire_bot[b]
-        for t in (t1, t2):
-            del transistors[t], t_top[t], t_bot[t]
-        pair = next(_dipoles(d.pres, wires, transistors, t_top, t_bot, wire_top), None)
-    return _assemble(d, wires, transistors, t_top, t_bot, tuple(bottom),
-                     wire_top, wire_bot, reduced=True)
+    out = _assemble(d, d.wires.copy(), d.transistors.copy(), d.t_top.copy(), d.t_bot.copy(),
+                    d.bottom_ports, d.wire_top.copy(), d.wire_bot.copy())
+    _cancel(out, islice(out.transistors, start, None), rng=rng)
+    return out
 
 
 def multiply(d1: Diagram, d2: Diagram) -> Diagram:
-    """The reduction of the concatenation; the group law on (w,w)-diagrams."""
-    return reduce(concat(d1, d2))
+    """The reduction of the concatenation; the group law on (w,w)-diagrams.
+    d2 is glued below d1 once and the dipoles are cancelled in place.  When
+    both factors are reduced, a dipole of the concatenation has its lower
+    transistor in d2, directly below the seam (d1's frame-bottom wires),
+    and its upper one in d1, and every dipole a cancellation makes again
+    has its lower transistor in d2 and its upper one in d1.  So only the
+    transistors directly below the seam are seeds, no two dipoles overlap,
+    and the order of cancellation does not change the result.  Otherwise
+    every transistor is a seed, as in `reduce`."""
+    out = _glue(d1, d2)
+    if is_reduced(d1) and is_reduced(d2):
+        wire_bot = out.wire_bot
+        _cancel(out, [wire_bot[w][1] for w in d1.bottom_ports if wire_bot[w][0] == "TT"],
+                in_order=False)
+    else:
+        _cancel(out, out.transistors)
+    return out
 
 
 def length(d: Diagram) -> int:

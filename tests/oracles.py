@@ -24,7 +24,6 @@ from picturecalc.picture import (
     atom_transistor,
     canonical_key,
     classify_kind,
-    concat,
     eps,
     factorize,
     invert,
@@ -88,6 +87,40 @@ def _reduce_one(d: Diagram, pair) -> Diagram:
         del transistors[t], t_top[t], t_bot[t]
     return Diagram(d.pres, d.coeffs, wires, transistors, t_top, t_bot,
                    d.top_ports, tuple(bottom), d.annular)
+
+
+def concat_oracle(d1: Diagram, d2: Diagram) -> Diagram:
+    """d2 glued below d1 by definition: d2 relabelled past d1's ids, every
+    dict merged, then each frame-top wire of d2 merged into the frame-bottom
+    wire of d1 above it (the upper id kept, coefficients multiplied upper
+    first), and the endpoint maps rebuilt by the public constructor."""
+    if d1.pres != d2.pres or d1.coeffs != d2.coeffs:
+        raise CompositionError("presentation or coefficient system mismatch")
+    if d1.bot_word() != d2.top_word():
+        raise CompositionError("boundary mismatch")
+    w_off = (max(d1.wires) if d1.wires else 0) + 1
+    t_off = (max(d1.transistors) if d1.transistors else 0) + 1
+    wires = dict(d1.wires)
+    wires.update({w + w_off: v for w, v in d2.wires.items()})
+    transistors = dict(d1.transistors)
+    transistors.update({t + t_off: v for t, v in d2.transistors.items()})
+    t_top = dict(d1.t_top)
+    t_top.update({t + t_off: tuple(w + w_off for w in tup) for t, tup in d2.t_top.items()})
+    t_bot = dict(d1.t_bot)
+    t_bot.update({t + t_off: tuple(w + w_off for w in tup) for t, tup in d2.t_bot.items()})
+    top2 = tuple(w + w_off for w in d2.top_ports)
+    bottom2 = tuple(w + w_off for w in d2.bottom_ports)
+    merged: dict[int, int] = {}
+    for upper, lower in zip(d1.bottom_ports, top2):
+        lu, cu = wires[upper]
+        wires[upper] = (lu, coeff_multiply(cu, wires[lower][1]))
+        merged[lower] = upper
+        del wires[lower]
+    for t in d2.t_bot:
+        t_top[t + t_off] = tuple(merged.get(w, w) for w in t_top[t + t_off])
+    return Diagram(d1.pres, d1.coeffs, wires, transistors, t_top, t_bot,
+                   d1.top_ports, tuple(merged.get(w, w) for w in bottom2),
+                   d1.annular or d2.annular)
 
 
 def reduce_all_orders(d: Diagram) -> set[str]:
@@ -434,7 +467,7 @@ def neighbor_keys_oracle(rep, cfg):
     me = class_key_oracle(rep, geometry)
     for sigma in _all_perms_for_geometry(n, geometry):
         p = atom_permutation(pres, coeffs, botword, sigma, annular=rep.annular)
-        base = concat(rep, p)
+        base = concat_oracle(rep, p)
         word = base.bot_word()
         for rel_index in range(len(pres.relations)):
             for direction in (1, -1):
@@ -447,7 +480,7 @@ def neighbor_keys_oracle(rep, cfg):
                         continue
                     atom = atom_transistor(pres, coeffs, word[:i0], rel_index,
                                            direction, word[i0 + k:], annular=rep.annular)
-                    key = class_key_oracle(reduce_oracle(concat(base, atom)), geometry)
+                    key = class_key_oracle(reduce_oracle(concat_oracle(base, atom)), geometry)
                     if key != me:
                         out.add(key)
         for i0, letter in enumerate(word):
@@ -456,7 +489,7 @@ def neighbor_keys_oracle(rep, cfg):
                 continue
             for g in nontrivial_elements(spec):
                 atom = atom_linear(pres, coeffs, word, i0, g, annular=rep.annular)
-                key = class_key_oracle(reduce_oracle(concat(base, atom)), geometry)
+                key = class_key_oracle(reduce_oracle(concat_oracle(base, atom)), geometry)
                 if key != me:
                     out.add(key)
     return out
@@ -506,20 +539,20 @@ def moves_oracle(rep: Diagram, cfg):
                     perm = [0] * n
                     for new, old in enumerate(order):
                         perm[old] = new
-                    base = concat(rep, atom_permutation(pres, coeffs, word, perm,
-                                                        annular=rep.annular))
+                    base = concat_oracle(rep, atom_permutation(pres, coeffs, word, perm,
+                                                               annular=rep.annular))
                     rest_word = tuple(word[i] for i in rest)
                     a, b = (rest_word, ()) if geometry == "braided" else ((), rest_word)
                 atom = atom_transistor(pres, coeffs, a, rel_index, direction, b,
                                        annular=rep.annular)
-                yield concat(base, atom), "transistor", (rel_index, direction, pos)
+                yield concat_oracle(base, atom), "transistor", (rel_index, direction, pos)
     for i, letter in enumerate(word):
         spec = coeffs.spec(letter)
         if isinstance(spec, TrivialSpec):
             continue
         for g in nontrivial_elements(spec):
             atom = atom_linear(pres, coeffs, word, i, g, annular=rep.annular)
-            yield concat(rep, atom), "linear", (letter, g)
+            yield concat_oracle(rep, atom), "linear", (letter, g)
 
 
 def length_oracle(d: Diagram) -> int:
@@ -662,15 +695,15 @@ def gamma_oracle(n: int, coeffs) -> Diagram:
     """n positive x -> x.x atoms, each under the leftmost wire of the last."""
     d = eps(QPRES, coeffs, "x")
     for i in range(n):
-        d = concat(d, atom_transistor(QPRES, coeffs, (), 0, 1, ("x",) * i))
+        d = concat_oracle(d, atom_transistor(QPRES, coeffs, (), 0, 1, ("x",) * i))
     return d
 
 
 def block_oracle(left: int, top_len: int, rel_index: int, sign: int,
                   bot_len: int, right: int, coeffs) -> Diagram:
     label = free_element(coeffs.spec("x"), [(f"R{rel_index + 1}", sign)])
-    out = concat(invert(gamma_oracle(top_len - 1, coeffs)),
-                 concat(eps(QPRES, coeffs, [("x", label)]), gamma_oracle(bot_len - 1, coeffs)))
+    middle = concat_oracle(eps(QPRES, coeffs, [("x", label)]), gamma_oracle(bot_len - 1, coeffs))
+    out = concat_oracle(invert(gamma_oracle(top_len - 1, coeffs)), middle)
     if left:
         out = sum_diagrams(eps(QPRES, coeffs, ("x",) * left), out)
     if right:
@@ -699,7 +732,7 @@ def psi_unreduced_factor_oracle(d: Diagram, coeffs=None) -> Diagram:
         top_side, bot_side = rel_sides(u.pres, rel_index, direction)
         left = min(u.wire_top[w][1] for w in u.t_top[tid])
         right = len(u.top_ports) - left - len(top_side)
-        out = concat(out, block_oracle(left, len(top_side), rel_index, direction,
-                                        len(bot_side), right, coeffs))
-        out = concat(out, _relabelled_permutation_oracle(p, coeffs))
+        out = concat_oracle(out, block_oracle(left, len(top_side), rel_index, direction,
+                                              len(bot_side), right, coeffs))
+        out = concat_oracle(out, _relabelled_permutation_oracle(p, coeffs))
     return replace(out, annular=d.annular)

@@ -22,7 +22,7 @@ from picturecalc.io import (
     tree_pair_from_text,
     tree_pair_to_text,
 )
-from picturecalc.picture import Diagram, atom_transistor, canonical_key, concat, eps
+from picturecalc.picture import Diagram, atom_transistor, canonical_key, concat, eps, invert
 from picturecalc.presentation import (
     builtin_presentation,
     parse_presentation,
@@ -72,7 +72,6 @@ def test_tree_pair_text_roundtrip(rng):
 
 def test_cli_reduce_dipole(tmp_path, capsys):
     t = atom_transistor(Q, TRIV, (), 0, 1, ())
-    from picturecalc.picture import invert
     d = concat(t, invert(t))
     src = tmp_path / "d.json"
     out = tmp_path / "r.json"
@@ -178,7 +177,10 @@ def test_module_run_is_hash_seed_independent(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     P3, w3 = builtin_presentation("higman", (3, 1))
     d = random_element(P3, trivial_system(P3.alphabet), w3, random.Random(5), steps=4)
+    e = random_element(P3, trivial_system(P3.alphabet), w3, random.Random(6), steps=4)
     dump_diagram(d, str(tmp_path / "g.json"))
+    dump_diagram(e, str(tmp_path / "h.json"))
+    dump_diagram(concat(concat(d, invert(d)), d), str(tmp_path / "ddd.json"))
     dump_diagram(psi(d), str(tmp_path / "psi.json"))
     ball = ["ball", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "2"]
     verify = ["verify", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "3"]
@@ -187,7 +189,12 @@ def test_module_run_is_hash_seed_independent(tmp_path):
                               verify,
                               ["embed", "--builtin", "higman:3,1", "--in", str(tmp_path / "g.json")],
                               ["project", "--in", str(tmp_path / "g.json")],
-                              ["project", "--in", str(tmp_path / "psi.json")]]):
+                              ["project", "--in", str(tmp_path / "psi.json")],
+                              ["reduce", "--in", str(tmp_path / "ddd.json")],
+                              ["multiply", "--in", str(tmp_path / "g.json"),
+                               "--in2", str(tmp_path / "h.json")],
+                              ["multiply", "--in", str(tmp_path / "ddd.json"),
+                               "--in2", str(tmp_path / "g.json")]]):
         runs = []
         for seed in ("1", "2"):
             out = tmp_path / f"run{k}_{seed}.json"

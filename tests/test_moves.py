@@ -395,6 +395,28 @@ def test_derived_diagrams_match_fresh_ones(case):
                 assert variant._trav == _traversal(_fresh(variant))
 
 
+@pytest.mark.parametrize("case", MOVE_BALLS, ids=_ball_id)
+def test_cancelling_moves_match_reduce_oracle(case):
+    """A transistor move that cancels against the transistor above its feed
+    is reduced in the move's own dicts; the result must equal
+    `reduce_oracle` of the unreduced move, dict items in order included."""
+    pres, coeffs, w, geometry, radius = case
+    cfg = BallConfig(pres, coeffs, geometry)
+    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+    cancelled = 0
+    for rep in reps:
+        for kind, witness, after in unitary_moves(rep, cfg):
+            if kind == "transistor" and after < length(rep):
+                got = apply_move(rep, kind, witness, geometry)
+                want = reduce_oracle(apply_transistor_move(rep, *witness, geometry))
+                for field in ("wires", "transistors", "t_top", "t_bot"):
+                    assert list(getattr(got, field).items()) == list(getattr(want, field).items())
+                assert got.bottom_ports == want.bottom_ports and got._reduced
+                _assert_fresh_maps(got)
+                cancelled += 1
+    assert cancelled
+
+
 def _assert_same_ball(got, want):
     reps, depths, edges = got
     o_reps, o_depths, o_edges = want

@@ -35,7 +35,14 @@ from picturecalc.picture import (
 from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
-from oracles import classify_geometry_oracle, count_dipoles, key_text_oracle, reduce_all_orders
+from oracles import (
+    classify_geometry_oracle,
+    concat_oracle,
+    count_dipoles,
+    key_text_oracle,
+    reduce_all_orders,
+    reduce_oracle,
+)
 
 Q, XW = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -261,6 +268,81 @@ def test_length_subadditive(rng):
         a = random_element(Q, TRIV, "x", rng)
         b = random_element(Q, TRIV, "x", rng)
         assert length(multiply(a, b)) <= length(a) + length(b)
+
+
+def _items(d):
+    """Everything `concat`, `reduce` and `multiply` must reproduce exactly:
+    every dict's items in order, the ports, the annular flag and the
+    endpoint maps."""
+    return (list(d.wires.items()), list(d.transistors.items()), list(d.t_top.items()),
+            list(d.t_bot.items()), d.top_ports, d.bottom_ports, d.annular,
+            d.wire_top, d.wire_bot)
+
+
+# every builtin, with cyclic coefficients where its letters allow them
+EXACTNESS_CONFIGS = [
+    ("thompson", (), {"x": 2}),
+    ("thompson", (), {"x": 3}),
+    ("higman", (3, 1), {}),
+    ("quasi_auto", (2, 1, 1), {"a": 2}),
+    ("houghton", (2, 0), {"a": 2}),
+    ("commuting_abc", (), {"a": 2}),
+]
+
+
+@pytest.mark.parametrize("geometry, seed", [("planar", 1), ("annular", 2), ("braided", 3)])
+def test_glue_and_worklist_match_oracles(geometry, seed):
+    """`concat` equals `concat_oracle`, and `multiply` and `reduce` equal
+    `reduce_oracle` of it, item for item and in order, along seeded chains
+    of products.  A fifth of the factors are the unreduced e.e^-1.e, whose
+    dipoles overlap, so the general path of `multiply` runs as well as the
+    seam path; no operand is changed."""
+    rng = random.Random(seed)
+    for name, params, cyclic in EXACTNESS_CONFIGS:
+        pres, w = builtin_presentation(name, params)
+        cs = make_system(pres.alphabet, {x: CyclicSpec(k) for x, k in cyclic.items()})
+
+        def factor():
+            e = random_element(pres, cs, w, rng, geometry, steps=3, max_width=8)
+            if rng.random() < 0.2:
+                e = concat_oracle(concat_oracle(e, invert(e)), e)
+            return e
+
+        for _ in range(3):
+            p = factor()
+            for _ in range(10):
+                e = factor()
+                before = (_items(p), _items(e))
+                glued = concat_oracle(p, e)
+                want = reduce_oracle(glued)
+                assert _items(concat(p, e)) == _items(glued)
+                assert _items(reduce(concat_oracle(p, e))) == _items(want)
+                got = multiply(p, e)
+                assert _items(got) == _items(want) and is_reduced(want)
+                assert (_items(p), _items(e)) == before
+                p = got if rng.random() < 0.8 else concat_oracle(got, e)
+
+
+def test_worklist_scales_on_deep_products():
+    """A.A^-1 for a seeded A of 800 transistors (x -> x.x at random bottom
+    wires, so A is reduced) cancels pair by pair from the seam: each
+    cancellation re-examines only the transistors below it, so both paths
+    stay far from the cost of rescanning after every cancellation."""
+    from time import perf_counter
+
+    from picturecalc.moves import apply_transistor_move
+
+    rng = random.Random(17)
+    a = eps(Q, TRIV, "x")
+    while len(a.transistors) < 800:
+        a = apply_transistor_move(a, 0, 1, (rng.randrange(len(a.bottom_ports)),))
+    assert is_reduced(a) and len(a.transistors) == 800
+    for product in (lambda: reduce(concat(a, invert(a))), lambda: multiply(a, invert(a))):
+        t0 = perf_counter()
+        out = product()
+        elapsed = perf_counter() - t0
+        assert length(out) == 0 and out == eps(Q, TRIV, "x")
+        assert elapsed < 0.15, elapsed
 
 
 def test_canonical_key_invariance():

@@ -22,7 +22,7 @@ from .io import (
     tree_pair_from_text,
     tree_pair_to_text,
 )
-from .moves import BallConfig, enumerate_reduced
+from .moves import GEOMETRIES, BallConfig, enumerate_reduced
 from .picture import eps, length, multiply, reduce
 from .presentation import BUILTIN_NAMES, builtin_presentation, parse_presentation, parse_word
 from .qmgraph import (
@@ -39,28 +39,34 @@ from .qmgraph import (
 from .thompson import evaluate_map, nadic
 
 
-def _add_config_args(p: argparse.ArgumentParser):
+def _add_presentation_args(p: argparse.ArgumentParser):
     p.add_argument("--builtin", help="name or name:p1,p2 (one of %s)" % ",".join(BUILTIN_NAMES))
     p.add_argument("--presentation", help="file containing a presentation <...|...>")
+
+
+def _add_config_args(p: argparse.ArgumentParser):
+    _add_presentation_args(p)
     p.add_argument("--word", help="baseword (defaults to the builtin's)")
     p.add_argument("--coeff", action="append", default=[],
                    metavar="letter=trivial|cyclic:k|free:r")
-    p.add_argument("--geometry", choices=("braided", "annular", "planar"),
-                   default="braided")
+    p.add_argument("--geometry", choices=GEOMETRIES, default="braided")
     p.add_argument("--max-width", type=int, default=12)
 
 
-def _resolve_config(args) -> tuple:
+def _resolve_presentation(args) -> tuple:
+    """The configured presentation and its builtin baseword (None for a file)."""
     if args.builtin:
         name, _, params = args.builtin.partition(":")
         plist = [int(x) for x in params.split(",")] if params else []
-        pres, word = builtin_presentation(name, plist)
-    elif args.presentation:
+        return builtin_presentation(name, plist)
+    if args.presentation:
         with open(args.presentation) as f:
-            pres = parse_presentation(f.read())
-        word = None
-    else:
-        raise ParseError("need --builtin or --presentation")
+            return parse_presentation(f.read()), None
+    raise ParseError("need --builtin or --presentation")
+
+
+def _resolve_config(args) -> tuple:
+    pres, word = _resolve_presentation(args)
     if args.word:
         word = parse_word(args.word, pres)
     if word is None:
@@ -102,7 +108,7 @@ def cmd_multiply(args) -> int:
 def cmd_embed(args) -> int:
     from .embed import psi
 
-    pres, coeffs, word = _resolve_config(args)
+    pres, _ = _resolve_presentation(args)
     d = load_diagram(args.infile)
     if d.pres != pres:
         raise ParseError("input diagram is not over the configured presentation")
@@ -141,8 +147,7 @@ def _ball(args):
     """The configured ball and its baseword."""
     pres, coeffs, word = _resolve_config(args)
     cfg = BallConfig(pres, coeffs, args.geometry, args.max_width)
-    return ball(eps(pres, coeffs, word, annular=(args.geometry == "annular")),
-                args.radius, cfg), word
+    return ball(eps(pres, coeffs, word), args.radius, cfg), word
 
 
 def cmd_ball(args) -> int:
@@ -199,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_multiply)
 
     p = sub.add_parser("embed", help="apply the universal embedding")
-    _add_config_args(p)
+    _add_presentation_args(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_embed)

@@ -5,12 +5,12 @@ A neighbor of a class [D] in X is [D . P . U] for a permutation diagram P
 of the geometry (all bijections / rotations / identity) and a unitary
 atom U.  For transistor atoms the neighbor class only depends on which
 bottom wires feed the transistor and in which order, so moves are
-enumerated as feed position tuples: arbitrary ordered tuples (braided),
-cyclically consecutive blocks (annular), consecutive blocks (planar).
-Linear moves right-multiply one bottom wire's coefficient.  The same
-`_feed_tuples` with the whole baseword as the consumed word yields
-`enumerate_reduced`'s placements: the bottom-port orders of a class that
-spell the baseword, all bijections, rotations or only the identity.
+enumerated as the geometry's `feeds` (`picture.GEOMETRY`): ordered tuples
+(braided), cyclic blocks (annular), blocks (planar).  Linear moves
+right-multiply one bottom wire's coefficient.  The same `feeds` with the
+whole baseword as the consumed word yields `enumerate_reduced`'s
+placements: the bottom-port orders of a class that spell the baseword,
+all bijections, rotations or only the identity.
 
 `unitary_moves` lists the moves as witnesses, each with the length of its
 result, and `apply_move` builds one of them; the ball explorer, the
@@ -44,24 +44,21 @@ from .coeff import (
 )
 from .errors import EnumerationError
 from .picture import (
+    GEOMETRY,
     Diagram,
     _assemble,
     _cancel,
     _dipole_above,
     bottom_variant_keys,
-    canonical_key,
-    class_representative,
     eps,
-    least_rotation,
     length,
     reduce,
     rel_sides,
     replace,
-    rotate_bottom,
     with_bottom_ports,
 )
 
-GEOMETRIES = ("braided", "annular", "planar")
+GEOMETRIES = tuple(GEOMETRY)
 
 
 @dataclass(frozen=True)
@@ -88,61 +85,16 @@ def check_finite_coeffs(coeffs: CoefficientSystem) -> None:
 def geometry_class_key(d: Diagram, geometry: str) -> str:
     """Key of the vertex class of d: quotient by all permutation diagrams
     (braided), rotations (annular), or nothing (planar)."""
-    if geometry == "braided":
-        return canonical_key(d, "class")
-    if geometry == "planar":
-        return canonical_key(d, "exact")
-    return least_rotation(d)[1]
+    return GEOMETRY[geometry].class_key(d)
 
 
 def geometry_class_rep(d: Diagram, geometry: str) -> Diagram:
     """Deterministic representative of [d] (normalized bottom permutation).
     Its exact key is the class key of d."""
-    if geometry == "braided":
-        return class_representative(d)
-    if geometry == "planar":
-        return d
-    k, key = least_rotation(d)
-    rep = rotate_bottom(d, k)
-    rep._exact_key = key
-    return rep
+    return GEOMETRY[geometry].class_rep(d)
 
 
 # -- move enumeration --------------------------------------------------------------
-
-def _feed_tuples(labels: tuple[str, ...], consumed: tuple[str, ...], geometry: str):
-    n, k = len(labels), len(consumed)
-    if k > n:
-        return
-    if geometry == "planar":
-        for i0 in range(n - k + 1):
-            if all(labels[i0 + j] == consumed[j] for j in range(k)):
-                yield tuple(range(i0, i0 + k))
-    elif geometry == "annular":
-        for i0 in range(n):
-            if all(labels[(i0 + j) % n] == consumed[j] for j in range(k)):
-                yield tuple((i0 + j) % n for j in range(k))
-    else:
-        pools: dict[str, list[int]] = {}
-        for i, lab in enumerate(labels):
-            pools.setdefault(lab, []).append(i)
-        acc: list[int] = []
-        used: set[int] = set()
-
-        def rec(j):
-            if j == k:
-                yield tuple(acc)
-                return
-            for p in pools.get(consumed[j], ()):
-                if p not in used:
-                    used.add(p)
-                    acc.append(p)
-                    yield from rec(j + 1)
-                    acc.pop()
-                    used.discard(p)
-
-        yield from rec(0)
-
 
 def apply_transistor_move(d: Diagram, rel_index: int, direction: int,
                           positions: tuple[int, ...], geometry: str = "braided") -> Diagram:
@@ -168,16 +120,7 @@ def apply_transistor_move(d: Diagram, rel_index: int, direction: int,
     t_top[tid] = sel
     t_bot[tid] = produced
 
-    ports = d.bottom_ports
-    if geometry == "planar":
-        i0 = positions[0]
-        new_ports = ports[:i0] + produced + ports[i0 + len(positions):]
-    elif geometry == "annular":
-        i0 = positions[0]
-        new_ports = produced + (ports[i0:] + ports[:i0])[len(positions):]
-    else:
-        pos_set = set(positions)
-        new_ports = tuple(w for i, w in enumerate(ports) if i not in pos_set) + produced
+    new_ports = GEOMETRY[geometry].after(d.bottom_ports, positions, produced)
     wire_top = d.wire_top.copy()
     wire_bot = d.wire_bot.copy()
     for i, w in enumerate(sel):
@@ -214,6 +157,7 @@ def unitary_moves(rep: Diagram, cfg: BallConfig):
     goes.  The witness list itself does not need rep to be reduced.
     """
     pres, wires, bottom = rep.pres, rep.wires, rep.bottom_ports
+    feeds = GEOMETRY[cfg.geometry].feeds
     before = length(rep)
     labels = rep.bot_word()
     width = len(labels)
@@ -223,7 +167,7 @@ def unitary_moves(rep: Diagram, cfg: BallConfig):
             if width - len(consumed) + len(produced) > cfg.max_width:
                 continue
             rel = (rel_index, direction)
-            for positions in _feed_tuples(labels, consumed, cfg.geometry):
+            for positions in feeds(labels, consumed):
                 sel = tuple(bottom[p] for p in positions)
                 cancels = _dipole_above(pres, wires, rep.transistors, rep.t_bot,
                                         rep.wire_top, sel, rel) is not None
@@ -284,7 +228,7 @@ def neighbor_diagrams(rep: Diagram, cfg: BallConfig, max_length: int | None = No
 
 def normalize_base(base: Diagram, cfg: BallConfig) -> Diagram:
     d = reduce(base)
-    if cfg.geometry == "annular" and not d.annular:
+    if GEOMETRY[cfg.geometry].annular and not d.annular:
         d = replace(d, annular=True)
     return geometry_class_rep(d, cfg.geometry)
 
@@ -352,9 +296,8 @@ def enumerate_reduced(pres, coeffs, w, budget: int, geometry: str = "braided",
         raise ValueError("budget must be >= 0")
     check_finite_coeffs(coeffs)
     cfg = BallConfig(pres, coeffs, geometry, max_width)
-    base = eps(pres, coeffs, tuple(w), annular=(geometry == "annular"))
-    reps, depths, _ = bfs_classes(base, budget, cfg)
-    target = tuple(w)
+    reps, depths, _ = bfs_classes(eps(pres, coeffs, tuple(w)), budget, cfg)
+    feeds, target = GEOMETRY[geometry].feeds, tuple(w)
     out: dict[str, Diagram] = {}
     for rep in reps:
         labels = rep.bot_word()
@@ -362,7 +305,7 @@ def enumerate_reduced(pres, coeffs, w, budget: int, geometry: str = "braided",
             continue
         bottom = rep.bottom_ports
         orders = [tuple(bottom[p] for p in positions)
-                  for positions in _feed_tuples(labels, target, geometry)]
+                  for positions in feeds(labels, target)]
         if not orders:
             continue
         # every variant shares the rep's traversal; build only the new ones

@@ -24,6 +24,7 @@ Sites are encoded as tuples:
 from __future__ import annotations
 
 import zlib
+from collections import namedtuple
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import islice
@@ -677,48 +678,145 @@ def length(d: Diagram) -> int:
     return len(r.transistors) + sum(1 for _, c in r.wires.values() if not c.is_identity())
 
 
+# -- geometries -----------------------------------------------------------------
+
+
+def _braided_feeds(labels, consumed):
+    pools: dict = {}
+    for i, lab in enumerate(labels):
+        pools.setdefault(lab, []).append(i)
+    k, acc = len(consumed), []
+
+    def rec(j):
+        if j == k:
+            yield tuple(acc)
+            return
+        for p in pools.get(consumed[j], ()):
+            if p not in acc:
+                acc.append(p)
+                yield from rec(j + 1)
+                acc.pop()
+
+    return rec(0)
+
+
+def _annular_feeds(labels, consumed):
+    n, k, doubled = len(labels), len(consumed), labels + labels
+    for i0 in range(n if k <= n else 0):
+        if doubled[i0:i0 + k] == consumed:
+            yield tuple([(i0 + j) % n for j in range(k)])
+
+
+def _planar_feeds(labels, consumed):
+    k = len(consumed)
+    for i0 in range(len(labels) - k + 1):
+        if labels[i0:i0 + k] == consumed:
+            yield tuple(range(i0, i0 + k))
+
+
+def _braided_after(ports, positions, produced):
+    taken = set(positions)
+    return tuple([w for i, w in enumerate(ports) if i not in taken]) + produced
+
+
+def _braided_match(u, v):
+    """Each letter of u goes to the last free position of v with that letter."""
+    if sorted(u) != sorted(v):
+        return None
+    pools: dict = {}
+    for j, lab in enumerate(v):
+        pools.setdefault(lab, []).append(j)
+    return tuple([pools[lab].pop() for lab in u])
+
+
+def _first_feed_match(feeds):
+    """The match that inverts the first feed tuple of u spelling all of v."""
+    def match(u, v):
+        p = next(feeds(u, v), None) if len(u) == len(v) else None
+        return p and tuple(sorted(range(len(u)), key=p.__getitem__))
+    return match
+
+
+def _braided_symmetry(u):
+    """The transposition of the first repeated pair of letters."""
+    for i, lab in enumerate(u):
+        if lab in u[i + 1:]:
+            sigma = list(range(len(u)))
+            j = u.index(lab, i + 1)
+            sigma[i], sigma[j] = j, i
+            return tuple(sigma)
+    return None
+
+
+def _least_rotation_rep(d: Diagram) -> Diagram:
+    k, key = least_rotation(d)
+    rep = rotate_bottom(d, k)
+    rep._exact_key = key
+    return rep
+
+
+Geometry = namedtuple("Geometry", "annular feeds after match symmetry class_key class_rep")
+Geometry.__doc__ = """Rules of one geometry: braided, annular and planar diagram groups
+(V, T, F) differ only in the permutation diagrams allowed between unitary
+moves, all bijections, the rotations or the identity.  Words are tuples.
+
+annular: the annular flag of its base diagrams.  feeds(labels, consumed):
+the position tuples p, in a fixed order, with labels[p[j]] == consumed[j]
+that may feed a transistor (any distinct positions, a cyclic block, a
+block).  after(ports, positions, produced): the bottom order once the ports
+at `positions` feed a transistor producing `produced`.  match(u, v): a
+permutation sigma of the geometry with u[i] == v[sigma[i]], or None;
+symmetry(u): a nontrivial one from u onto u, or None.  class_key(d),
+class_rep(d): the key of d's class (d up to the geometry's permutations on
+the right) and its representative, whose exact key is that class key."""
+
+
+GEOMETRY: dict[str, Geometry] = {
+    "braided": Geometry(False, _braided_feeds, _braided_after, _braided_match, _braided_symmetry,
+                        lambda d: canonical_key(d, "class"), class_representative),
+    "annular": Geometry(
+        True, _annular_feeds,
+        lambda ports, pos, produced: produced + (ports[pos[0]:] + ports[:pos[0]])[len(pos):],
+        _first_feed_match(_annular_feeds),
+        lambda u: next(islice(_annular_feeds(u, u), 1, None), None),
+        lambda d: least_rotation(d)[1], _least_rotation_rep),
+    "planar": Geometry(
+        False, _planar_feeds,
+        lambda ports, pos, produced: ports[:pos[0]] + produced + ports[pos[0] + len(pos):],
+        _first_feed_match(_planar_feeds), lambda u: None, canonical_key, lambda d: d),
+}
+
+
 # -- classification -------------------------------------------------------------
 
 
-def _sweep(d: Diagram, cyclic: bool) -> bool:
-    """Fire transistors downward whenever their top wires occupy consecutive
-    boundary slots in matching order; planar iff everything fires and no
-    permutation remains.  With `cyclic`, blocks may wrap around, and the
-    final boundary only has to match up to rotation (winding shifts the
-    basepoint).  Firing order is immaterial: blocks are disjoint and
-    replacements are nonempty, so fireability is stable."""
-    cut = list(d.top_ports)
+def _sweep(d: Diagram, geometry: Geometry) -> bool:
+    """Whether d embeds in the geometry: fire a transistor wherever `feeds`
+    finds its top wires on the cut (wire ids as labels), advance the cut
+    with `after`, and accept when all fire and `match` aligns the last cut
+    with the frame bottom.  Firing order is immaterial: blocks are disjoint
+    and replacements nonempty, so fireability is stable."""
+    cut = d.top_ports
+    feeds, after = geometry.feeds, geometry.after
     unfired = set(d.transistors)
     while unfired:
-        n = len(cut)
-        pos = {w: i for i, w in enumerate(cut)}
-        fired = None
         for tid in unfired:
-            tt = d.t_top[tid]
-            i0 = pos.get(tt[0])
-            if i0 is None or len(tt) > (n if cyclic else n - i0):
-                continue
-            if all(pos.get(w) == (i0 + j) % n for j, w in enumerate(tt)):
-                fired = (tid, i0)
+            positions = next(feeds(cut, d.t_top[tid]), None)
+            if positions is not None:
                 break
-        if fired is None:
+        else:
             return False
-        tid, i0 = fired
-        if cyclic:
-            cut = cut[i0:] + cut[:i0]
-            i0 = 0
-        cut[i0:i0 + len(d.t_top[tid])] = d.t_bot[tid]
+        cut = after(cut, positions, d.t_bot[tid])
         unfired.discard(tid)
-    target = list(d.bottom_ports)
-    return any(cut[k:] + cut[:k] == target for k in range(len(cut) if cyclic else 1))
+    return geometry.match(cut, d.bottom_ports) is not None
 
 
 def classify_geometry(d: Diagram) -> str:
     """'planar' | 'annular_not_planar' | 'braided_only' (embeddability of the
     combinatorics, regardless of the annular flag)."""
-    if _sweep(d, cyclic=False):
+    if _sweep(d, GEOMETRY["planar"]):
         return "planar"
-    if _sweep(d, cyclic=True):
+    if _sweep(d, GEOMETRY["annular"]):
         return "annular_not_planar"
     return "braided_only"
 
@@ -733,9 +831,9 @@ def classify_kind(d: Diagram) -> str:
     nontrivial = sum(1 for _, c in d.wires.values() if not c.is_identity())
     if not d.transistors and nontrivial == 0:
         return "permutation"
-    if len(d.transistors) == 1 and nontrivial == 0 and classify_geometry(d) == "planar":
+    if len(d.transistors) == 1 and nontrivial == 0 and _sweep(d, GEOMETRY["planar"]):
         return "transistor"
-    if not d.transistors and nontrivial == 1 and classify_geometry(d) == "planar":
+    if not d.transistors and nontrivial == 1 and _sweep(d, GEOMETRY["planar"]):
         return "linear"
     return "general"
 

@@ -59,9 +59,10 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
-from .coeff import coeff_serialize, identity as coeff_identity, nontrivial_elements
+from .coeff import TrivialSpec, coeff_serialize, identity as coeff_identity
+from .coeff import nontrivial_elements, trivial_system
 from .errors import CompositionError
 from .moves import (
     BallConfig,
@@ -72,6 +73,7 @@ from .moves import (
     neighbor_diagrams,
 )
 from .picture import (
+    GEOMETRY,
     Diagram,
     atom_linear,
     atom_permutation,
@@ -668,10 +670,6 @@ def condition_plus_check(pres, coeffs, w, m_max: int, budget: int) -> Report:
         raise ValueError("m_max must be >= 0")
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    from itertools import permutations
-
-    from .coeff import TrivialSpec, trivial_system
-
     rep = Report("condition_plus")
     triv = trivial_system(pres.alphabet)
     nontriv_letters = [a for a in pres.alphabet
@@ -693,12 +691,8 @@ def condition_plus_check(pres, coeffs, w, m_max: int, budget: int) -> Report:
     for m in sorted(candidates):
         word = m  # sorted ordering; other orderings are conjugate by permutations
         u_reps, _, _ = bfs_classes(eps(pres, triv, word), budget, cfg)
-        perms = sorted(set(permutations(range(len(word)))))
-        for sigma in perms:
-            if sigma == tuple(range(len(word))):
-                continue
-            if any(word[i] != word[sigma[i]] for i in range(len(word))):
-                continue
+        # the nontrivial label-preserving permutations, in lexicographic order
+        for sigma in islice(GEOMETRY["braided"].feeds(word, word), 1, None):
             p_diag = atom_permutation(pres, triv, word, sigma)
             rep.hit()
             witness = None

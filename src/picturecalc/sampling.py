@@ -6,7 +6,7 @@ import random
 
 from .coeff import CoefficientSystem
 from .moves import BallConfig, apply_linear_move, apply_move, apply_transistor_move, unitary_moves
-from .picture import Diagram, atom_permutation, concat, eps, invert, multiply, reduce
+from .picture import GEOMETRY, Diagram, atom_permutation, concat, eps, invert, multiply, reduce
 from .thompson import TreePair, _replace, forest_leaves, leaf_addresses, reduce_pair
 
 
@@ -25,32 +25,8 @@ def random_walk_diagram(pres, coeffs: CoefficientSystem, w, steps: int,
                         max_width: int = 12) -> Diagram:
     """Reduced (w,*)-diagram obtained by a random unitary-move walk."""
     cfg = BallConfig(pres, coeffs, geometry, max_width)
-    base = eps(pres, coeffs, tuple(w), annular=(geometry == "annular"))
+    base = eps(pres, coeffs, tuple(w), annular=GEOMETRY[geometry].annular)
     return _random_moves(base, steps, rng, cfg)
-
-
-def _boundary_match(u, v, geometry):
-    """A permutation aligning bot word u onto v within the geometry, or None."""
-    if geometry == "planar":
-        return tuple(range(len(u))) if u == v else None
-    if geometry == "annular":
-        n = len(u)
-        if n != len(v):
-            return None
-        for k in range(n):
-            if tuple(u[(i + k) % n] for i in range(n)) == tuple(v):
-                # send position i to position (i - k) mod n
-                return tuple((i - k) % n for i in range(n))
-        return None
-    if sorted(u) != sorted(v):
-        return None
-    pools: dict[str, list[int]] = {}
-    for j, lab in enumerate(v):
-        pools.setdefault(lab, []).append(j)
-    sigma = []
-    for lab in u:
-        sigma.append(pools[lab].pop())
-    return tuple(sigma)
 
 
 def random_element(pres, coeffs: CoefficientSystem, w, rng: random.Random,
@@ -60,33 +36,18 @@ def random_element(pres, coeffs: CoefficientSystem, w, rng: random.Random,
     glued back to back, their boundaries aligned by a geometry permutation."""
     w = tuple(w)
     a = random_walk_diagram(pres, coeffs, w, steps, rng, geometry, max_width)
+    geo = GEOMETRY[geometry]
     for _ in range(attempts):
         b = random_walk_diagram(pres, coeffs, w, rng.randrange(steps + 2), rng,
                                 geometry, max_width)
-        sigma = _boundary_match(a.bot_word(), b.bot_word(), geometry)
+        sigma = geo.match(a.bot_word(), b.bot_word())
         if sigma is not None:
             align = atom_permutation(pres, coeffs, a.bot_word(), sigma,
                                      annular=a.annular)
             return reduce(concat(concat(a, align), invert(b)))
     # fallback: conjugate a label-preserving boundary permutation
     u = a.bot_word()
-    n = len(u)
-    sigma = None
-    if geometry == "braided":
-        for i in range(n):
-            for j in range(i + 1, n):
-                if u[i] == u[j]:
-                    s = list(range(n))
-                    s[i], s[j] = s[j], s[i]
-                    sigma = tuple(s)
-                    break
-            if sigma:
-                break
-    elif geometry == "annular":
-        for k in range(1, n):
-            if tuple(u[(i - k) % n] for i in range(n)) == u:
-                sigma = tuple((i + k) % n for i in range(n))
-                break
+    sigma = geo.symmetry(u)
     if sigma is not None:
         mid = atom_permutation(pres, coeffs, u, sigma, annular=a.annular)
         return reduce(concat(concat(a, mid), invert(a)))
@@ -99,7 +60,7 @@ def random_unreduced(pres, coeffs: CoefficientSystem, w, transistor_budget: int,
     """Diagram built by raw concatenation (dipoles kept) with about
     `transistor_budget` transistors; food for the confluence tests."""
     cfg = BallConfig(pres, coeffs, geometry, max_width)
-    d = eps(pres, coeffs, tuple(w), annular=(geometry == "annular"))
+    d = eps(pres, coeffs, tuple(w), annular=GEOMETRY[geometry].annular)
     placed = 0
     while placed < transistor_budget:
         moves = list(unitary_moves(d, cfg))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .picture import (
+    GEOMETRY,
     Diagram,
     atom_permutation,
     atom_transistor,
@@ -298,13 +299,10 @@ def tp_invert(a: TreePair) -> TreePair:
 
 def membership(tp: TreePair) -> str:
     """'F' | 'T_not_F' | 'V_not_T' from the reduced pair's leaf bijection."""
-    tp = reduce_pair(tp)
-    m = len(tp.perm)
-    if all(tp.perm[i] == i for i in range(m)):
-        return "F"
-    for k in range(1, m):
-        if all(tp.perm[i] == (i + k) % m for i in range(m)):
-            return "T_not_F"
+    perm = reduce_pair(tp).perm
+    for tag, geometry in (("F", "planar"), ("T_not_F", "annular")):
+        if GEOMETRY[geometry].match(tuple(range(len(perm))), perm) is not None:
+            return tag
     return "V_not_T"
 
 

@@ -12,6 +12,7 @@ import itertools
 import zlib
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
 from picturecalc.coeff import TrivialSpec, free_element, nontrivial_elements
@@ -736,3 +737,115 @@ def psi_unreduced_factor_oracle(d: Diagram, coeffs=None) -> Diagram:
                                               len(bot_side), right, coeffs))
         out = concat_oracle(out, _relabelled_permutation_oracle(p, coeffs))
     return replace(out, annular=d.annular)
+
+
+# -- per-geometry rules, one branch per geometry -----------------------------------
+# Reference code for `picture.GEOMETRY`: each rule written out with one
+# branch per geometry name.
+
+def feed_tuples_oracle(labels, consumed, geometry):
+    n, k = len(labels), len(consumed)
+    if k > n:
+        return
+    if geometry == "planar":
+        for i0 in range(n - k + 1):
+            if all(labels[i0 + j] == consumed[j] for j in range(k)):
+                yield tuple(range(i0, i0 + k))
+    elif geometry == "annular":
+        for i0 in range(n):
+            if all(labels[(i0 + j) % n] == consumed[j] for j in range(k)):
+                yield tuple((i0 + j) % n for j in range(k))
+    else:
+        pools: dict[str, list[int]] = {}
+        for i, lab in enumerate(labels):
+            pools.setdefault(lab, []).append(i)
+        acc: list[int] = []
+        used: set[int] = set()
+
+        def rec(j):
+            if j == k:
+                yield tuple(acc)
+                return
+            for p in pools.get(consumed[j], ()):
+                if p not in used:
+                    used.add(p)
+                    acc.append(p)
+                    yield from rec(j + 1)
+                    acc.pop()
+                    used.discard(p)
+
+        yield from rec(0)
+
+
+def after_oracle(ports, positions, produced, geometry):
+    """The bottom ports after the ports at `positions` feed a transistor."""
+    if geometry == "planar":
+        i0 = positions[0]
+        return ports[:i0] + produced + ports[i0 + len(positions):]
+    if geometry == "annular":
+        i0 = positions[0]
+        return produced + (ports[i0:] + ports[:i0])[len(positions):]
+    pos_set = set(positions)
+    return tuple(w for i, w in enumerate(ports) if i not in pos_set) + produced
+
+
+def boundary_match_oracle(u, v, geometry):
+    """A permutation aligning bot word u onto v within the geometry, or None."""
+    if geometry == "planar":
+        return tuple(range(len(u))) if u == v else None
+    if geometry == "annular":
+        n = len(u)
+        if n != len(v):
+            return None
+        for k in range(n):
+            if tuple(u[(i + k) % n] for i in range(n)) == tuple(v):
+                return tuple((i - k) % n for i in range(n))
+        return None
+    if sorted(u) != sorted(v):
+        return None
+    pools: dict[str, list[int]] = {}
+    for j, lab in enumerate(v):
+        pools.setdefault(lab, []).append(j)
+    return tuple(pools[lab].pop() for lab in u)
+
+
+def boundary_symmetry_oracle(u, geometry):
+    """`random_element`'s fallback: a nontrivial label-preserving permutation
+    of u in the geometry (the first transposition of equal letters, braided;
+    the least rotation fixing u, annular), or None."""
+    n = len(u)
+    if geometry == "braided":
+        for i in range(n):
+            for j in range(i + 1, n):
+                if u[i] == u[j]:
+                    s = list(range(n))
+                    s[i], s[j] = s[j], s[i]
+                    return tuple(s)
+    elif geometry == "annular":
+        for k in range(1, n):
+            if tuple(u[(i - k) % n] for i in range(n)) == u:
+                return tuple((i + k) % n for i in range(n))
+    return None
+
+
+def membership_oracle(perm) -> str:
+    """F / T_not_F / V_not_T of a reduced pair's leaf bijection."""
+    m = len(perm)
+    if all(perm[i] == i for i in range(m)):
+        return "F"
+    for k in range(1, m):
+        if all(perm[i] == (i + k) % m for i in range(m)):
+            return "T_not_F"
+    return "V_not_T"
+
+
+@lru_cache(maxsize=None)
+def _sorted_permutations(n: int) -> list[tuple[int, ...]]:
+    return sorted(set(itertools.permutations(range(n))))
+
+
+def label_permutations_oracle(word) -> list[tuple[int, ...]]:
+    """The nontrivial permutations sigma with word[i] == word[sigma[i]], sorted."""
+    n = len(word)
+    return [s for s in _sorted_permutations(n)
+            if s != tuple(range(n)) and all(word[i] == word[s[i]] for i in range(n))]

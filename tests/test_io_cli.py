@@ -27,6 +27,7 @@ from picturecalc.presentation import (
     builtin_presentation,
     parse_presentation,
     parse_word,
+    serialize_presentation,
     word_str,
 )
 from picturecalc.sampling import random_element, random_tree_pair, random_walk_diagram
@@ -110,6 +111,25 @@ def test_cli_embed_and_project(tmp_path, capsys, rng):
     assert rc == 0
     outtext = capsys.readouterr().out
     assert "membership" in outtext and "@perm=" in outtext
+
+
+def test_cli_embed_reads_only_the_presentation(tmp_path, capsys, rng):
+    # a presentation file needs no --word (embed reads none), and the
+    # ball options are not embed's
+    P3, w3 = builtin_presentation("higman", (3, 1))
+    src = tmp_path / "g.json"
+    dump_diagram(random_element(P3, trivial_system(P3.alphabet), w3, rng), str(src))
+    pres_file = tmp_path / "p.txt"
+    pres_file.write_text(serialize_presentation(P3))
+    outs = []
+    for option in (["--builtin", "higman:3,1"], ["--presentation", str(pres_file)]):
+        out = tmp_path / f"psi{len(outs)}.json"
+        assert main(["embed", *option, "--in", str(src), "--out", str(out)]) == 0
+        outs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--builtin", "higman:3,1", "--geometry", "planar", "--in", str(src)])
+    assert exc.value.code == 2
 
 
 def test_cli_thompson_eval(capsys):

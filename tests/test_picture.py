@@ -1,4 +1,7 @@
+import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from picturecalc.coeff import (
 from picturecalc import picture
 from picturecalc.errors import CompositionError
 from picturecalc.picture import (
+    GEOMETRY,
     Diagram,
     atom_linear,
     atom_permutation,
@@ -36,10 +40,15 @@ from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
 from oracles import (
+    after_oracle,
+    boundary_match_oracle,
+    boundary_symmetry_oracle,
     classify_geometry_oracle,
     concat_oracle,
     count_dipoles,
+    feed_tuples_oracle,
     key_text_oracle,
+    label_permutations_oracle,
     reduce_all_orders,
     reduce_oracle,
 )
@@ -406,6 +415,47 @@ def test_classify_geometry_anchors():
     assert classify_geometry_oracle(swap) == "braided_only"
 
 
+ABC_WORDS = [w for n in range(7) for w in itertools.product("abc", repeat=n)]
+
+
+def test_geometry_table_matches_branch_oracles():
+    # every word over {a,b,c} up to length 6: feeds of the word itself and of
+    # every word of length 1 or 2, the bottom order after each feed, the
+    # boundary match onto its rotations, reversal, sorted form, one longer
+    # word and (up to length 4) every word of its length, and the symmetry
+    short = [w for w in ABC_WORDS if 1 <= len(w) <= 2]
+    produced = (90, 91)
+    for name, geo in GEOMETRY.items():
+        assert geo.annular == (name == "annular")
+        for u in ABC_WORDS:
+            ports = tuple(range(10, 10 + len(u)))
+            for consumed in [u] + short:
+                feeds = list(geo.feeds(u, consumed))
+                assert feeds == list(feed_tuples_oracle(u, consumed, name)), (name, u, consumed)
+                for positions in feeds if consumed else ():
+                    assert (geo.after(ports, positions, produced)
+                            == after_oracle(ports, positions, produced, name))
+            others = {u[k:] + u[:k] for k in range(len(u))} | {u[::-1], tuple(sorted(u)), u + ("a",)}
+            if len(u) <= 4:
+                others.update(itertools.product("abc", repeat=len(u)))
+            for v in others:
+                assert geo.match(u, v) == boundary_match_oracle(u, v, name), (name, u, v)
+            assert geo.symmetry(u) == boundary_symmetry_oracle(u, name), (name, u)
+
+
+def test_braided_self_feeds_are_the_label_permutations():
+    for w in ABC_WORDS:
+        assert (list(itertools.islice(GEOMETRY["braided"].feeds(w, w), 1, None))
+                == label_permutations_oracle(w))
+
+
+def test_no_geometry_name_comparison_outside_the_table():
+    pattern = re.compile(r"""geometry\s*[!=]=|[!=]=\s*["'](braided|annular|planar)["']""")
+    for path in sorted(Path(picture.__file__).parent.glob("*.py")):
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            assert not pattern.search(line), f"{path.name}:{i}: {line.strip()}"
+
+
 def test_classify_geometry_matches_oracle(rng):
     pres_list = [builtin_presentation("thompson"), builtin_presentation("commuting_abc")]
     for pres, w in pres_list:
@@ -495,8 +545,8 @@ def test_right_multiplication_length_law(rng):
     # concatenation stays reduced); linear moves follow the three cases of
     # the coefficient at the touched wire
     from picturecalc.coeff import nontrivial_elements
-    from picturecalc.moves import BallConfig, _feed_tuples, apply_linear_move, apply_transistor_move
-    from picturecalc.picture import rel_sides
+    from picturecalc.moves import BallConfig, apply_linear_move, apply_transistor_move
+    from picturecalc.picture import GEOMETRY, rel_sides
 
     cs = make_system(Q.alphabet, {"x": CyclicSpec(3)})
     cfg = BallConfig(Q, cs, max_width=8)
@@ -508,7 +558,7 @@ def test_right_multiplication_length_law(rng):
         for rel_index in range(len(Q.relations)):
             for direction in (1, -1):
                 consumed, _ = rel_sides(Q, rel_index, direction)
-                for positions in _feed_tuples(labels, consumed, "braided"):
+                for positions in GEOMETRY["braided"].feeds(labels, consumed):
                     raw = apply_transistor_move(d, rel_index, direction, positions)
                     out = reduce(raw)
                     if is_reduced(raw):

@@ -404,11 +404,11 @@ def _moves_with_ids(g, i):
     labels = rep.bot_word()
     cfg = g.cfg
     out = []
-    from picturecalc.moves import _feed_tuples
+    from picturecalc.picture import GEOMETRY
     for rel_index in range(len(cfg.pres.relations)):
         for direction in (1, -1):
             consumed, _ = rel_sides(cfg.pres, rel_index, direction)
-            for positions in _feed_tuples(labels, consumed, cfg.geometry):
+            for positions in GEOMETRY[cfg.geometry].feeds(labels, consumed):
                 res = reduce(apply_transistor_move(rep, rel_index, direction,
                                                    positions, cfg.geometry))
                 key = geometry_class_key(res, cfg.geometry)

@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from picturecalc.thompson import (
     tree_pair_to_diagram,
 )
 
-from oracles import evaluate_oracle, reduce_pair_oracle
+from oracles import evaluate_oracle, membership_oracle, reduce_pair_oracle
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -77,6 +78,13 @@ def test_membership_and_geometry_agree():
     assert membership(swap) == "V_not_T"
     assert classify_geometry(tree_pair_to_diagram(swap)) == "braided_only"
     assert classify_geometry(tree_pair_to_diagram(FGEN)) == "planar"
+
+
+def test_membership_matches_rotation_loop_on_every_small_permutation():
+    for m in range(1, 7):
+        leaves = ((),) * m
+        for perm in itertools.permutations(range(m)):
+            assert membership(TreePair(2, leaves, leaves, perm)) == membership_oracle(perm)
 
 
 def test_membership_matches_geometry_random(rng):

@@ -796,17 +796,27 @@ def _sweep(d: Diagram, geometry: Geometry) -> bool:
     with `after`, and accept when all fire and `match` aligns the last cut
     with the frame bottom.  Firing order is immaterial: blocks are disjoint
     and replacements nonempty, so fireability is stable."""
-    cut = d.top_ports
+    cut, t_top, t_bot, wire_top = d.top_ports, d.t_top, d.t_bot, d.wire_top
     feeds, after = geometry.feeds, geometry.after
     unfired = set(d.transistors)
     while unfired:
-        for tid in unfired:
-            positions = next(feeds(cut, d.t_top[tid]), None)
-            if positions is not None:
-                break
-        else:
-            return False
-        cut = after(cut, positions, d.t_bot[tid])
+        # first as is: a set of small ints iterates by id, and the ids of a
+        # diagram built top down follow a firing order
+        tid = next(iter(unfired))
+        positions = next(feeds(cut, t_top[tid]), None)
+        if positions is None:
+            for tid in unfired:
+                # feeds scans the cut: skip a transistor whose first top
+                # wire is not on it yet, as its source has not fired
+                source = wire_top[t_top[tid][0]]
+                if source[0] == "TB" and source[1] in unfired:
+                    continue
+                positions = next(feeds(cut, t_top[tid]), None)
+                if positions is not None:
+                    break
+            else:
+                return False
+        cut = after(cut, positions, t_bot[tid])
         unfired.discard(tid)
     return geometry.match(cut, d.bottom_ports) is not None
 

@@ -254,6 +254,12 @@ def builtin_presentation(name: str, params: list[int] | tuple[int, ...] = ()) ->
         if len(params) != k:
             raise ValueError(f"builtin {name!r} takes {k} parameter(s), got {len(params)}")
 
+    def fits(*lengths: int):
+        # checked before any tuple is built
+        if max(lengths) > MAX_WORD_LENGTH:
+            raise ValueError(f"builtin {name!r}: a relation side or the baseword "
+                             f"would be longer than {MAX_WORD_LENGTH} letters")
+
     if name == "thompson":
         need(0)
         pres = SemigroupPresentation(("x",), ((("x",), ("x", "x")),))
@@ -263,6 +269,7 @@ def builtin_presentation(name: str, params: list[int] | tuple[int, ...] = ()) ->
         n, r = params
         if n < 2 or r < 1:
             raise ValueError("higman requires n >= 2, r >= 1")
+        fits(n, r)
         pres = SemigroupPresentation(("x",), ((("x",), ("x",) * n),))
         return pres, ("x",) * r
     if name == "quasi_auto":
@@ -270,6 +277,7 @@ def builtin_presentation(name: str, params: list[int] | tuple[int, ...] = ()) ->
         n, r, p = params
         if n < 2 or r < 1 or p < 0:
             raise ValueError("quasi_auto requires n >= 2, r >= 1, p >= 0")
+        fits(n + 1, r + p)
         pres = SemigroupPresentation(("x", "a"), ((("x",), ("x",) * n + ("a",)),))
         return pres, ("x",) * r + ("a",) * p
     if name == "houghton":
@@ -277,6 +285,7 @@ def builtin_presentation(name: str, params: list[int] | tuple[int, ...] = ()) ->
         n, p = params
         if n < 1 or p < 0:
             raise ValueError("houghton requires n >= 1, p >= 0")
+        fits(n, 1 + p)
         xs = tuple(f"x{i}" for i in range(1, n + 1))
         rels = [(("r",), xs)]
         rels.extend(((x,), ("a", x)) for x in xs)

@@ -30,6 +30,12 @@ that separate u from v: the distance formula of quasi-median graphs.
 an int bitmask, and reads every distance as three popcounts into one row
 per vertex.
 
+Pins are fibres of the same names.  Changing a bottom wire's coefficient
+keeps a reduced diagram reduced and its names as they are, so the pin
+[D.(U + eps(l, g))], g in G_l, is the set of vertices sharing the pin key
+(K, C without that wire's pair, the wire's id), None for a trivial G_l;
+`enumerate_pins`, the linear-edge witness check and the probe read them.
+
 `verify` checks hyperplane crossings on one geodesic per certified pair
 (x, y), one with depth(x) + depth(y) + d(x, y) <= 2r, and takes it by
 descent: from x, step to the lowest-index neighbour one closer to y, until
@@ -61,12 +67,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
 
-from .coeff import TrivialSpec, coeff_serialize, identity as coeff_identity
-from .coeff import nontrivial_elements, trivial_system
+from .coeff import TrivialSpec, coeff_serialize, nontrivial_elements, trivial_system
 from .errors import CompositionError
 from .moves import (
     BallConfig,
-    apply_linear_move,
     bfs_classes,
     geometry_class_key,
     geometry_class_rep,
@@ -86,7 +90,6 @@ from .picture import (
     length,
     multiply,
     reduce,
-    replace,
 )
 
 
@@ -111,7 +114,6 @@ class BallGraph:
         self.cfg = cfg
         self.radius = radius
         self.vertices: list[VertexClass] = vertices
-        self.index = {v.key: i for i, v in enumerate(vertices)}
         self.edges = edges  # (i, j) -> (kind, witness), i < j
         self.adj: list[set[int]] = [set() for _ in vertices]
         for (i, j) in edges:
@@ -119,7 +121,7 @@ class BallGraph:
             self.adj[j].add(i)
         self._rows: list[array | None] = [None] * len(vertices)
         self._hyperplanes: list[Hyperplane] | None = None
-        self._pins: list[tuple[frozenset[str], str, bool]] | None = None
+        self._pins: list[tuple[frozenset[int], str, bool]] | None = None
 
     @property
     def geometry(self) -> str:
@@ -135,9 +137,18 @@ class BallGraph:
         return self.edges[(i, j) if i < j else (j, i)][0]
 
     @cached_property
+    def _named(self):
+        return hyperplane_coordinates([v.rep for v in self.vertices])
+
+    @property
     def coordinates(self) -> list[tuple[int, int, int, int]]:
         """(length, K, W, C) of every vertex, over one intern table."""
-        return hyperplane_coordinates([v.rep for v in self.vertices])
+        return self._named[0]
+
+    @property
+    def pin_keys(self) -> list[tuple]:
+        """Each vertex's pin key at every bottom position (see `enumerate_pins`)."""
+        return self._named[1]
 
     @cached_property
     def _typecode(self) -> str:
@@ -209,13 +220,15 @@ def ball(base: Diagram, radius: int, cfg: BallConfig) -> BallGraph:
     return BallGraph(cfg, radius, vertices, edges)
 
 
-def hyperplane_coordinates(diagrams) -> list[tuple[int, int, int, int]]:
+def hyperplane_coordinates(diagrams) -> tuple[list[tuple[int, int, int, int]], list[tuple]]:
     """(length, K, W, C) of each diagram's reduction, with K, W and C as int
     bitmasks over one intern table filled in diagram order (see the module
-    docstring).  Raises CompositionError unless all diagrams share the
+    docstring), and its pin keys, one per bottom position (see
+    `enumerate_pins`).  Raises CompositionError unless all diagrams share the
     baseword, presentation and coefficient system."""
-    first, table, out = diagrams[0], {}, []
+    first, table, out, pins = diagrams[0], {}, [], []
     word, intern = first.top_word(), table.setdefault
+    trivial = {a for a in first.pres.alphabet if isinstance(first.coeffs.spec(a), TrivialSpec)}
     for d in map(reduce, diagrams):
         if d.top_word() != word:
             raise CompositionError("vertices live over different basewords")
@@ -241,13 +254,18 @@ def hyperplane_coordinates(diagrams) -> list[tuple[int, int, int, int]]:
                 name[w] = intern((cone, slot), len(table))
                 stack.append(w)
         nontrivial = coefficients = 0
+        own = {}  # wire -> the bit of its (id, coefficient) pair
         for w, (_, c) in wires.items():
             if not c.is_identity():
                 nontrivial |= 1 << name[w]
-                coefficients |= 1 << intern(("C", name[w], c.payload), len(table))
+                own[w] = 1 << intern(("C", name[w], c.payload), len(table))
+                coefficients |= own[w]
         out.append((len(d.transistors) + nontrivial.bit_count(), cones, nontrivial,
                     coefficients))
-    return out
+        pins.append(tuple(None if wires[w][0] in trivial
+                          else (cones, coefficients & ~own.get(w, 0), name[w])
+                          for w in d.bottom_ports))
+    return out, pins
 
 
 def pair_distance(a: VertexClass, b: VertexClass) -> int:
@@ -370,37 +388,22 @@ def verify_qm_axioms(g: BallGraph) -> Report:
 # -- pins ---------------------------------------------------------------------------
 
 
-def _pin_members(g: BallGraph, i: int, position: int):
-    """Keys of the pin through vertex i at the given bottom position."""
-    repd = g.vertices[i].rep
-    wid = repd.bottom_ports[position]
-    letter, _ = repd.wires[wid]
-    spec = g.cfg.coeffs.spec(letter)
-    keys = []
-    for value in [coeff_identity(spec)] + list(nontrivial_elements(spec)):
-        wires = dict(repd.wires)
-        wires[wid] = (letter, value)
-        keys.append(geometry_class_key(replace(repd, wires=wires), g.geometry))
-    return frozenset(keys), letter
-
-
 def enumerate_pins(g: BallGraph):
-    """All pins meeting the ball, as (frozenset of keys, letter, complete).
-    Computed once per ball and shared."""
+    """All pins meeting the ball, as (frozenset of vertex indices, letter,
+    complete), in order of first meeting by vertex, then bottom position:
+    the fibres of the pin keys (see the module docstring).  A pin is
+    complete when all |G_l| members lie in the ball; an incomplete one lists
+    only those that do.  Computed once per ball and shared."""
     if g._pins is not None:
         return g._pins
-    seen: dict[frozenset, tuple[str, bool]] = {}
-    for i, v in enumerate(g.vertices):
-        repd = v.rep
-        for position, wid in enumerate(repd.bottom_ports):
-            letter = repd.wires[wid][0]
-            spec = g.cfg.coeffs.spec(letter)
-            if not nontrivial_elements(spec):
-                continue
-            pin, letter = _pin_members(g, i, position)
-            complete = all(k in g.index for k in pin)
-            seen.setdefault(pin, (letter, complete))
-    g._pins = [(pin, letter, complete) for pin, (letter, complete) in seen.items()]
+    fibres: dict[tuple, tuple[list[int], str]] = {}
+    for i, keys in enumerate(g.pin_keys):
+        for letter, key in zip(g.vertices[i].rep.bot_word(), keys):
+            if key is not None:
+                fibres.setdefault(key, ([], letter))[0].append(i)
+    g._pins = [(frozenset(members), letter,
+                len(members) == 1 + len(nontrivial_elements(g.cfg.coeffs.spec(letter))))
+               for members, letter in fibres.values()]
     return g._pins
 
 
@@ -412,15 +415,13 @@ def pins_report(g: BallGraph) -> Report:
         if not is_complete:
             rep.skipped += 1
             continue
-        spec = g.cfg.coeffs.spec(letter)
-        size = 1 + len(nontrivial_elements(spec))
+        size = 1 + len(nontrivial_elements(g.cfg.coeffs.spec(letter)))
         rep.hit()
         if len(pin) != size:
             rep.fail(("pin_size", letter, len(pin), size))
-        ids = frozenset(g.index[k] for k in pin)
-        complete.append(ids)
-        for a in ids:
-            for b in ids:
+        complete.append(pin)
+        for a in pin:
+            for b in pin:
                 if a < b and b not in g.adj[a]:
                     rep.fail(("pin_not_clique", a, b))
     for p, q in combinations(complete, 2):
@@ -500,8 +501,7 @@ def hyperplanes(g: BallGraph) -> list[Hyperplane]:
     def norm(i, j):
         return (i, j) if i < j else (j, i)
 
-    pins = [pin for pin, _, complete in enumerate_pins(g) if complete]
-    pin_ids = [frozenset(g.index[k] for k in pin) for pin in pins]
+    pin_ids = [pin for pin, _, complete in enumerate_pins(g) if complete]
     for ids in pin_ids:
         clique_edges = [e for e in combinations(sorted(ids), 2) if e in g.edges]
         for e in clique_edges[1:]:
@@ -625,16 +625,9 @@ def hyperplanes_report(g: BallGraph) -> Report:
 
 def _linear_edge_witness_ok(g: BallGraph, i: int, j: int) -> bool:
     """Endpoints must differ by one bottom coefficient: [D.(U+eps(l,g))] vs
-    [D.(U+eps(l,h))]."""
-    u, v = g.vertices[i].rep, g.vertices[j].rep
-    for position, wid in enumerate(u.bottom_ports):
-        letter = u.wires[wid][0]
-        spec = g.cfg.coeffs.spec(letter)
-        for gval in nontrivial_elements(spec):
-            cand = apply_linear_move(u, position, gval)
-            if geometry_class_key(cand, g.geometry) == g.vertices[j].key:
-                return True
-    return False
+    [D.(U+eps(l,h))], that is share a pin key."""
+    keys = g.pin_keys[j]
+    return any(key is not None and key in keys for key in g.pin_keys[i])
 
 
 # -- condition (+) --------------------------------------------------------------------
@@ -726,22 +719,14 @@ def rotative_stab_probe(g: BallGraph, J: Hyperplane, plus_verified: bool = False
     carrier = min(J.carrier_cliques, key=lambda c: (max(g.depth(i) for i in c), sorted(c)))
     members = sorted(carrier)
     base = g.vertices[members[0]].rep
-    position = None
-    letter = None
-    for pos, wid in enumerate(base.bottom_ports):
-        lab = base.wires[wid][0]
-        spec = g.cfg.coeffs.spec(lab)
-        if not nontrivial_elements(spec):
-            continue
-        pin, _ = _pin_members(g, members[0], pos)
-        if pin == frozenset(g.vertices[i].key for i in carrier):
-            position = pos
-            letter = lab
-            break
+    # the carrier is a complete pin: its members share the base's key there
+    position = next((pos for pos, key in enumerate(g.pin_keys[members[0]])
+                     if key is not None and all(key in g.pin_keys[i] for i in carrier)),
+                    None)
     if position is None:
         raise ValueError("carrier clique is not a pin of its base vertex")
-    spec = g.cfg.coeffs.spec(letter)
     word = base.bot_word()
+    spec = g.cfg.coeffs.spec(word[position])
     candidates = [(None, None)]
     for gval in nontrivial_elements(spec):
         lin = atom_linear(base.pres, base.coeffs, word, position, gval,

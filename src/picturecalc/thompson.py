@@ -15,6 +15,7 @@ caret sits below same-numbered, order-matched leaves on both sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .picture import (
@@ -123,6 +124,8 @@ class TreePair:
     perm: tuple[int, ...]
 
     def __post_init__(self):
+        if self.arity < 2:
+            raise ValueError("arity must be >= 2")
         nd, ni = forest_leaves(self.domain), forest_leaves(self.image)
         if nd != ni or sorted(self.perm) != list(range(nd)):
             raise ValueError("leaf bijection does not match the leaf counts")
@@ -309,16 +312,22 @@ def membership(tp: TreePair) -> str:
 # -- n-adic rationals and evaluation ------------------------------------------------
 
 
+MAX_DIGITS = 4300  # CPython's default limit on int -> str conversion
+
+
 @dataclass(frozen=True)
 class NAdic:
     """numerator / base**exponent in [0,1), normalized (base does not divide
-    the numerator unless the value is 0)."""
+    the numerator unless the value is 0).  base**exponent must print: it has
+    at most MAX_DIGITS decimal digits."""
 
     numerator: int
     exponent: int
     base: int = 2
 
     def __post_init__(self):
+        if self.base >= 2 and self.exponent >= MAX_DIGITS / math.log10(self.base):
+            raise ValueError(f"{self.base}^{self.exponent} has more than {MAX_DIGITS} digits")
         if self.base < 2 or self.exponent < 0 or not (0 <= self.numerator < self.base ** self.exponent):
             raise ValueError("need 0 <= numerator / base^exponent < 1")
         if self.numerator == 0 and self.exponent != 0:
@@ -341,11 +350,13 @@ class NAdic:
 
 
 def nadic(numerator: int, exponent: int, base: int = 2) -> NAdic:
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    if numerator == 0:
+        exponent = 0
     while exponent > 0 and numerator % base == 0:
         numerator //= base
         exponent -= 1
-    if numerator == 0:
-        exponent = 0
     return NAdic(numerator, exponent, base)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
-from picturecalc.coeff import TrivialSpec, free_element, nontrivial_elements
+from picturecalc.coeff import TrivialSpec, free_element, identity, nontrivial_elements
 from picturecalc.embed import QPRES, free_system
 from picturecalc.errors import CompositionError
 from picturecalc.picture import (
@@ -223,6 +223,49 @@ def class_rep_oracle(d: Diagram, geometry: str) -> Diagram:
         worder = _numbering_oracle(d)[0]
         return with_bottom_ports(d, tuple(sorted(d.bottom_ports, key=worder.__getitem__)))
     return d
+
+
+# -- pins by class keys -----------------------------------------------------------
+
+def _pin_oracle(rep: Diagram, position: int, coeffs, geometry: str):
+    """Class keys of the pin through [rep] at a bottom position: the wire
+    there takes every value of its group."""
+    wid = rep.bottom_ports[position]
+    letter = rep.wires[wid][0]
+    spec = coeffs.spec(letter)
+    keys = []
+    for value in [identity(spec)] + nontrivial_elements(spec):
+        wires = dict(rep.wires)
+        wires[wid] = (letter, value)
+        keys.append(class_key_oracle(replace(rep, wires=wires), geometry))
+    return frozenset(keys), letter
+
+
+def pins_oracle(g) -> list[tuple[frozenset[str], str, bool]]:
+    """All pins meeting the ball g, as (frozenset of class keys, letter,
+    complete), in order of first meeting by vertex, then bottom position."""
+    in_ball = {v.key for v in g.vertices}
+    seen: dict[frozenset, tuple[str, bool]] = {}
+    for v in g.vertices:
+        for position, wid in enumerate(v.rep.bottom_ports):
+            if nontrivial_elements(g.cfg.coeffs.spec(v.rep.wires[wid][0])):
+                pin, letter = _pin_oracle(v.rep, position, g.cfg.coeffs, g.geometry)
+                seen.setdefault(pin, (letter, pin <= in_ball))
+    return [(pin, letter, complete) for pin, (letter, complete) in seen.items()]
+
+
+def linear_edge_witness_oracle(g, i: int, j: int) -> bool:
+    """Whether one linear move at a bottom position of [i]'s representative
+    gives [j]: [D.(U+eps(l,g))] vs [D.(U+eps(l,h))]."""
+    u = g.vertices[i].rep
+    for wid in u.bottom_ports:
+        letter, c = u.wires[wid]
+        for gval in nontrivial_elements(g.cfg.coeffs.spec(letter)):
+            wires = dict(u.wires)
+            wires[wid] = (letter, coeff_multiply(c, gval))
+            if class_key_oracle(replace(u, wires=wires), g.geometry) == g.vertices[j].key:
+                return True
+    return False
 
 
 # -- distance by the product formula ---------------------------------------------

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ from picturecalc.presentation import (
 )
 from picturecalc.sampling import random_element, random_tree_pair, random_walk_diagram
 from picturecalc.thompson import TreePair
+
+from oracles import evaluate_oracle
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -207,6 +210,9 @@ def test_module_run_is_hash_seed_independent(tmp_path):
     for k, argv in enumerate([ball, ball + ["--geometry", "annular"],
                               ["enumerate", "--builtin", "commuting_abc", "--budget", "2"],
                               verify,
+                              # pins of size 3 and triangles
+                              ["verify", "--builtin", "thompson", "--coeff", "x=cyclic:3",
+                               "--geometry", "planar", "--radius", "3"],
                               ["embed", "--builtin", "higman:3,1", "--in", str(tmp_path / "g.json")],
                               ["project", "--in", str(tmp_path / "g.json")],
                               ["project", "--in", str(tmp_path / "psi.json")],
@@ -333,6 +339,45 @@ def test_cli_huge_power_exits_2_before_expanding(capsys):
     with pytest.raises(ParseError, match="word longer than"):
         parse_word("x^" + "9" * 5000, Q)  # too many digits for int()
     assert len(parse_word("x^1000000", Q)) == 1_000_000
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 2^(10^11) would be computed before the range check
+    (["thompson", "eval", "--pair", "(..)|(..)@perm=0,1", "--point", "1/2^100000000000"],
+     "2^100000000000 has more than 4300 digits"),
+    # the image 1/2 + 1/2^100000 has a numerator too long to print
+    (["thompson", "eval", "--pair", "(..)|(..)@perm=1,0", "--point", "1/2^100000"],
+     "2^100000 has more than 4300 digits"),
+    # base 1 divides every numerator: normalizing would loop 10^8 times
+    (["thompson", "eval", "--pair", ".|.@perm=0", "--arity", "1", "--point", "1/1^100000000"],
+     "arity must be >= 2"),
+    # a relation side or baseword of 3 * 10^8 letters
+    (["ball", "--builtin", "higman:300000000,1", "--radius", "1"],
+     "builtin 'higman': a relation side or the baseword would be longer than 1000000 letters"),
+    (["ball", "--builtin", "higman:2,300000000", "--radius", "1"],
+     "builtin 'higman': a relation side or the baseword would be longer than 1000000 letters"),
+    (["ball", "--builtin", "quasi_auto:2,1,1000000", "--radius", "1"],
+     "builtin 'quasi_auto': a relation side or the baseword would be longer"),
+    (["ball", "--builtin", "houghton:1000001,0", "--radius", "1"],
+     "builtin 'houghton': a relation side or the baseword would be longer"),
+])
+def test_cli_oversized_numbers_exit_2_before_the_work(capsys, argv, message):
+    t0 = time.perf_counter()
+    rc = main(argv)
+    assert rc == 2 and time.perf_counter() - t0 < 1.0
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_cli_thompson_eval_long_points_still_print(capsys):
+    pair = "((..).)|(.(..))@perm=0,1,2"
+    for k, m in ((1, 10000), (3, 14000)):  # 3,011 and 4,215 digits
+        assert main(["thompson", "eval", "--pair", pair, "--point", f"{k}/2^{m}"]) == 0
+        num, _, exp = capsys.readouterr().out.strip().partition("/2^")
+        want = evaluate_oracle(tree_pair_from_text(pair), Fraction(k, 2 ** m))
+        assert Fraction(int(num), 2 ** int(exp)) == want
+    # zero is 0/2^0 before any power or division
+    assert main(["thompson", "eval", "--pair", pair, "--point", "0/2^100000000000"]) == 0
+    assert capsys.readouterr().out.strip() == "0/2^0"
 
 
 @pytest.mark.parametrize("path, value", [

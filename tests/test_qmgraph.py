@@ -1,5 +1,6 @@
 import pytest
 
+from picturecalc import moves, qmgraph
 from picturecalc.coeff import CyclicSpec, free_element, make_system, spec_parse, trivial_system
 from picturecalc.embed import gamma
 from picturecalc.errors import CompositionError
@@ -19,8 +20,10 @@ from picturecalc.qmgraph import (
     BallGraph,
     VertexClass,
     _descent_path,
+    _linear_edge_witness_ok,
     ball,
     condition_plus_check,
+    enumerate_pins,
     geodesic,
     hyperplanes,
     hyperplanes_report,
@@ -34,7 +37,12 @@ from picturecalc.qmgraph import (
 )
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
-from oracles import pair_distance_matching_oracle, pair_distance_oracle
+from oracles import (
+    linear_edge_witness_oracle,
+    pair_distance_matching_oracle,
+    pair_distance_oracle,
+    pins_oracle,
+)
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -369,6 +377,64 @@ def test_pins_trivial_and_cyclic():
     assert rep3.passed
     assert rep3.details["max_pin_size"] == 3
     assert g3.triangles()
+
+
+@pytest.mark.parametrize("name, params, coeff, geometry, radius", [
+    ("thompson", (), "x=cyclic:2", "braided", 4),
+    ("thompson", (), "x=cyclic:2", "annular", 4),
+    ("thompson", (), "x=cyclic:2", "planar", 4),
+    ("thompson", (), "x=cyclic:3", "planar", 4),
+    ("commuting_abc", (), "a=cyclic:2", "braided", 3),
+    ("higman", (3, 1), "x=cyclic:2", "braided", 2),
+    ("houghton", (2, 0), "a=cyclic:2", "braided", 2),
+    ("quasi_auto", (2, 1, 1), "a=cyclic:3", "annular", 2),
+])
+def test_pins_and_witnesses_match_key_built_oracle(name, params, coeff, geometry, radius):
+    pres, word = builtin_presentation(name, params)
+    lab, _, spec = coeff.partition("=")
+    coeffs = make_system(pres.alphabet, {lab: spec_parse(spec)})
+    g = ball(eps(pres, coeffs, word, annular=(geometry == "annular")), radius,
+             BallConfig(pres, coeffs, geometry))
+    index = {v.key: i for i, v in enumerate(g.vertices)}
+    # same order, letters and completeness; incomplete pins keep their in-ball members
+    assert enumerate_pins(g) == [
+        (frozenset(index[k] for k in pin if k in index), letter, complete)
+        for pin, letter, complete in pins_oracle(g)]
+    # every ordered pair with equal cone ids, not only the edges: a pin key
+    # that forgot a coefficient would pair vertices two coefficients apart
+    by_cones: dict[int, list[int]] = {}
+    for i, (_, cones, _, _) in enumerate(g.coordinates):
+        by_cones.setdefault(cones, []).append(i)
+    for members in by_cones.values():
+        for i in members:
+            for j in members:
+                if i != j:
+                    assert (_linear_edge_witness_ok(g, i, j)
+                            == linear_edge_witness_oracle(g, i, j)), (i, j)
+
+
+def test_pin_and_hyperplane_reports_build_no_class_key(monkeypatch):
+    g = ball(eps(Q, CYC2, "x"), 3, BallConfig(Q, CYC2))
+    calls = []
+    for module in (moves, qmgraph):
+        real = module.geometry_class_key
+        monkeypatch.setattr(module, "geometry_class_key",
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    assert pins_report(g).passed and hyperplanes_report(g).passed
+    assert not calls
+
+
+def test_pins_report_flags_a_dropped_pin_edge():
+    # pins come from the vertices' diagrams, not from the edges
+    cfg = BallConfig(Q, CYC3)
+    g = ball(eps(Q, CYC3, "x"), 3, cfg)
+    pin = next(pin for pin, _, complete in enumerate_pins(g) if complete)
+    a, b = sorted(pin)[:2]
+    assert g.edges[(a, b)][0] == "linear"
+    doctored = BallGraph(cfg, g.radius, g.vertices,
+                         {e: kw for e, kw in g.edges.items() if e != (a, b)})
+    rep = pins_report(doctored)
+    assert not rep.passed and ("pin_not_clique", a, b) in rep.violations
 
 
 def test_edge_length_law():

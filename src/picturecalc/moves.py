@@ -12,15 +12,11 @@ whole baseword as the consumed word yields `enumerate_reduced`'s
 placements: the bottom-port orders of a class that spell the baseword,
 all bijections, rotations or only the identity.
 
-`unitary_moves` lists the moves as witnesses, each with the length of its
-result, and `apply_move` builds one of them; the ball explorer, the
-sampler and `neighbor_diagrams` all go through that one list.
-`apply_move` relies on `unitary_moves`' dipole prediction: the only dipole
-a transistor move can add to a reduced representative is the new
-transistor with the one above its feed, so when `_dipole_above` finds
-none the result is reduced as built, and when it finds one that pair is
-cancelled in the child's own dicts.  A move's child derives its endpoint
-maps from its parent's rather than rebuilding them.  Lengths
+`word_moves` lists the moves on a bottom word as witnesses, each with the
+word it leaves, in one table per word and configuration that the sampler
+walks on; `unitary_moves` adds each result's length for the ball explorer,
+and `apply_move` builds one of them from its parent's dicts and endpoint
+maps, cancelling the one dipole `unitary_moves` predicts, if any.  Lengths
 are Lipschitz along moves: d([A],[B]) = length(A^-1 . B), one unitary move
 changes the length of the reduced representative by at most one, and a
 permutation diagram changes it not at all.  So a vertex at depth k of the
@@ -32,12 +28,12 @@ ball, nor be the end of one of its edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .coeff import (
     CoefficientSystem,
     FreeSpec,
     GroupElement,
-    TrivialSpec,
     coeff_multiply,
     identity as coeff_identity,
     nontrivial_elements,
@@ -142,46 +138,56 @@ def apply_linear_move(d: Diagram, position: int, g: GroupElement) -> Diagram:
                      d.wire_top, d.wire_bot, d._reduced, d._trav)
 
 
-def unitary_moves(rep: Diagram, cfg: BallConfig):
-    """All unitary moves from a reduced class representative, without
-    building any diagram.
-
-    Yields (kind, witness, length_after): witness is (rel_index, direction,
-    positions) for transistor moves and (position, delta) for linear ones,
-    and length_after is the length of the move's result.  A new transistor
-    adds one to the length, or takes one off when it forms a dipole with
-    the transistor above its feed (at most one can: cancelling that pair
-    leaves the other transistor's top wires on the frame bottom, where they
-    meet no transistor).  A linear move changes one bottom wire's
-    coefficient; that wire feeds no transistor, so no dipole appears or
-    goes.  The witness list itself does not need rep to be reduced.
-    """
-    pres, wires, bottom = rep.pres, rep.wires, rep.bottom_ports
-    feeds = GEOMETRY[cfg.geometry].feeds
-    before = length(rep)
-    labels = rep.bot_word()
-    width = len(labels)
-    for rel_index in range(len(pres.relations)):
+@lru_cache(maxsize=256)
+def word_moves(labels, cfg: BallConfig) -> tuple:
+    """The unitary moves on the bottom word `labels`, as a tuple of (kind,
+    witness, next_labels): witness is (rel_index, direction, positions) or
+    (position, delta), and next_labels the bottom word of the result,
+    reduced or not.  Moves depend on letters only, so tables are memoised;
+    errors, as on a free-coefficient letter, are not."""
+    geo = GEOMETRY[cfg.geometry]
+    width, out = len(labels), []
+    for rel_index in range(len(cfg.pres.relations)):
         for direction in (1, -1):
-            consumed, produced = rel_sides(pres, rel_index, direction)
+            consumed, produced = rel_sides(cfg.pres, rel_index, direction)
             if width - len(consumed) + len(produced) > cfg.max_width:
                 continue
-            rel = (rel_index, direction)
-            for positions in feeds(labels, consumed):
-                sel = tuple(bottom[p] for p in positions)
-                cancels = _dipole_above(pres, wires, rep.transistors, rep.t_bot,
-                                        rep.wire_top, sel, rel) is not None
-                yield "transistor", rel + (positions,), before - 1 if cancels else before + 1
+            for positions in geo.feeds(labels, consumed):
+                out.append(("transistor", (rel_index, direction, positions),
+                            geo.after(labels, positions, produced)))
     for position, letter in enumerate(labels):
         spec = cfg.coeffs.spec(letter)
-        if isinstance(spec, TrivialSpec):
-            continue
         if isinstance(spec, FreeSpec):
             raise EnumerationError("free coefficient group in ball configuration")
-        c = wires[bottom[position]][1]
-        rest = before - (not c.is_identity())
-        for g in nontrivial_elements(spec):
-            yield "linear", (position, g), rest + (not coeff_multiply(c, g).is_identity())
+        out.extend(("linear", (position, g), labels) for g in nontrivial_elements(spec))
+    return tuple(out)
+
+
+def unitary_moves(rep: Diagram, cfg: BallConfig):
+    """All unitary moves from a reduced class representative, without
+    building any diagram: `word_moves` of its bottom word.
+
+    Yields (kind, witness, length_after), where length_after is the length
+    of the move's result.  A new transistor adds one to the length, or
+    takes one off when it forms a dipole with the transistor above its feed
+    (at most one can: cancelling that pair leaves the other transistor's
+    top wires on the frame bottom, where they meet no transistor).  A
+    linear move changes one bottom wire's coefficient; that wire feeds no
+    transistor, so no dipole appears or goes.  The witness list itself
+    does not need rep to be reduced.
+    """
+    pres, wires, bottom = rep.pres, rep.wires, rep.bottom_ports
+    before = length(rep)
+    for kind, witness, _ in word_moves(rep.bot_word(), cfg):
+        if kind == "transistor":
+            sel = tuple(bottom[p] for p in witness[2])
+            cancels = _dipole_above(pres, wires, rep.transistors, rep.t_bot,
+                                    rep.wire_top, sel, witness[:2]) is not None
+            yield kind, witness, before - 1 if cancels else before + 1
+        else:
+            c, g = wires[bottom[witness[0]]][1], witness[1]
+            change = (not coeff_multiply(c, g).is_identity()) - (not c.is_identity())
+            yield kind, witness, before + change
 
 
 def apply_move(rep: Diagram, kind: str, witness, geometry: str) -> Diagram:

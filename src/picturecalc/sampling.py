@@ -1,22 +1,34 @@
-"""Seeded random diagrams and group elements for the property suites."""
+"""Seeded random diagrams, group elements and tree pairs for the property
+suites.  A walk of unitary moves is drawn on bottom words alone, one
+`moves.word_moves` table a step, and its diagram is built by replaying the
+drawn witnesses with `apply_move` only when the walk is kept."""
 
 from __future__ import annotations
 
 import random
 
 from .coeff import CoefficientSystem
-from .moves import BallConfig, apply_linear_move, apply_move, apply_transistor_move, unitary_moves
+from .moves import BallConfig, apply_linear_move, apply_move, apply_transistor_move, word_moves
 from .picture import GEOMETRY, Diagram, atom_permutation, concat, eps, invert, multiply, reduce
 from .thompson import TreePair, _replace, forest_leaves, leaf_addresses, reduce_pair
 
 
-def _random_moves(d: Diagram, steps: int, rng: random.Random, cfg: BallConfig) -> Diagram:
+def _walk(labels, steps: int, rng: random.Random, cfg: BallConfig):
+    """(witnesses, final word) of a walk of up to `steps` moves from the
+    bottom word `labels`, stopped early at a word with no move."""
+    path = []
     for _ in range(steps):
-        moves = list(unitary_moves(d, cfg))
-        if not moves:
+        opts = word_moves(labels, cfg)
+        if not opts:
             break
-        kind, witness, _ = moves[rng.randrange(len(moves))]
-        d = apply_move(d, kind, witness, cfg.geometry)
+        kind, witness, labels = opts[rng.randrange(len(opts))]
+        path.append((kind, witness))
+    return path, labels
+
+
+def _replay(d: Diagram, path, geometry: str) -> Diagram:
+    for kind, witness in path:
+        d = apply_move(d, kind, witness, geometry)
     return d
 
 
@@ -26,27 +38,29 @@ def random_walk_diagram(pres, coeffs: CoefficientSystem, w, steps: int,
     """Reduced (w,*)-diagram obtained by a random unitary-move walk."""
     cfg = BallConfig(pres, coeffs, geometry, max_width)
     base = eps(pres, coeffs, tuple(w), annular=GEOMETRY[geometry].annular)
-    return _random_moves(base, steps, rng, cfg)
+    return _replay(base, _walk(base.bot_word(), steps, rng, cfg)[0], geometry)
 
 
 def random_element(pres, coeffs: CoefficientSystem, w, rng: random.Random,
                    geometry: str = "braided", steps: int = 4, attempts: int = 60,
                    max_width: int = 12) -> Diagram:
     """Random reduced (w,w)-diagram of the geometry: two independent walks
-    glued back to back, their boundaries aligned by a geometry permutation."""
-    w = tuple(w)
-    a = random_walk_diagram(pres, coeffs, w, steps, rng, geometry, max_width)
+    glued back to back, their boundaries aligned by a geometry permutation.
+    The second walk is redrawn until its bottom word matches the first's,
+    and only the matching one is built."""
+    cfg = BallConfig(pres, coeffs, geometry, max_width)
     geo = GEOMETRY[geometry]
+    base = eps(pres, coeffs, tuple(w), annular=geo.annular)
+    start = base.bot_word()
+    path, u = _walk(start, steps, rng, cfg)
+    a = _replay(base, path, geometry)
     for _ in range(attempts):
-        b = random_walk_diagram(pres, coeffs, w, rng.randrange(steps + 2), rng,
-                                geometry, max_width)
-        sigma = geo.match(a.bot_word(), b.bot_word())
+        path, v = _walk(start, rng.randrange(steps + 2), rng, cfg)
+        sigma = geo.match(u, v)
         if sigma is not None:
-            align = atom_permutation(pres, coeffs, a.bot_word(), sigma,
-                                     annular=a.annular)
-            return reduce(concat(concat(a, align), invert(b)))
+            align = atom_permutation(pres, coeffs, u, sigma, annular=a.annular)
+            return reduce(concat(concat(a, align), invert(_replay(base, path, geometry))))
     # fallback: conjugate a label-preserving boundary permutation
-    u = a.bot_word()
     sigma = geo.symmetry(u)
     if sigma is not None:
         mid = atom_permutation(pres, coeffs, u, sigma, annular=a.annular)
@@ -61,12 +75,12 @@ def random_unreduced(pres, coeffs: CoefficientSystem, w, transistor_budget: int,
     `transistor_budget` transistors; food for the confluence tests."""
     cfg = BallConfig(pres, coeffs, geometry, max_width)
     d = eps(pres, coeffs, tuple(w), annular=GEOMETRY[geometry].annular)
-    placed = 0
+    labels, placed = d.bot_word(), 0
     while placed < transistor_budget:
-        moves = list(unitary_moves(d, cfg))
-        if not moves:
+        opts = word_moves(labels, cfg)
+        if not opts:
             break
-        kind, witness, _ = moves[rng.randrange(len(moves))]
+        kind, witness, labels = opts[rng.randrange(len(opts))]
         if kind == "transistor":
             d = apply_transistor_move(d, *witness, cfg.geometry)
             placed += 1

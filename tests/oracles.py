@@ -18,6 +18,7 @@ from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
 from picturecalc.coeff import TrivialSpec, free_element, identity, nontrivial_elements
 from picturecalc.embed import QPRES, free_system
 from picturecalc.errors import CompositionError
+from picturecalc.moves import BallConfig
 from picturecalc.picture import (
     Diagram,
     atom_linear,
@@ -671,6 +672,27 @@ def random_unreduced_oracle(base: Diagram, transistor_budget: int, rng, cfg) -> 
         if kind == "transistor":
             placed += 1
     return d
+
+
+def random_element_oracle(pres, coeffs, w, rng, geometry: str = "braided", steps: int = 4,
+                          attempts: int = 60, max_width: int = 12) -> Diagram:
+    """`random_element` with every walk built by `walk_oracle` from a fresh
+    base, the rejected ones too, and glued with `concat_oracle`."""
+    w, cfg = tuple(w), BallConfig(pres, coeffs, geometry, max_width)
+    annular = geometry == "annular"
+    a = walk_oracle(eps(pres, coeffs, w, annular=annular), steps, rng, cfg)
+    u = a.bot_word()
+    for _ in range(attempts):
+        b = walk_oracle(eps(pres, coeffs, w, annular=annular), rng.randrange(steps + 2), rng, cfg)
+        sigma = boundary_match_oracle(u, b.bot_word(), geometry)
+        if sigma is not None:
+            align = atom_permutation(pres, coeffs, u, sigma, annular=annular)
+            return reduce_oracle(concat_oracle(concat_oracle(a, align), invert(b)))
+    sigma = boundary_symmetry_oracle(u, geometry)
+    if sigma is not None:
+        mid = atom_permutation(pres, coeffs, u, sigma, annular=annular)
+        return reduce_oracle(concat_oracle(concat_oracle(a, mid), invert(a)))
+    return reduce_oracle(concat_oracle(a, invert(a)))
 
 
 # -- tree pairs: the rescanning caret cancellation -----------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -18,8 +19,10 @@ from picturecalc.moves import (
     neighbor_diagrams,
     normalize_base,
     unitary_moves,
+    word_moves,
 )
 from picturecalc.picture import (
+    GEOMETRY,
     Diagram,
     _traversal,
     atom_transistor,
@@ -38,11 +41,13 @@ from picturecalc.sampling import random_element, random_unreduced, random_walk_d
 
 from oracles import (
     bfs_oracle,
+    boundary_symmetry_oracle,
     class_key_oracle,
     key_text_oracle,
     length_oracle,
     moves_oracle,
     neighbor_keys_oracle,
+    random_element_oracle,
     random_unreduced_oracle,
     reduce_oracle,
     walk_oracle,
@@ -342,13 +347,17 @@ def test_unitary_moves_predict_length(case):
         moves = list(unitary_moves(rep, cfg))
         witnesses = [(kind, wit) for _, kind, wit in neighbor_diagrams(rep, cfg)]
         assert witnesses == [(kind, wit) for _, kind, wit in moves_oracle(rep, cfg)]
+        table = word_moves(rep.bot_word(), cfg)
+        assert [move[:2] for move in moves] == [move[:2] for move in table]
         before = length(rep)
-        for kind, witness, length_after in moves:
+        for (kind, witness, length_after), (_, _, next_labels) in zip(moves, table):
             if kind == "transistor":
                 raw = apply_transistor_move(rep, *witness, geometry)
             else:
                 raw = apply_linear_move(rep, *witness)
-            assert length_after == length(apply_move(rep, kind, witness, geometry))
+            out = apply_move(rep, kind, witness, geometry)
+            assert raw.bot_word() == out.bot_word() == next_labels
+            assert length_after == length(out)
             assert length_after == length_oracle(raw)
             kinds_seen.add((kind, length_after - before))
     # every way a move can change the length occurs among these balls
@@ -443,20 +452,111 @@ def test_bfs_classes_matches_oracle_around_random_bases(geometry):
         _assert_same_ball(bfs_classes(base, 2, cfg), bfs_oracle(base, 2, cfg))
 
 
+# the four group-law configurations of acceptance criterion 2, as
+# (presentation, coefficients, baseword)
+SAMPLER_CONFIGS = [
+    (pres, make_system(pres.alphabet, {x: CyclicSpec(k) for x, k in cyclic.items()}), w)
+    for (pres, w), cyclic in [(builtin_presentation("thompson"), {"x": 2}),
+                              (builtin_presentation("higman", (3, 1)), {}),
+                              (builtin_presentation("houghton", (2, 0)), {"a": 2}),
+                              (builtin_presentation("commuting_abc"), {})]
+]
+
+
 @pytest.mark.parametrize("geometry", GEOMETRIES)
-def test_sampling_matches_walks_that_build_every_neighbour(geometry, monkeypatch):
-    for seed in range(20):
-        pres, coeffs, w = (Q, CYC2, ("x",)) if seed % 2 else (ABC, ABC2, ABC_WORD)
-        cfg = BallConfig(pres, coeffs, geometry)
-        base = eps(pres, coeffs, w, annular=geometry == "annular")
-        got = random_walk_diagram(pres, coeffs, w, 5, random.Random(seed), geometry)
-        want = walk_oracle(base, 5, random.Random(seed), cfg)
-        assert canonical_key(got) == key_text_oracle(want)
-        got = random_unreduced(pres, coeffs, w, 4, random.Random(seed), geometry=geometry)
-        want = random_unreduced_oracle(base, 4, random.Random(seed), cfg)
-        assert canonical_key(got) == key_text_oracle(want)
-        got = canonical_key(random_element(pres, coeffs, w, random.Random(seed), geometry))
-        with monkeypatch.context() as m:
-            m.setattr(sampling, "_random_moves", walk_oracle)
-            want = canonical_key(random_element(pres, coeffs, w, random.Random(seed), geometry))
-        assert got == want
+def test_sampling_matches_walks_that_build_every_neighbour(geometry):
+    """Each sampler against an oracle that builds and reduces every
+    neighbour of every walk, the rejected ones included: the same
+    canonical key and the same RNG state after each call.  attempts=0
+    forces `random_element`'s fallbacks."""
+    annular, fallbacks = geometry == "annular", set()
+    for i, (pres, coeffs, w) in enumerate(SAMPLER_CONFIGS):
+        for steps, max_width in itertools.product((3, 4), (8, 12)):
+            cfg = BallConfig(pres, coeffs, geometry, max_width)
+            got_rng, want_rng = random.Random(i), random.Random(i)
+            calls = [
+                (lambda r: random_walk_diagram(pres, coeffs, w, steps + 1, r, geometry,
+                                               max_width),
+                 lambda r: walk_oracle(eps(pres, coeffs, w, annular=annular), steps + 1, r, cfg)),
+                (lambda r: random_unreduced(pres, coeffs, w, steps, r, max_width, geometry),
+                 lambda r: random_unreduced_oracle(eps(pres, coeffs, w, annular=annular),
+                                                   steps, r, cfg)),
+            ] + [
+                (lambda r, n=n: random_element(pres, coeffs, w, r, geometry, steps, n,
+                                               max_width),
+                 lambda r, n=n: random_element_oracle(pres, coeffs, w, r, geometry, steps, n,
+                                                      max_width))
+                for n in (60, 60, 0)
+            ]
+            for sample, oracle in calls:
+                state = want_rng.getstate()
+                assert canonical_key(sample(got_rng)) == key_text_oracle(oracle(want_rng))
+                assert got_rng.getstate() == want_rng.getstate()
+            # the last call fell back on the bottom word of its first walk
+            probe = random.Random()
+            probe.setstate(state)
+            u = walk_oracle(eps(pres, coeffs, w, annular=annular), steps, probe, cfg).bot_word()
+            symmetric = boundary_symmetry_oracle(u, geometry) is not None
+            fallbacks.add("symmetry" if symmetric else "multiply")
+    assert fallbacks >= ({"multiply"} if geometry == "planar" else {"symmetry"})
+
+
+def test_sampler_digest_is_pinned():
+    """sha256 of the canonical keys of a fixed seeded batch of every
+    sampler, per configuration and geometry, and of one draw after each
+    batch: any change to the samplers' RNG stream or results shows here."""
+    def batch():
+        for i, (pres, coeffs, w) in enumerate(SAMPLER_CONFIGS):
+            for j, geometry in enumerate(GEOMETRIES):
+                rng = random.Random(100 * i + j)
+                for _ in range(6):
+                    yield canonical_key(random_element(pres, coeffs, w, rng, geometry, steps=3,
+                                                       max_width=8))
+                for _ in range(2):
+                    yield canonical_key(random_element(pres, coeffs, w, rng, geometry))
+                for steps in (4, 6):
+                    yield canonical_key(random_walk_diagram(pres, coeffs, w, steps, rng,
+                                                            geometry))
+                    yield canonical_key(random_unreduced(pres, coeffs, w, steps, rng,
+                                                         geometry=geometry))
+                yield repr(rng.random())
+
+    digest = hashlib.sha256("\n".join(batch()).encode()).hexdigest()
+    assert digest == "dfbfa4e676be6c06d7808378494ba460bc3940193c9bad83d5d72914e22f1b4d"
+
+
+def test_rejected_walks_build_nothing(monkeypatch):
+    """`random_element` builds only the walks it keeps: the first, and the
+    redrawn one whose bottom word matches it."""
+    walks, built = [], []
+    real_walk, real_apply = sampling._walk, sampling.apply_move
+    monkeypatch.setattr(sampling, "_walk",
+                        lambda *args: walks.append(real_walk(*args)) or walks[-1])
+    monkeypatch.setattr(sampling, "apply_move",
+                        lambda *args: built.append(args) or real_apply(*args))
+    rng, drawn, kept = random.Random(7), 0, 0
+    for pres, coeffs, w in SAMPLER_CONFIGS:
+        for geometry in GEOMETRIES:
+            for _ in range(6):
+                walks.clear()
+                random_element(pres, coeffs, w, rng, geometry, steps=3, max_width=8)
+                (path, u), (last, v) = walks[0], walks[-1]
+                matched = len(walks) > 1 and GEOMETRY[geometry].match(u, v) is not None
+                kept += len(path) + (len(last) if matched else 0)
+                drawn += sum(len(p) for p, _ in walks)
+    assert len(built) == kept
+    assert drawn > 2 * kept  # most drawn steps are in rejected walks, which cost no diagram
+
+
+def test_word_moves_errors_are_not_cached_and_tables_are_immutable():
+    freesys = make_system(Q.alphabet, {"x": FreeSpec(("R1",))})
+    cfg = BallConfig(Q, freesys)
+    for _ in range(3):
+        with pytest.raises(EnumerationError):
+            list(unitary_moves(eps(Q, freesys, "x"), cfg))
+        with pytest.raises(EnumerationError):
+            random_walk_diagram(Q, freesys, "x", 2, random.Random(0))
+    table = word_moves(("x", "x"), BallConfig(Q, CYC2))
+    assert isinstance(table, tuple) and table
+    for move in table:
+        assert isinstance(move, tuple) and all(isinstance(part, (str, tuple)) for part in move)

@@ -25,8 +25,6 @@ from .errors import ParseError
 
 @dataclass(frozen=True)
 class TrivialSpec:
-    kind = "trivial"
-
     def __str__(self):
         return "trivial"
 
@@ -34,7 +32,6 @@ class TrivialSpec:
 @dataclass(frozen=True)
 class CyclicSpec:
     order: int
-    kind = "cyclic"
 
     def __post_init__(self):
         if self.order < 2:
@@ -47,7 +44,6 @@ class CyclicSpec:
 @dataclass(frozen=True)
 class FreeSpec:
     generators: tuple[str, ...]
-    kind = "free"
 
     def __post_init__(self):
         if not self.generators or len(set(self.generators)) != len(self.generators):

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .coeff import CoefficientSystem, FreeSpec, GroupElement, coeff_multiply, free_element
 from .coeff import identity, make_system, trivial_system
-from .picture import Diagram, length, reduce, replace
+from .picture import Diagram, length, reduce, replace, top_down
 from .presentation import SemigroupPresentation
 from .thompson import TreePair, diagram_to_tree_pair, membership, thompson_presentation
 
@@ -110,10 +110,10 @@ def make_block(left_pad: int, top_len: int, rel_index: int, sign: int,
 def psi_unreduced(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagram:
     """The image of d before dipole reduction, by substitution in one pass
     over reduce(d): every wire becomes an x wire with the identity
-    coefficient, and each transistor, taken top-down (its top wires already
-    placed), becomes its block below them, R{rel+1}^direction on the middle
-    wire.  Where one-letter sides chain several blocks onto one wire, the
-    labels multiply upper first."""
+    coefficient, and each transistor, taken in `top_down` order (its top
+    wires already placed), becomes its block below them, R{rel+1}^direction
+    on the middle wire.  Where one-letter sides chain several blocks onto
+    one wire, the labels multiply upper first."""
     if any(not c.is_identity() for _, c in d.wires.values()):
         raise ValueError("the embedding applies to diagrams with trivial coefficients")
     if coeffs is None:
@@ -123,20 +123,10 @@ def psi_unreduced(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagra
     labels = {rel: free_element(combs.one.spec, [(f"R{rel[0] + 1}", rel[1])])
               for rel in set(dr.transistors.values())}
     image = {w: combs.wire() for w in dr.top_ports}
-    # Kahn's order: a transistor is ready once every top wire is placed
-    waiting = {t: sum(1 for w in top if dr.wire_top[w][0] == "TB") for t, top in dr.t_top.items()}
-    ready = [t for t, k in waiting.items() if k == 0]
-    while ready:
-        t = ready.pop()
+    for t in top_down(dr):
         bots = combs.block([image[w] for w in dr.t_top[t]], labels[dr.transistors[t]],
                            len(dr.t_bot[t]))
-        for w, v in zip(dr.t_bot[t], bots):
-            image[w] = v
-            site = dr.wire_bot[w]
-            if site[0] == "TT":
-                waiting[site[1]] -= 1
-                if not waiting[site[1]]:
-                    ready.append(site[1])
+        image.update(zip(dr.t_bot[t], bots))
     return combs.diagram([image[w] for w in dr.top_ports],
                          [image[w] for w in dr.bottom_ports], d.annular)
 

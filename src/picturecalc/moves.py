@@ -69,6 +69,12 @@ class BallConfig:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
         if self.max_width < 1:
             raise ValueError("max_width must be >= 1")
+        # `word_moves` hashes its config on every lookup: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.pres, self.coeffs, self.geometry,
+                                                self.max_width)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def check_finite_coeffs(coeffs: CoefficientSystem) -> None:
@@ -207,7 +213,7 @@ def apply_move(rep: Diagram, kind: str, witness, geometry: str) -> Diagram:
                      rep.wire_top, sel, (rel_index, direction)) is None:
         out._reduced = True
     else:
-        _cancel(out, (next(reversed(out.transistors)),), in_order=False)
+        _cancel(out, (next(reversed(out.transistors)),))
     return out
 
 

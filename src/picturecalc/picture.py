@@ -121,11 +121,7 @@ class Diagram:
         """Check structural invariants; raises ValueError on the first failure."""
         if not self.wires:
             raise ValueError("diagram must contain at least one wire")
-        seen_top, seen_bot = set(), set()
-        for w in self.top_ports:
-            seen_top.add(w)
-        for w in self.bottom_ports:
-            seen_bot.add(w)
+        n_top, n_bot = len(self.top_ports), len(self.bottom_ports)
         for tid, (rel_index, direction) in self.transistors.items():
             if not (0 <= rel_index < len(self.pres.relations)) or direction not in (1, -1):
                 raise ValueError(f"transistor {tid}: bad relation reference")
@@ -134,8 +130,8 @@ class Diagram:
                 raise ValueError(f"transistor {tid}: top labels do not spell the relation side")
             if tuple(self.wires[w][0] for w in self.t_bot[tid]) != bot_side:
                 raise ValueError(f"transistor {tid}: bottom labels do not spell the relation side")
-            seen_bot.update(self.t_top[tid])
-            seen_top.update(self.t_bot[tid])
+            n_bot += len(self.t_top[tid])
+            n_top += len(self.t_bot[tid])
         for w, (label, coeff) in self.wires.items():
             if label not in self.pres.alphabet:
                 raise ValueError(f"wire {w}: undeclared letter {label!r}")
@@ -143,30 +139,31 @@ class Diagram:
                 raise ValueError(f"wire {w}: coefficient from the wrong group")
             if w not in self.wire_top or w not in self.wire_bot:
                 raise ValueError(f"wire {w}: missing an endpoint")
-        if seen_top != set(self.wires) or seen_bot != set(self.wires):
+        # every wire has an attachment of each kind, so as many attachments
+        # as wires means exactly one each, and none to a wire not in d
+        if n_top != len(self.wires) or n_bot != len(self.wires):
             raise ValueError("every wire needs exactly one top and one bottom attachment")
-        # transistor order must be acyclic (t1 < t2 when a wire rises from t1 to
-        # t2): Kahn's algorithm, so a deep diagram needs no deep recursion
-        above: dict[int, set[int]] = {t: set() for t in self.transistors}
-        for w in self.wires:
-            b, t = self.wire_bot[w], self.wire_top[w]
-            if b[0] == "TT" and t[0] == "TB":
-                above[b[1]].add(t[1])
-        below_count = dict.fromkeys(self.transistors, 0)
-        for ups in above.values():
-            for u in ups:
-                below_count[u] += 1
-        ready = [t for t, k in below_count.items() if k == 0]
-        placed = 0
-        while ready:
-            t = ready.pop()
-            placed += 1
-            for u in above[t]:
-                below_count[u] -= 1
-                if below_count[u] == 0:
-                    ready.append(u)
-        if placed != len(self.transistors):
+        if sum(1 for _ in top_down(self)) != len(self.transistors):
             raise ValueError("transistor order has a cycle")
+
+
+def top_down(d: Diagram):
+    """d's transistors in a top-down order: the partial order t1 < t2 when a
+    wire rises from t1 into t2, walked from the frame top without recursion.
+    A transistor is yielded once all its top wires are placed, its bottom
+    wires being placed when the caller next asks; the transistors on or
+    below a cycle of that order are never yielded."""
+    t_top, t_bot, wire_bot = d.t_top, d.t_bot, d.wire_bot
+    unplaced: dict[int, int] = {}  # transistor -> top wires not yet placed
+    stack = list(d.top_ports)
+    while stack:
+        site = wire_bot[stack.pop()]
+        if site[0] == "TT":
+            t = site[1]
+            unplaced[t] = left = unplaced.get(t, len(t_top[t])) - 1
+            if not left:
+                yield t
+                stack.extend(t_bot[t])
 
 
 def _assemble(d: Diagram, wires, transistors, t_top, t_bot, bottom_ports,
@@ -605,34 +602,28 @@ def _cancel_pair(d: Diagram, bottom: list, t1: int, t2: int) -> list[int]:
     return below
 
 
-def _cancel(d: Diagram, seeds, in_order: bool = True, rng=None) -> None:
+def _cancel(d: Diagram, seeds, rng=None) -> None:
     """Cancel d's dipoles in place (d owns its dicts) and mark it reduced;
     `seeds` must hold the lower transistor of every dipole.  A cancellation
     changes the top sides of the transistors below its merged wires only,
-    so only those are pushed.  The heap holds dict positions when
-    `in_order`, so the dipole cancelled is always the first in dict order,
-    as if d were rescanned after each cancellation, and ids otherwise, for
-    callers whose dipoles cannot overlap.  With `rng` (the confluence
-    tests) each step cancels a random dipole."""
+    so only those are pushed.  The heap pops the least id: the package
+    numbers a diagram's transistors in insertion order, so that is the
+    first dipole in dict order, as if d were rescanned after each
+    cancellation (other ids give the same result up to equivalence, by
+    confluence).  With `rng` (the confluence tests) each step cancels a
+    random dipole."""
     bottom = list(d.bottom_ports)
     if rng is not None:
         while found := [(t, t2) for t in d.transistors if (t2 := _dipole_at(d, t)) is not None]:
             _cancel_pair(d, bottom, *found[rng.randrange(len(found))])
     else:
-        if in_order:
-            order = list(d.transistors)
-            rank = {t: i for i, t in enumerate(order)}.__getitem__
-        else:
-            order, rank = None, int  # a transistor's id is its own key
-        heap = sorted(set(map(rank, seeds)))
+        heap = sorted(set(seeds))
         while heap:
             t1 = heappop(heap)
-            if order is not None:
-                t1 = order[t1]
             t2 = _dipole_at(d, t1) if t1 in d.transistors else None
             if t2 is not None:
                 for t in _cancel_pair(d, bottom, t1, t2):
-                    heappush(heap, rank(t))
+                    heappush(heap, t)
     d.bottom_ports = tuple(bottom)
     d._reduced = True
 
@@ -665,8 +656,7 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
     out = _glue(d1, d2)
     if is_reduced(d1) and is_reduced(d2):
         wire_bot = out.wire_bot
-        _cancel(out, [wire_bot[w][1] for w in d1.bottom_ports if wire_bot[w][0] == "TT"],
-                in_order=False)
+        _cancel(out, [wire_bot[w][1] for w in d1.bottom_ports if wire_bot[w][0] == "TT"])
     else:
         _cancel(out, out.transistors)
     return out
@@ -791,34 +781,23 @@ GEOMETRY: dict[str, Geometry] = {
 
 
 def _sweep(d: Diagram, geometry: Geometry) -> bool:
-    """Whether d embeds in the geometry: fire a transistor wherever `feeds`
-    finds its top wires on the cut (wire ids as labels), advance the cut
-    with `after`, and accept when all fire and `match` aligns the last cut
-    with the frame bottom.  Firing order is immaterial: blocks are disjoint
-    and replacements nonempty, so fireability is stable."""
-    cut, t_top, t_bot, wire_top = d.top_ports, d.t_top, d.t_bot, d.wire_top
+    """Whether d embeds in the geometry: fire its transistors in `top_down`
+    order, each where `feeds` finds its top wires on the cut (wire ids as
+    labels), advance the cut with `after`, and accept when all fire and
+    `match` aligns the last cut with the frame bottom.  Firing order is
+    immaterial: blocks are disjoint and replacements nonempty, so firing
+    one transistor neither places nor unplaces another's top wires on the
+    cut, and the first transistor that `feeds` cannot place never fires."""
+    cut, t_top, t_bot = d.top_ports, d.t_top, d.t_bot
     feeds, after = geometry.feeds, geometry.after
-    unfired = set(d.transistors)
-    while unfired:
-        # first as is: a set of small ints iterates by id, and the ids of a
-        # diagram built top down follow a firing order
-        tid = next(iter(unfired))
+    fired = 0
+    for tid in top_down(d):
         positions = next(feeds(cut, t_top[tid]), None)
         if positions is None:
-            for tid in unfired:
-                # feeds scans the cut: skip a transistor whose first top
-                # wire is not on it yet, as its source has not fired
-                source = wire_top[t_top[tid][0]]
-                if source[0] == "TB" and source[1] in unfired:
-                    continue
-                positions = next(feeds(cut, t_top[tid]), None)
-                if positions is not None:
-                    break
-            else:
-                return False
+            return False
         cut = after(cut, positions, t_bot[tid])
-        unfired.discard(tid)
-    return geometry.match(cut, d.bottom_ports) is not None
+        fired += 1
+    return fired == len(d.transistors) and geometry.match(cut, d.bottom_ports) is not None
 
 
 def classify_geometry(d: Diagram) -> str:

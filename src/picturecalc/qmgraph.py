@@ -11,16 +11,16 @@ dipole inside either half would be one of A or of B), and merged wires
 never chain, so length(A^-1 . B) = |A| + |B| - 2m + (wires of the reduced
 product with a nontrivial coefficient), m the cancelled pairs; by
 confluence the order of cancellation does not matter.  Name wires and
-transistors from the frame top down: the wire at frame-top port i is
-("F", i); a transistor's cone id interns the (id, coefficient) of its top
-wires with its bottom label word; the wire at its bottom slot s is
-(cone id, s).  By induction from the top, a wire of A merges with one of B
-iff they share an id, and a transistor of A cancels with one of B iff they
-share a cone id (top wires merged slot by slot with equal coefficients,
-bottom words equal).  A merged pair leaves one wire with coefficient
-c_a^-1 c_b, nontrivial iff c_a != c_b.  So, with K_v the cone ids of v,
-W_v the ids of its wires with a nontrivial coefficient and C_v their
-(id, coefficient) pairs,
+transistors from the frame top down, in `picture.top_down` order: the wire
+at frame-top port i is ("F", i); a transistor's cone id interns the (id,
+coefficient) of its top wires with its bottom label word; the wire at its
+bottom slot s is (cone id, s).  By induction from the top, a wire of A
+merges with one of B iff they share an id, and a transistor of A cancels
+with one of B iff they share a cone id (top wires merged slot by slot with
+equal coefficients, bottom words equal).  A merged pair leaves one wire
+with coefficient c_a^-1 c_b, nontrivial iff c_a != c_b.  So, with K_v the
+cone ids of v, W_v the ids of its wires with a nontrivial coefficient and
+C_v their (id, coefficient) pairs,
 
     d(u, v) = |u| + |v| - 2|K_u & K_v| - |W_u & W_v| - |C_u & C_v|
 
@@ -90,6 +90,7 @@ from .picture import (
     length,
     multiply,
     reduce,
+    top_down,
 )
 
 
@@ -234,25 +235,16 @@ def hyperplane_coordinates(diagrams) -> tuple[list[tuple[int, int, int, int]], l
             raise CompositionError("vertices live over different basewords")
         if d.pres != first.pres or d.coeffs != first.coeffs:
             raise CompositionError("presentation or coefficient system mismatch")
-        wires, wire_bot, t_top, t_bot = d.wires, d.wire_bot, d.t_top, d.t_bot
+        wires, t_top, t_bot = d.wires, d.t_top, d.t_bot
         name = {w: intern(("F", i), len(table)) for i, w in enumerate(d.top_ports)}
-        unnamed_tops: dict[int, int] = {}  # transistor -> top wires not yet named
-        stack, cones = list(d.top_ports), 0
-        while stack:
-            site = wire_bot[stack.pop()]
-            if site[0] != "TT":
-                continue
-            t = site[1]
-            unnamed_tops[t] = left = unnamed_tops.get(t, len(t_top[t])) - 1
-            if left:
-                continue
+        cones = 0
+        for t in top_down(d):
             # a wire's label fixes its group, so the payload names the coefficient
             cone = intern((tuple((name[w], wires[w][1].payload) for w in t_top[t]),
                            tuple(wires[w][0] for w in t_bot[t])), len(table))
             cones |= 1 << cone
             for slot, w in enumerate(t_bot[t]):
                 name[w] = intern((cone, slot), len(table))
-                stack.append(w)
         nontrivial = coefficients = 0
         own = {}  # wire -> the bit of its (id, coefficient) pair
         for w, (_, c) in wires.items():

@@ -914,3 +914,14 @@ def label_permutations_oracle(word) -> list[tuple[int, ...]]:
     n = len(word)
     return [s for s in _sorted_permutations(n)
             if s != tuple(range(n)) and all(word[i] == word[s[i]] for i in range(n))]
+
+
+def shuffled_transistor_ids(d: Diagram, rng) -> Diagram:
+    """d with its transistors renumbered at random and listed in a random
+    order: an input whose ids and dict order follow no top-down order."""
+    old = list(d.transistors)
+    ren = dict(zip(old, rng.sample(range(3 * len(old) + 1), len(old))))
+    rng.shuffle(old)
+    return Diagram(d.pres, d.coeffs, d.wires, {ren[t]: d.transistors[t] for t in old},
+                   {ren[t]: d.t_top[t] for t in old}, {ren[t]: d.t_bot[t] for t in old},
+                   d.top_ports, d.bottom_ports, d.annular)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from picturecalc.coeff import free_element, trivial_system
@@ -34,6 +36,7 @@ from picturecalc.sampling import random_element
 from picturecalc.thompson import identity_pair, tp_multiply
 
 from oracles import block_oracle, gamma_oracle, psi_unreduced_factor_oracle
+from oracles import shuffled_transistor_ids
 
 TRIVQ = trivial_system(QPRES.alphabet)
 
@@ -96,6 +99,7 @@ def _assert_psi_matches_factor_oracle(d):
 
 
 def test_psi_matches_factor_oracle_on_builtins(rng):
+    shuffle = random.Random(5)  # apart from rng, which draws the elements
     for name, params in BUILTINS + [("higman", (2, 2)), ("quasi_auto", (2, 1, 1))]:
         pres, w = builtin_presentation(name, params)
         triv = trivial_system(pres.alphabet)
@@ -103,8 +107,9 @@ def test_psi_matches_factor_oracle_on_builtins(rng):
             for _ in range(6):
                 a = random_element(pres, triv, w, rng, geometry, steps=3, max_width=8)
                 b = random_element(pres, triv, w, rng, geometry, steps=3, max_width=8)
-                _assert_psi_matches_factor_oracle(a)
-                _assert_psi_matches_factor_oracle(multiply(a, b))
+                for d in (a, multiply(a, b)):
+                    _assert_psi_matches_factor_oracle(d)
+                    _assert_psi_matches_factor_oracle(shuffled_transistor_ids(d, shuffle))
 
 
 def test_psi_matches_factor_oracle_with_one_letter_sides(rng):

@@ -560,3 +560,15 @@ def test_word_moves_errors_are_not_cached_and_tables_are_immutable():
     assert isinstance(table, tuple) and table
     for move in table:
         assert isinstance(move, tuple) and all(isinstance(part, (str, tuple)) for part in move)
+
+
+def test_equal_configs_hash_alike_and_share_one_table():
+    cs = make_system(Q.alphabet, {"x": CyclicSpec(2)})
+    a, b = BallConfig(Q, cs, "annular", 7), BallConfig(Q, CYC2, "annular", 7)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert BallConfig(Q, CYC2, "annular", 8) != a
+    labels = ("x", "x", "x")
+    first = word_moves(labels, a)
+    hits = word_moves.cache_info().hits
+    assert word_moves(labels, b) is first
+    assert word_moves.cache_info().hits == hits + 1

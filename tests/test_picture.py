@@ -35,6 +35,7 @@ from picturecalc.picture import (
     multiply,
     reduce,
     sum_diagrams,
+    top_down,
 )
 from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
@@ -51,6 +52,7 @@ from oracles import (
     label_permutations_oracle,
     reduce_all_orders,
     reduce_oracle,
+    shuffled_transistor_ids,
 )
 
 Q, XW = builtin_presentation("thompson")
@@ -113,13 +115,45 @@ def test_keys_spell_coefficients_in_every_configuration():
         assert canonical_key(d) == key_text_oracle(d)
 
 
-def test_validate_rejects_cycle():
+def _cycle_diagram():
     # two transistors, each fed by the other's first bottom wire
     wires = {w: ("x", identity(TRIV.spec("x"))) for w in range(4)}
-    loop = Diagram(Q, TRIV, wires, {0: (0, 1), 1: (0, 1)}, {0: (0,), 1: (1,)},
+    return Diagram(Q, TRIV, wires, {0: (0, 1), 1: (0, 1)}, {0: (0,), 1: (1,)},
                    {0: (1, 2), 1: (0, 3)}, (), (2, 3))
+
+
+def test_validate_rejects_cycle():
     with pytest.raises(ValueError, match="transistor order has a cycle"):
-        loop.validate()
+        _cycle_diagram().validate()
+
+
+def test_validate_rejects_a_wire_with_two_attachments_on_one_side():
+    wires = {w: ("x", identity(TRIV.spec("x"))) for w in range(3)}
+    # wire 0 feeds transistor 0 and is frame-bottom port 2 as well
+    two_bottoms = Diagram(Q, TRIV, wires, {0: (0, 1)}, {0: (0,)}, {0: (1, 2)}, (0,), (1, 2, 0))
+    # wire 1 is frame-top port 1 and rises from transistor 0 as well
+    two_tops = Diagram(Q, TRIV, wires, {0: (0, 1)}, {0: (0,)}, {0: (1, 2)}, (0, 1), (1, 2))
+    for d in (two_bottoms, two_tops):
+        with pytest.raises(ValueError, match="exactly one top and one bottom attachment"):
+            d.validate()
+
+
+def test_top_down_follows_the_transistor_order(rng):
+    for pres, w in [(Q, XW), builtin_presentation("commuting_abc")]:
+        triv = trivial_system(pres.alphabet)
+        for geometry in GEOMETRY:
+            for _ in range(8):
+                d = random_unreduced(pres, triv, w, rng.randrange(1, 8), rng,
+                                     geometry=geometry)
+                d = shuffled_transistor_ids(d, rng)
+                order = list(top_down(d))
+                assert sorted(order) == sorted(d.transistors)
+                place = {t: i for i, t in enumerate(order)}
+                for t in order:
+                    for v in d.t_top[t]:
+                        site = d.wire_top[v]
+                        assert site[0] != "TB" or place[site[1]] < place[t]
+    assert list(top_down(_cycle_diagram())) == []
 
 
 def test_atom_transistor_basics():
@@ -468,7 +502,11 @@ def test_classify_geometry_matches_oracle(rng):
                 rng.shuffle(sigma)
                 d = concat(d, atom_permutation(pres, triv, d.bot_word(), tuple(sigma)))
             if len(d.transistors) <= 4:
-                assert classify_geometry(d) == classify_geometry_oracle(d)
+                want = classify_geometry_oracle(d)
+                assert classify_geometry(d) == want
+                # the same diagram with ids that follow no firing order
+                shuffled = shuffled_transistor_ids(d, random.Random(len(d.transistors)))
+                assert classify_geometry(shuffled) == want
 
 
 def test_reduce_preserves_planar_annular(rng):

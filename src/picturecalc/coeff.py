@@ -65,22 +65,15 @@ class GroupElement:
     payload: object
 
     def is_identity(self) -> bool:
-        if isinstance(self.spec, TrivialSpec):
-            return True
-        if isinstance(self.spec, CyclicSpec):
-            return self.payload == 0
-        return self.payload == ()
+        # normal forms make () and 0 the only falsy payloads
+        return not self.payload
 
     def __str__(self) -> str:
         return coeff_serialize(self)
 
 
 def identity(spec: GroupSpec) -> GroupElement:
-    if isinstance(spec, TrivialSpec):
-        return GroupElement(spec, ())
-    if isinstance(spec, CyclicSpec):
-        return GroupElement(spec, 0)
-    return GroupElement(spec, ())
+    return GroupElement(spec, 0 if isinstance(spec, CyclicSpec) else ())
 
 
 def cyclic_element(spec: CyclicSpec, residue: int) -> GroupElement:

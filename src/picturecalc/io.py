@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
-from .coeff import CoefficientSystem, coeff_parse, coeff_serialize, spec_parse
+from .coeff import coeff_parse, coeff_serialize, make_system, spec_parse
 from .errors import ParseError
 from .picture import Diagram, _traversal
 from .presentation import parse_presentation, serialize_presentation
@@ -69,19 +69,29 @@ def _site_from_json(obj, w: int, n_transistors: int):
         t = site["transistor"]
         if type(t) is not int or not 0 <= t < n_transistors:
             raise ParseError(f"wire {w}: transistor id {t!r} names no transistor of the file")
-        kind = "TT" if site.get("side") == "top" else "TB"
-        return (kind, t, index)
+        side = site.get("side")
+        if side not in ("top", "bottom"):
+            raise ParseError(f"wire {w}: transistor side {side!r} is neither top nor bottom")
+        return ("TT" if side == "top" else "TB", t, index)
     raise ParseError(f"bad site {site!r}")
 
 
 def diagram_from_json(obj: dict) -> Diagram:
     try:
+        if not isinstance(obj["presentation"], str):
+            raise ParseError("presentation must be a string")
         pres = parse_presentation(obj["presentation"])
         specs = obj["coeffs"]
         if not isinstance(specs, dict) or not all(isinstance(v, str) for v in specs.values()):
             raise ParseError("coeffs must map letters to group spec strings")
-        coeffs = CoefficientSystem(tuple(
-            (letter, spec_parse(spec)) for letter, spec in specs.items()))
+        annular = obj.get("annular", False)
+        if type(annular) is not bool:
+            raise ParseError("annular must be true or false")
+        overrides = {letter: spec_parse(spec) for letter, spec in specs.items()}
+        try:  # in alphabet order, as `--coeff` builds it
+            coeffs = make_system(pres.alphabet, overrides)
+        except ValueError as e:
+            raise ParseError(str(e)) from None
         wires = {}
         tops: dict[str, dict[int, int]] = {"FT": {}, "FB": {}}
         t_top: dict[int, dict[int, int]] = {}
@@ -125,7 +135,7 @@ def diagram_from_json(obj: dict) -> Diagram:
             {t: seal(t_bot.get(t, {}), f"transistor {t} bottom") for t in transistors},
             seal(tops["FT"], "frame top"),
             seal(tops["FB"], "frame bottom"),
-            bool(obj.get("annular", False)),
+            annular,
         )
     except (KeyError, TypeError, IndexError) as e:
         raise ParseError(f"malformed diagram file: {e!r}") from None

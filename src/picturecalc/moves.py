@@ -250,9 +250,10 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
 
     Returns (reps, depths, edges): reps is a key-ordered-per-level list of
     class representatives, edges a dict (i, j) -> (kind, witness) with
-    i < j.  Missed sibling edges are recovered when the child expands; a
-    final closure pass adds the edges among the outermost shell, so the
-    edge set is the full induced subgraph on the ball.
+    i < j.  Missed sibling edges are recovered when the child expands, and
+    the outermost shell expands as level radius + 1, which adds no vertex,
+    only the edges back into the ball; so the edge set is the full induced
+    subgraph on the ball.
 
     Only neighbours of length at most radius + length(root) are built: a
     move changes the length by at most one and the geometry's permutations
@@ -261,23 +262,24 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
     check_finite_coeffs(cfg.coeffs)
     root = normalize_base(base, cfg)
     max_length = radius + length(root)
-    root_key = geometry_class_key(root, cfg.geometry)
-    index: dict[str, int] = {root_key: 0}
+    index: dict[str, int] = {geometry_class_key(root, cfg.geometry): 0}
     reps: list[Diagram] = [root]
     depths: list[int] = [0]
     edges: dict[tuple[int, int], tuple[str, object]] = {}
-    frontier = [0]
-    for depth in range(1, radius + 1):
+    frontier = range(1)
+    for depth in range(1, radius + 2):
         found: dict[str, tuple[Diagram, int, str, object]] = {}
         for i in frontier:
             for out, kind, witness in neighbor_diagrams(reps[i], cfg, max_length):
                 key = geometry_class_key(out, cfg.geometry)
                 j = index.get(key)
                 if j is None:
-                    found.setdefault(key, (out, i, kind, witness))
+                    if depth <= radius:
+                        found.setdefault(key, (out, i, kind, witness))
                 elif j != i:
                     a, b = (i, j) if i < j else (j, i)
                     edges.setdefault((a, b), (kind, witness))
+        frontier = range(len(reps), len(reps) + len(found))
         for key in sorted(found):
             out, parent, kind, witness = found[key]
             j = len(reps)
@@ -285,16 +287,6 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
             reps.append(geometry_class_rep(out, cfg.geometry))
             depths.append(depth)
             edges.setdefault((parent, j), (kind, witness))
-        frontier = [i for i in range(len(reps)) if depths[i] == depth]
-        if not frontier:
-            break
-    for i in frontier:  # outermost shell: record edges back into the ball
-        for out, kind, witness in neighbor_diagrams(reps[i], cfg, max_length):
-            key = geometry_class_key(out, cfg.geometry)
-            j = index.get(key)
-            if j is not None and j != i:
-                a, b = (i, j) if i < j else (j, i)
-                edges.setdefault((a, b), (kind, witness))
     return reps, depths, edges
 
 

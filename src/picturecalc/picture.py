@@ -574,64 +574,49 @@ def is_reduced(d: Diagram) -> bool:
     return _first_dipole(d) is None
 
 
-def _cancel_pair(d: Diagram, bottom: list, t1: int, t2: int) -> list[int]:
-    """Cancel the dipole (t1 below, t2 above) of d in place, `bottom` being
-    d's frame-bottom wires as a list: t1's top wires go, and each of t2's
-    top wires takes the place of the t1 bottom wire under it.  Returns the
-    transistors below those merged wires."""
-    wires, t_top, wire_top, wire_bot = d.wires, d.t_top, d.wire_top, d.wire_bot
-    for w in t_top[t1]:
-        del wires[w], wire_top[w], wire_bot[w]
-    below = []
-    for a, b in zip(t_top[t2], d.t_bot[t1]):
-        la, ca = wires[a]
-        wires[a] = (la, coeff_multiply(ca, wires[b][1]))
-        site = wire_bot[b]
-        wire_bot[a] = site
-        if site[0] == "FB":
-            bottom[site[1]] = a
-        else:
-            _, tid, idx = site
-            tup = list(t_top[tid])
-            tup[idx] = a
-            t_top[tid] = tuple(tup)
-            below.append(tid)
-        del wires[b], wire_top[b], wire_bot[b]
-    for t in (t1, t2):
-        del d.transistors[t], t_top[t], d.t_bot[t]
-    return below
-
-
-def _cancel(d: Diagram, seeds, rng=None) -> None:
+def _cancel(d: Diagram, seeds) -> None:
     """Cancel d's dipoles in place (d owns its dicts) and mark it reduced;
-    `seeds` must hold the lower transistor of every dipole.  A cancellation
-    changes the top sides of the transistors below its merged wires only,
-    so only those are pushed.  The heap pops the least id: the package
-    numbers a diagram's transistors in insertion order, so that is the
-    first dipole in dict order, as if d were rescanned after each
-    cancellation (other ids give the same result up to equivalence, by
-    confluence).  With `rng` (the confluence tests) each step cancels a
-    random dipole."""
+    `seeds` must hold the lower transistor of every dipole.  Cancelling a
+    dipole (t1 below, t2 above) removes t1's top wires, and each of t2's
+    top wires takes the place of the t1 bottom wire under it.  That changes
+    the top sides of the transistors below those wires only, so only those
+    are pushed.  The heap pops the least id: the package numbers a
+    diagram's transistors in insertion order, so that is the first dipole
+    in dict order, as if d were rescanned after each cancellation (other
+    ids give the same result up to equivalence, by confluence)."""
+    wires, transistors, t_top, t_bot = d.wires, d.transistors, d.t_top, d.t_bot
+    wire_top, wire_bot = d.wire_top, d.wire_bot
     bottom = list(d.bottom_ports)
-    if rng is not None:
-        while found := [(t, t2) for t in d.transistors if (t2 := _dipole_at(d, t)) is not None]:
-            _cancel_pair(d, bottom, *found[rng.randrange(len(found))])
-    else:
-        heap = sorted(set(seeds))
-        while heap:
-            t1 = heappop(heap)
-            t2 = _dipole_at(d, t1) if t1 in d.transistors else None
-            if t2 is not None:
-                for t in _cancel_pair(d, bottom, t1, t2):
-                    heappush(heap, t)
+    heap = sorted(set(seeds))
+    while heap:
+        t1 = heappop(heap)
+        t2 = _dipole_at(d, t1) if t1 in transistors else None
+        if t2 is None:
+            continue
+        for w in t_top[t1]:
+            del wires[w], wire_top[w], wire_bot[w]
+        for a, b in zip(t_top[t2], t_bot[t1]):
+            la, ca = wires[a]
+            wires[a] = (la, coeff_multiply(ca, wires[b][1]))
+            site = wire_bot[a] = wire_bot[b]
+            if site[0] == "FB":
+                bottom[site[1]] = a
+            else:
+                _, tid, idx = site
+                tup = list(t_top[tid])
+                tup[idx] = a
+                t_top[tid] = tuple(tup)
+                heappush(heap, tid)
+            del wires[b], wire_top[b], wire_bot[b]
+        for t in (t1, t2):
+            del transistors[t], t_top[t], t_bot[t]
     d.bottom_ports = tuple(bottom)
     d._reduced = True
 
 
-def reduce(d: Diagram, rng=None) -> Diagram:
+def reduce(d: Diagram) -> Diagram:
     """Cancel dipoles until none remain.  The result is independent of the
-    order in which dipoles are reduced; `rng` randomizes the order (used by
-    the confluence tests).  Without it, `_cancel` seeds every transistor
+    order in which dipoles are reduced; `_cancel` seeds every transistor
     from the first dipole's on, and cancels the first dipole in transistor
     order each time.  A diagram without dipoles is returned itself."""
     start = _first_dipole(d)
@@ -639,7 +624,7 @@ def reduce(d: Diagram, rng=None) -> Diagram:
         return d
     out = _assemble(d, d.wires.copy(), d.transistors.copy(), d.t_top.copy(), d.t_bot.copy(),
                     d.bottom_ports, d.wire_top.copy(), d.wire_bot.copy())
-    _cancel(out, islice(out.transistors, start, None), rng=rng)
+    _cancel(out, islice(out.transistors, start, None))
     return out
 
 
@@ -838,66 +823,40 @@ def factorize(d: Diagram) -> tuple[Diagram, list[tuple[Diagram, Diagram]]]:
 
         lead o U_1 o P_1 o ... o U_n o P_n == d   (exact concatenation).
 
-    The trailing permutation is absorbed into P_n; the leading permutation
-    cannot be avoided for braided diagrams whose first transistor attaches
-    to scattered frame-top ports.
+    One pass up a cut from the frame bottom, in reverse `top_down` order,
+    so each transistor's bottom wires are on the cut when it is peeled; a
+    wire's coefficient is peeled when the wire reaches the cut, left to
+    right.  The factors depend only on the diagram, not on its ids.  The
+    leading permutation cannot be avoided for braided diagrams whose first
+    transistor attaches to scattered frame-top ports.
     """
     if not is_reduced(d):
         raise ValueError("factorize requires a reduced diagram")
-    pres, coeffs = d.pres, d.coeffs
-    rest = d
+    pres, coeffs, wires = d.pres, d.coeffs, d.wires
+    cut = list(d.bottom_ports)
     rev: list[tuple[Diagram, Diagram]] = []
-    while True:
-        bot = rest.bottom_ports
-        botword = rest.bot_word()
-        # linear peel: a frame-bottom wire still carrying a coefficient
-        lin = next((i for i, w in enumerate(bot) if not rest.wires[w][1].is_identity()), None)
-        if lin is not None:
-            w = bot[lin]
-            g = rest.wires[w][1]
-            u = atom_linear(pres, coeffs, botword, lin, g)
-            p = eps(pres, coeffs, botword)
-            wires = dict(rest.wires)
-            wires[w] = (wires[w][0], identity(g.spec))
-            rest = replace(rest, wires=wires)
-            rev.append((u, p))
-            continue
-        # transistor peel: a <-minimal transistor, all bottom wires on the frame
-        tid = next((t for t in sorted(rest.transistors)
-                    if all(rest.wire_bot[w][0] == "FB" for w in rest.t_bot[t])), None)
-        if tid is None:
-            break
-        sel = rest.t_bot[tid]
-        sel_set = set(sel)
-        passing = [w for w in bot if w not in sel_set]
-        first_pos = rest.wire_bot[sel[0]][1]
-        p_ins = sum(1 for w in bot[:first_pos] if w not in sel_set)
-        a_word = tuple(rest.wires[w][0] for w in passing[:p_ins])
-        b_word = tuple(rest.wires[w][0] for w in passing[p_ins:])
-        rel_index, direction = rest.transistors[tid]
-        u = atom_transistor(pres, coeffs, a_word, rel_index, direction, b_word)
-        # new rest: drop tid and its hanging wires; its top wires reach the frame
-        new_bot = passing[:p_ins] + list(rest.t_top[tid]) + passing[p_ins:]
-        transistors = {t: v for t, v in rest.transistors.items() if t != tid}
-        t_top = {t: v for t, v in rest.t_top.items() if t != tid}
-        t_bot = {t: v for t, v in rest.t_bot.items() if t != tid}
-        wires = {w: v for w, v in rest.wires.items() if w not in sel_set}
-        new_rest = Diagram(pres, coeffs, wires, transistors, t_top, t_bot,
-                           rest.top_ports, tuple(new_bot), rest.annular, _reduced=True)
-        # permutation matching (new_rest o u)'s bottom streams to rest's order
-        m = len(rel_sides(pres, rel_index, direction)[1])
-        sigma = [0] * len(bot)
-        pass_positions = [i for i, w in enumerate(bot) if w not in sel_set]
-        for j in range(p_ins):
-            sigma[j] = pass_positions[j]
-        for i, w in enumerate(sel):
-            sigma[p_ins + i] = rest.wire_bot[w][1]
-        for j in range(p_ins, len(passing)):
-            sigma[m + j] = pass_positions[j]
-        perm_word = tuple(rest.wires[bot[sigma[i]]][0] for i in range(len(bot)))
-        p = atom_permutation(pres, coeffs, perm_word, sigma)
-        rev.append((u, p))
-        rest = new_rest
-    lead = rest
+
+    def peel_coefficients(positions):
+        word = [wires[w][0] for w in cut]
+        for i in positions:
+            g = wires[cut[i]][1]
+            if not g.is_identity():
+                rev.append((atom_linear(pres, coeffs, word, i, g), eps(pres, coeffs, word)))
+
+    peel_coefficients(range(len(cut)))
+    for tid in reversed(list(top_down(d))):
+        sel, top = d.t_bot[tid], d.t_top[tid]
+        first = cut.index(sel[0])
+        passing = [i for i, w in enumerate(cut) if w not in sel]
+        left = [i for i in passing if i < first]
+        right = passing[len(left):]
+        sigma = left + [cut.index(w) for w in sel] + right  # u's bottom onto the cut
+        word = [wires[w][0] for w in cut]
+        u = atom_transistor(pres, coeffs, [word[i] for i in left], *d.transistors[tid],
+                            [word[i] for i in right])
+        rev.append((u, atom_permutation(pres, coeffs, [word[i] for i in sigma], sigma)))
+        cut = [cut[i] for i in left] + list(top) + [cut[i] for i in right]
+        peel_coefficients(range(len(left), len(left) + len(top)))
     rev.reverse()
-    return lead, rev
+    return atom_permutation(pres, coeffs, d.top_word(), [cut.index(w) for w in d.top_ports],
+                            d.annular), rev

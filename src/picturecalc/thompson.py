@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .picture import (
     GEOMETRY,
@@ -238,57 +239,29 @@ def is_reduced_pair(tp: TreePair) -> bool:
     return reduce_pair(tp) is tp
 
 
-def _expand(tp: TreePair, refined: Forest, side: str) -> TreePair:
-    """Graft, per leaf of `side`, the refined subtree onto both forests."""
-    n = tp.arity
-    if side == "image":
-        leaf_list = leaf_addresses(tp.image)
-        subs = [subtree_at(refined, r, a) for r, a in leaf_list]
-        image = refined
-        domain = tp.domain
-        dom_addrs = leaf_addresses(tp.domain)
-        for i, (r, a) in enumerate(dom_addrs):
-            domain = _replace(domain, r, a, subs[tp.perm[i]])
-        sizes_img = [tree_leaves(s) for s in subs]
-        sizes_dom = [sizes_img[tp.perm[i]] for i in range(len(dom_addrs))]
-    else:
-        leaf_list = leaf_addresses(tp.domain)
-        subs = [subtree_at(refined, r, a) for r, a in leaf_list]
-        domain = refined
-        image = tp.image
-        img_addrs = leaf_addresses(tp.image)
-        inv = [0] * len(tp.perm)
-        for i, j in enumerate(tp.perm):
-            inv[j] = i
-        for j, (r, a) in enumerate(img_addrs):
-            image = _replace(image, r, a, subs[inv[j]])
-        sizes_dom = [tree_leaves(s) for s in subs]
-        sizes_img = [sizes_dom[inv[j]] for j in range(len(img_addrs))]
-    dom_off, acc = [], 0
-    for s in sizes_dom:
-        dom_off.append(acc)
-        acc += s
-    img_off, acc = [], 0
-    for s in sizes_img:
-        img_off.append(acc)
-        acc += s
-    perm = [0] * forest_leaves(domain)
-    for i, j in enumerate(tp.perm):
-        for t in range(sizes_dom[i]):
-            perm[dom_off[i] + t] = img_off[j] + t
-    return TreePair(n, domain, image, tuple(perm))
+def _expand(tp: TreePair, refined: Forest) -> TreePair:
+    """The pair with image `refined`, which refines tp's image: each image
+    leaf's subtree in `refined` is grafted onto the domain leaf sent to it."""
+    subs = [subtree_at(refined, r, a) for r, a in leaf_addresses(tp.image)]
+    domain = tp.domain
+    for i, (r, a) in enumerate(leaf_addresses(tp.domain)):
+        domain = _replace(domain, r, a, subs[tp.perm[i]])
+    starts = list(accumulate(map(tree_leaves, subs), initial=0))
+    perm = tuple([k for j in tp.perm for k in range(starts[j], starts[j + 1])])
+    return TreePair(tp.arity, domain, refined, perm)
 
 
 def tp_multiply(a: TreePair, b: TreePair) -> TreePair:
     """Composite pair (a's action after b's), reduced.  Mirrors diagram
-    concatenation: a's image forest is refined against b's domain forest."""
+    concatenation: a's image forest is refined against b's domain forest,
+    b's through its inverse, whose image is b's domain."""
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
     if len(a.image) != len(b.domain):
         raise ValueError("root count mismatch")
     middle = merge_forest(a.image, b.domain)
-    a2 = _expand(a, middle, "image")
-    b2 = _expand(b, middle, "domain")
+    a2 = _expand(a, middle)
+    b2 = tp_invert(_expand(tp_invert(b), middle))
     perm = tuple(b2.perm[a2.perm[i]] for i in range(len(a2.perm)))
     return reduce_pair(TreePair(a.arity, a2.domain, b2.image, perm))
 

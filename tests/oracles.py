@@ -140,13 +140,14 @@ def count_dipoles(d: Diagram) -> int:
     return len(_dipoles_of(d))
 
 
-def reduce_oracle(d: Diagram) -> Diagram:
-    """Reduce the first dipole until none is left, one copy per step."""
+def reduce_oracle(d: Diagram, rng=None) -> Diagram:
+    """Reduce the first dipole until none is left, one copy per step; with
+    `rng`, a dipole drawn at random from the list at each step."""
     while True:
         dips = _dipoles_of(d)
         if not dips:
             return d
-        d = _reduce_one(d, dips[0])
+        d = _reduce_one(d, dips[rng.randrange(len(dips)) if rng else 0])
 
 
 # -- key text by definition ---------------------------------------------------------

@@ -15,6 +15,8 @@ from picturecalc.coeff import (
     free_element,
     gp_equal,
     gp_head_support,
+    gp_invert,
+    gp_multiply,
     gp_reduce,
     identity,
     product_graph,
@@ -211,6 +213,25 @@ def test_gp_equal_shuffles_and_oracle(rng):
                    for v in (rng.choice("uvwz") for _ in range(rng.randrange(5))))
         w1, w2 = GraphProductWord(g, s1), GraphProductWord(g, s2)
         assert gp_equal(w1, w2) == gp_equal_oracle(w1, w2)
+
+
+def test_gp_multiply_and_invert_match_the_closure_oracle(rng):
+    g = _square_graph()
+
+    def word(*parts):
+        return GraphProductWord(g, sum(parts, ()))
+
+    def random_syllables():
+        return tuple((v, _elem(g, v, rng.randrange(3)))
+                     for v in (rng.choice("uvwz") for _ in range(rng.randrange(5))))
+
+    for _ in range(40):
+        w1, w2 = word(random_syllables()), word(random_syllables())
+        assert gp_equal_oracle(gp_multiply(w1, w2), word(w1.syllables, w2.syllables))
+        inv = gp_invert(w1)
+        assert gp_equal_oracle(word(w1.syllables, inv.syllables), word())
+        assert gp_multiply(w1, inv).syllables == ()
+        assert gp_invert(inv).syllables == gp_reduce(w1).syllables
 
 
 def test_gp_head_support(rng):

@@ -23,7 +23,15 @@ from picturecalc.io import (
     tree_pair_from_text,
     tree_pair_to_text,
 )
-from picturecalc.picture import Diagram, atom_transistor, canonical_key, concat, eps, invert
+from picturecalc.picture import (
+    Diagram,
+    atom_transistor,
+    canonical_key,
+    concat,
+    eps,
+    invert,
+    multiply,
+)
 from picturecalc.presentation import (
     builtin_presentation,
     parse_presentation,
@@ -51,6 +59,18 @@ def test_diagram_json_roundtrip(rng):
             # canonical export is byte-stable
             assert json.dumps(diagram_to_json(back), sort_keys=True) == \
                 json.dumps(obj, sort_keys=True)
+
+
+def test_diagram_json_roundtrip_keeps_the_alphabet_order(rng, tmp_path):
+    # quasi_auto's alphabet (x, a) is not sorted, and the file's keys are
+    pres, w = builtin_presentation("quasi_auto", [2, 1, 1])
+    coeffs = make_system(pres.alphabet, {"a": CyclicSpec(3)})
+    for _ in range(10):
+        d = random_element(pres, coeffs, w, rng)
+        dump_diagram(d, str(tmp_path / "d.json"))
+        back = load_diagram(str(tmp_path / "d.json"))
+        assert back.coeffs == coeffs and back == d
+        assert multiply(back, d) == multiply(d, d)
 
 
 def test_diagram_json_annular_flag():
@@ -385,6 +405,10 @@ def test_cli_thompson_eval_long_points_still_print(capsys):
     (("wires", 0, "coeff"), 5),
     (("coeffs", "x"), 5),
     (("coeffs",), []),
+    (("coeffs", "y"), "trivial"),  # a letter outside the alphabet
+    (("presentation",), ["<x | x=x.x>"]),
+    (("annular",), "no"),
+    (("wires", 1, "top", "site", "side"), "left"),
 ])
 def test_cli_malformed_diagram_exit_2(tmp_path, capsys, path, value):
     obj = diagram_to_json(atom_transistor(Q, CYC2, (), 0, 1, ()))

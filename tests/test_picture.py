@@ -290,8 +290,8 @@ def test_confluence_small(rng):
 def test_reduce_random_orders_agree(rng):
     for _ in range(40):
         d = random_unreduced(Q, TRIV, "x", rng.randrange(3, 7), rng)
-        k1 = canonical_key(reduce(d, rng=random.Random(rng.randrange(10**9))))
-        k2 = canonical_key(reduce(d, rng=random.Random(rng.randrange(10**9))))
+        k1 = canonical_key(reduce_oracle(d, random.Random(rng.randrange(10**9))))
+        k2 = canonical_key(reduce_oracle(d, random.Random(rng.randrange(10**9))))
         assert k1 == k2 == canonical_key(reduce(d))
 
 
@@ -490,6 +490,14 @@ def test_no_geometry_name_comparison_outside_the_table():
             assert not pattern.search(line), f"{path.name}:{i}: {line.strip()}"
 
 
+def test_no_src_line_orders_transistors_by_id():
+    # transistor ids name transistors; the one order on them is `top_down`
+    pattern = re.compile(r"\b(sorted|min)\([^)]*\.transistors\b")
+    for path in sorted(Path(picture.__file__).parent.glob("*.py")):
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            assert not pattern.search(line), f"{path.name}:{i}: {line.strip()}"
+
+
 def test_classify_geometry_matches_oracle(rng):
     pres_list = [builtin_presentation("thompson"), builtin_presentation("commuting_abc")]
     for pres, w in pres_list:
@@ -551,23 +559,42 @@ def _reassemble(lead, factors):
     return d
 
 
+FACTORIZE_BUILTINS = [("thompson", [], {"x": CyclicSpec(2)}), ("higman", [3, 1], {}),
+                      ("quasi_auto", [2, 1, 1], {"a": CyclicSpec(3)}),
+                      ("houghton", [2, 0], {"a": CyclicSpec(2)}),
+                      ("commuting_abc", [], {"a": CyclicSpec(2)})]
+
+
+def _builtin_elements(rng, per_geometry):
+    """Seeded reduced diagrams of the five builtins in every geometry, walks
+    and (w,w)-elements in turn, half of them with shuffled transistor ids."""
+    for name, params, overrides in FACTORIZE_BUILTINS:
+        pres, w = builtin_presentation(name, params)
+        cs = make_system(pres.alphabet, overrides)
+        for geometry in GEOMETRY:
+            for k in range(per_geometry):
+                d = (random_walk_diagram(pres, cs, w, rng.randrange(3, 10), rng, geometry) if k % 2
+                     else random_element(pres, cs, w, rng, geometry, steps=rng.randrange(3, 7)))
+                yield shuffled_transistor_ids(d, rng) if k % 4 > 1 else d
+
+
 def test_factorize_reassembles_exactly(rng):
     cs = make_system(Q.alphabet, {"x": CyclicSpec(2)})
-    for pres, w, sys in [(Q, "x", TRIV), (Q, "x", cs)]:
-        for _ in range(30):
-            d = random_walk_diagram(pres, sys, w, rng.randrange(5), rng)
-            lead, factors = factorize(d)
-            assert classify_kind(lead) == "permutation"
-            assert len(factors) == length(d)
-            for u, p in factors:
-                assert classify_kind(u) in ("transistor", "linear")
-                assert classify_kind(p) == "permutation"
-            assert canonical_key(_reassemble(lead, factors)) == canonical_key(d)
+    inputs = [random_walk_diagram(Q, sys, "x", rng.randrange(5), rng)
+              for sys in (TRIV, cs) for _ in range(30)]
+    for d in inputs + list(_builtin_elements(rng, 4)):
+        lead, factors = factorize(d)
+        assert classify_kind(lead) == "permutation"
+        assert len(factors) == length(d)
+        for u, p in factors:
+            assert classify_kind(u) in ("transistor", "linear")
+            assert classify_kind(p) == "permutation"
+        assert canonical_key(_reassemble(lead, factors)) == canonical_key(d)
 
 
 def test_factorize_prefixes_absolutely_reduced(rng):
-    for _ in range(20):
-        d = random_walk_diagram(Q, TRIV, "x", rng.randrange(5), rng)
+    inputs = [random_walk_diagram(Q, TRIV, "x", rng.randrange(5), rng) for _ in range(20)]
+    for d in inputs + list(_builtin_elements(rng, 4)):
         lead, factors = factorize(d)
         acc = lead
         seen = 0
@@ -576,6 +603,15 @@ def test_factorize_prefixes_absolutely_reduced(rng):
             seen += 1
             assert is_reduced(acc)
             assert length(acc) == seen
+
+
+def test_factorize_does_not_depend_on_transistor_ids(rng):
+    def factor_keys(d):
+        lead, factors = factorize(d)
+        return [canonical_key(lead)] + [(canonical_key(u), canonical_key(p)) for u, p in factors]
+
+    for d in _builtin_elements(rng, 8):
+        assert factor_keys(shuffled_transistor_ids(d, rng)) == factor_keys(d)
 
 
 def test_right_multiplication_length_law(rng):

@@ -25,6 +25,8 @@ from .errors import ParseError
 
 @dataclass(frozen=True)
 class TrivialSpec:
+    order = 1  # class attributes, not fields: spec reprs feed every key
+
     def __str__(self):
         return "trivial"
 
@@ -44,6 +46,7 @@ class CyclicSpec:
 @dataclass(frozen=True)
 class FreeSpec:
     generators: tuple[str, ...]
+    order = None  # infinite
 
     def __post_init__(self):
         if not self.generators or len(set(self.generators)) != len(self.generators):
@@ -166,11 +169,9 @@ def _split_power(token: str) -> tuple[str, int]:
 
 def nontrivial_elements(spec: GroupSpec) -> list[GroupElement]:
     """All non-identity elements; raises for free specs (infinite)."""
-    if isinstance(spec, TrivialSpec):
-        return []
-    if isinstance(spec, CyclicSpec):
-        return [GroupElement(spec, r) for r in range(1, spec.order)]
-    raise ValueError("free coefficient group is infinite")
+    if spec.order is None:
+        raise ValueError("free coefficient group is infinite")
+    return [GroupElement(spec, r) for r in range(1, spec.order)]
 
 
 def spec_parse(text: str) -> GroupSpec:
@@ -211,10 +212,10 @@ class CoefficientSystem:
         return tuple(name for name, _ in self.assignments)
 
     def is_all_trivial(self) -> bool:
-        return all(isinstance(s, TrivialSpec) for _, s in self.assignments)
+        return all(s.order == 1 for _, s in self.assignments)
 
     def has_free(self) -> bool:
-        return any(isinstance(s, FreeSpec) for _, s in self.assignments)
+        return any(s.order is None for _, s in self.assignments)
 
 
 def trivial_system(alphabet: Iterable[str]) -> CoefficientSystem:

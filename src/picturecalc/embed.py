@@ -107,7 +107,7 @@ def make_block(left_pad: int, top_len: int, rel_index: int, sign: int,
     return combs.diagram(left + tops + right, left + combs.block(tops, label, bot_len) + right)
 
 
-def psi_unreduced(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagram:
+def psi_unreduced(d: Diagram) -> Diagram:
     """The image of d before dipole reduction, by substitution in one pass
     over reduce(d): every wire becomes an x wire with the identity
     coefficient, and each transistor, taken in `top_down` order (its top
@@ -116,10 +116,8 @@ def psi_unreduced(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagra
     one wire, the labels multiply upper first."""
     if any(not c.is_identity() for _, c in d.wires.values()):
         raise ValueError("the embedding applies to diagrams with trivial coefficients")
-    if coeffs is None:
-        coeffs = free_system(max(1, len(d.pres.relations)))
     dr = reduce(d)
-    combs = _Combs(coeffs)
+    combs = _Combs(free_system(max(1, len(d.pres.relations))))
     labels = {rel: free_element(combs.one.spec, [(f"R{rel[0] + 1}", rel[1])])
               for rel in set(dr.transistors.values())}
     image = {w: combs.wire() for w in dr.top_ports}
@@ -131,9 +129,10 @@ def psi_unreduced(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagra
                          [image[w] for w in dr.bottom_ports], d.annular)
 
 
-def psi(d: Diagram, coeffs: CoefficientSystem | None = None) -> Diagram:
-    """Image of a plain diagram in the picture product over (Q, F_kappa)."""
-    return reduce(psi_unreduced(d, coeffs))
+def psi(d: Diagram) -> Diagram:
+    """Image of a plain diagram in the picture product over (Q, F_kappa),
+    kappa the number of relations (at least 1)."""
+    return reduce(psi_unreduced(d))
 
 
 def kill_coefficients(d: Diagram) -> Diagram:

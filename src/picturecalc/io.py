@@ -59,7 +59,7 @@ def _site_from_json(obj, w: int, n_transistors: int):
     if not isinstance(obj, dict):
         raise ParseError(f"wire {w}: bad site {obj!r}")
     site, index = obj.get("site"), obj.get("index")
-    if not isinstance(index, int) or index < 0:
+    if type(index) is not int or index < 0:
         raise ParseError(f"bad site index in {obj!r}")
     if site == "frame_top":
         return ("FT", index)

@@ -32,7 +32,6 @@ from functools import lru_cache
 
 from .coeff import (
     CoefficientSystem,
-    FreeSpec,
     GroupElement,
     coeff_multiply,
     identity as coeff_identity,
@@ -46,6 +45,7 @@ from .picture import (
     _cancel,
     _dipole_above,
     bottom_variant_keys,
+    canonical_key,
     eps,
     length,
     reduce,
@@ -85,14 +85,15 @@ def check_finite_coeffs(coeffs: CoefficientSystem) -> None:
 # -- geometry-aware class keys ----------------------------------------------------
 
 def geometry_class_key(d: Diagram, geometry: str) -> str:
-    """Key of the vertex class of d: quotient by all permutation diagrams
-    (braided), rotations (annular), or nothing (planar)."""
-    return GEOMETRY[geometry].class_key(d)
+    """Key of the vertex class of d (d up to all permutation diagrams
+    (braided), rotations (annular), or nothing (planar)): the exact key of
+    its representative."""
+    return canonical_key(GEOMETRY[geometry].class_rep(d))
 
 
 def geometry_class_rep(d: Diagram, geometry: str) -> Diagram:
-    """Deterministic representative of [d] (normalized bottom permutation).
-    Its exact key is the class key of d."""
+    """Deterministic representative of [d] (normalized bottom permutation),
+    whose exact key names the class."""
     return GEOMETRY[geometry].class_rep(d)
 
 
@@ -163,7 +164,7 @@ def word_moves(labels, cfg: BallConfig) -> tuple:
                             geo.after(labels, positions, produced)))
     for position, letter in enumerate(labels):
         spec = cfg.coeffs.spec(letter)
-        if isinstance(spec, FreeSpec):
+        if spec.order is None:
             raise EnumerationError("free coefficient group in ball configuration")
         out.extend(("linear", (position, g), labels) for g in nontrivial_elements(spec))
     return tuple(out)
@@ -262,7 +263,7 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
     check_finite_coeffs(cfg.coeffs)
     root = normalize_base(base, cfg)
     max_length = radius + length(root)
-    index: dict[str, int] = {geometry_class_key(root, cfg.geometry): 0}
+    index: dict[str, int] = {canonical_key(root): 0}
     reps: list[Diagram] = [root]
     depths: list[int] = [0]
     edges: dict[tuple[int, int], tuple[str, object]] = {}
@@ -271,20 +272,21 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
         found: dict[str, tuple[Diagram, int, str, object]] = {}
         for i in frontier:
             for out, kind, witness in neighbor_diagrams(reps[i], cfg, max_length):
-                key = geometry_class_key(out, cfg.geometry)
+                rep = geometry_class_rep(out, cfg.geometry)
+                key = canonical_key(rep)
                 j = index.get(key)
                 if j is None:
                     if depth <= radius:
-                        found.setdefault(key, (out, i, kind, witness))
+                        found.setdefault(key, (rep, i, kind, witness))
                 elif j != i:
                     a, b = (i, j) if i < j else (j, i)
                     edges.setdefault((a, b), (kind, witness))
         frontier = range(len(reps), len(reps) + len(found))
         for key in sorted(found):
-            out, parent, kind, witness = found[key]
+            rep, parent, kind, witness = found[key]
             j = len(reps)
             index[key] = j
-            reps.append(geometry_class_rep(out, cfg.geometry))
+            reps.append(rep)
             depths.append(depth)
             edges.setdefault((parent, j), (kind, witness))
     return reps, depths, edges

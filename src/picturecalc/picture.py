@@ -54,7 +54,7 @@ class Diagram:
     __slots__ = (
         "pres", "coeffs", "wires", "transistors", "t_top", "t_bot",
         "top_ports", "bottom_ports", "annular",
-        "wire_top", "wire_bot", "_exact_key", "_class_key", "_reduced", "_trav",
+        "wire_top", "wire_bot", "_exact_key", "_reduced", "_trav",
     )
 
     def __init__(self, pres, coeffs, wires, transistors, t_top, t_bot,
@@ -83,7 +83,6 @@ class Diagram:
         self.wire_top = wt
         self.wire_bot = wb
         self._exact_key = None
-        self._class_key = None
         self._reduced = _reduced
         self._trav = None
 
@@ -178,7 +177,7 @@ def _assemble(d: Diagram, wires, transistors, t_top, t_bot, bottom_ports,
     out.wires, out.transistors, out.t_top, out.t_bot = wires, transistors, t_top, t_bot
     out.top_ports, out.bottom_ports = d.top_ports, bottom_ports
     out.wire_top, out.wire_bot = wire_top, wire_bot
-    out._exact_key = out._class_key = None
+    out._exact_key = None
     out._reduced, out._trav = reduced, trav
     return out
 
@@ -267,31 +266,23 @@ def _key_frame(d: Diagram) -> tuple[dict[int, int], str, str]:
     return worder, head, f"|W{w_part}|T{t_part}"
 
 
-def canonical_key(d: Diagram, mode: str = "exact") -> str:
-    """Byte-comparable normal form.  mode='exact': equal keys iff the diagrams
-    are equivalent; mode='class': equal keys iff they differ by right
-    concatenation with a permutation diagram (the vertex classes of X).
+def canonical_key(d: Diagram) -> str:
+    """Byte-comparable normal form: equal keys iff the diagrams are
+    equivalent.  A vertex class of X is named by the key of its
+    representative, `GEOMETRY[geometry].class_rep(d)`.
 
     Layout: ``a|tag|B…|W…|T…``.  ``a`` or ``p`` says annular or not; the
     tag is 8 hex digits of the CRC-32 of the configuration (`_config_tag`);
-    ``B`` lists the traversal numbers of the bottom-port wires
-    (sorted in class mode); ``W`` gives ``label:coeff`` per wire and ``T``
-    gives ``rel:dir:tops:bots`` per transistor, both in traversal order,
-    tops and bots as wire numbers.  The traversal runs from the frame top
-    and ignores the bottom order, so the keys of all bottom-port variants
-    of one diagram (rotations, placements, class representatives) share
-    one traversal and differ only in the ``B`` part."""
-    if mode == "exact":
-        if d._exact_key is None:
-            worder, head, tail = _key_frame(d)
-            d._exact_key = head + ",".join([str(worder[w]) for w in d.bottom_ports]) + tail
-        return d._exact_key
-    if mode == "class":
-        if d._class_key is None:
-            worder, head, tail = _key_frame(d)
-            d._class_key = head + ",".join(map(str, sorted([worder[w] for w in d.bottom_ports]))) + tail
-        return d._class_key
-    raise ValueError(f"unknown key mode {mode!r}")
+    ``B`` lists the traversal numbers of the bottom-port wires; ``W`` gives
+    ``label:coeff`` per wire and ``T`` gives ``rel:dir:tops:bots`` per
+    transistor, both in traversal order, tops and bots as wire numbers.
+    The traversal runs from the frame top and ignores the bottom order, so
+    the keys of all bottom-port variants of one diagram (rotations,
+    placements, class representatives) share one traversal and differ only
+    in the ``B`` part."""
+    if d._exact_key is None:
+        d._exact_key = bottom_variant_keys(d, [d.bottom_ports])[0]
+    return d._exact_key
 
 
 def bottom_variant_keys(d: Diagram, orders) -> list[str]:
@@ -301,26 +292,26 @@ def bottom_variant_keys(d: Diagram, orders) -> list[str]:
     return [head + ",".join([str(worder[w]) for w in ports]) + tail for ports in orders]
 
 
-def least_rotation(d: Diagram) -> tuple[int, str]:
-    """(k, key): key = min over j of canonical_key(rotate_bottom(d, j)) and k
-    the first j attaining it, from one traversal.  The rotations' keys share
-    the text around the bottom sequence and their bottom texts have one
-    length, so the least bottom text (compared as text) gives the least key."""
+def least_rotation(d: Diagram) -> Diagram:
+    """The first rotation of d with the least exact key, its key set from
+    one key frame.  The rotations' keys share the text around the bottom
+    sequence and their bottom texts have one length, so the least bottom
+    text (compared as text) gives the least key."""
     worder, head, tail = _key_frame(d)
     ranks = [str(worder[w]) for w in d.bottom_ports]
     texts = [",".join(ranks[-k:] + ranks[:-k]) for k in range(len(ranks))]
     least = min(texts)
-    return texts.index(least), head + least + tail
+    rep = rotate_bottom(d, texts.index(least))
+    rep._exact_key = head + least + tail
+    return rep
 
 
 def class_representative(d: Diagram) -> Diagram:
-    """The member of [d] whose bottom ports follow the canonical wire order.
-    Its exact key is the class key of d: the traversal is unchanged and its
-    bottom sequence is already sorted."""
+    """The member of d's braided class whose bottom ports follow the
+    canonical wire order.  The traversal ignores the bottom order, so every
+    member of the class gives this one."""
     worder = _traversal(d)[0]
-    out = with_bottom_ports(d, sorted(d.bottom_ports, key=worder.__getitem__))
-    out._exact_key = out._class_key = d._class_key
-    return out
+    return with_bottom_ports(d, sorted(d.bottom_ports, key=worder.__getitem__))
 
 
 def rotate_bottom(d: Diagram, k: int) -> Diagram:
@@ -723,14 +714,7 @@ def _braided_symmetry(u):
     return None
 
 
-def _least_rotation_rep(d: Diagram) -> Diagram:
-    k, key = least_rotation(d)
-    rep = rotate_bottom(d, k)
-    rep._exact_key = key
-    return rep
-
-
-Geometry = namedtuple("Geometry", "annular feeds after match symmetry class_key class_rep")
+Geometry = namedtuple("Geometry", "annular feeds after match symmetry class_rep")
 Geometry.__doc__ = """Rules of one geometry: braided, annular and planar diagram groups
 (V, T, F) differ only in the permutation diagrams allowed between unitary
 moves, all bijections, the rotations or the identity.  Words are tuples.
@@ -741,24 +725,23 @@ that may feed a transistor (any distinct positions, a cyclic block, a
 block).  after(ports, positions, produced): the bottom order once the ports
 at `positions` feed a transistor producing `produced`.  match(u, v): a
 permutation sigma of the geometry with u[i] == v[sigma[i]], or None;
-symmetry(u): a nontrivial one from u onto u, or None.  class_key(d),
-class_rep(d): the key of d's class (d up to the geometry's permutations on
-the right) and its representative, whose exact key is that class key."""
+symmetry(u): a nontrivial one from u onto u, or None.  class_rep(d): the
+representative of d's class (d up to the geometry's permutations on the
+right), whose exact key names the class."""
 
 
 GEOMETRY: dict[str, Geometry] = {
     "braided": Geometry(False, _braided_feeds, _braided_after, _braided_match, _braided_symmetry,
-                        lambda d: canonical_key(d, "class"), class_representative),
+                        class_representative),
     "annular": Geometry(
         True, _annular_feeds,
         lambda ports, pos, produced: produced + (ports[pos[0]:] + ports[:pos[0]])[len(pos):],
         _first_feed_match(_annular_feeds),
-        lambda u: next(islice(_annular_feeds(u, u), 1, None), None),
-        lambda d: least_rotation(d)[1], _least_rotation_rep),
+        lambda u: next(islice(_annular_feeds(u, u), 1, None), None), least_rotation),
     "planar": Geometry(
         False, _planar_feeds,
         lambda ports, pos, produced: ports[:pos[0]] + produced + ports[pos[0] + len(pos):],
-        _first_feed_match(_planar_feeds), lambda u: None, canonical_key, lambda d: d),
+        _first_feed_match(_planar_feeds), lambda u: None, lambda d: d),
 }
 
 

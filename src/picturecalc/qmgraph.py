@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
 
-from .coeff import TrivialSpec, coeff_serialize, nontrivial_elements, trivial_system
+from .coeff import coeff_serialize, nontrivial_elements, trivial_system
 from .errors import CompositionError
 from .moves import (
     BallConfig,
@@ -205,9 +205,10 @@ def neighbors(v: VertexClass, cfg: BallConfig) -> set[tuple[VertexClass, str]]:
     call it (they go through `bfs_classes`)."""
     out: dict[str, tuple[VertexClass, str]] = {}
     for d, kind, _ in neighbor_diagrams(v.rep, cfg):
-        key = geometry_class_key(d, cfg.geometry)
+        rep = geometry_class_rep(d, cfg.geometry)
+        key = canonical_key(rep)
         if key != v.key and key not in out:
-            out[key] = (VertexClass(key, geometry_class_rep(d, cfg.geometry)), kind)
+            out[key] = (VertexClass(key, rep), kind)
     return set(out.values())
 
 
@@ -215,7 +216,7 @@ def ball(base: Diagram, radius: int, cfg: BallConfig) -> BallGraph:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     reps, depths, edges = bfs_classes(base, radius, cfg)
-    # a class representative's exact key is its class key, already cached
+    # a class representative's exact key names its class, already cached
     vertices = [VertexClass(canonical_key(rep), rep, depth)
                 for rep, depth in zip(reps, depths)]
     return BallGraph(cfg, radius, vertices, edges)
@@ -229,7 +230,7 @@ def hyperplane_coordinates(diagrams) -> tuple[list[tuple[int, int, int, int]], l
     baseword, presentation and coefficient system."""
     first, table, out, pins = diagrams[0], {}, [], []
     word, intern = first.top_word(), table.setdefault
-    trivial = {a for a in first.pres.alphabet if isinstance(first.coeffs.spec(a), TrivialSpec)}
+    trivial = {a for a in first.pres.alphabet if first.coeffs.spec(a).order == 1}
     for d in map(reduce, diagrams):
         if d.top_word() != word:
             raise CompositionError("vertices live over different basewords")
@@ -276,8 +277,8 @@ def geodesic(a: VertexClass, b: VertexClass, cfg: BallConfig) -> list[VertexClas
     cur = concat(a.rep, lead)
     for u, p in factors:
         cur = multiply(cur, u)
-        key = geometry_class_key(cur, cfg.geometry)
-        path.append(VertexClass(key, geometry_class_rep(cur, cfg.geometry)))
+        rep = geometry_class_rep(cur, cfg.geometry)
+        path.append(VertexClass(canonical_key(rep), rep))
         cur = concat(cur, p)
     assert path[-1].key == b.key
     return path
@@ -385,7 +386,9 @@ def enumerate_pins(g: BallGraph):
     complete), in order of first meeting by vertex, then bottom position:
     the fibres of the pin keys (see the module docstring).  A pin is
     complete when all |G_l| members lie in the ball; an incomplete one lists
-    only those that do.  Computed once per ball and shared."""
+    only those that do.  A fibre of more than |G_l| members also counts as
+    complete, so that `pins_report` flags its size.  Computed once per ball
+    and shared."""
     if g._pins is not None:
         return g._pins
     fibres: dict[tuple, tuple[list[int], str]] = {}
@@ -393,8 +396,7 @@ def enumerate_pins(g: BallGraph):
         for letter, key in zip(g.vertices[i].rep.bot_word(), keys):
             if key is not None:
                 fibres.setdefault(key, ([], letter))[0].append(i)
-    g._pins = [(frozenset(members), letter,
-                len(members) == 1 + len(nontrivial_elements(g.cfg.coeffs.spec(letter))))
+    g._pins = [(frozenset(members), letter, len(members) >= g.cfg.coeffs.spec(letter).order)
                for members, letter in fibres.values()]
     return g._pins
 
@@ -407,7 +409,7 @@ def pins_report(g: BallGraph) -> Report:
         if not is_complete:
             rep.skipped += 1
             continue
-        size = 1 + len(nontrivial_elements(g.cfg.coeffs.spec(letter)))
+        size = g.cfg.coeffs.spec(letter).order
         rep.hit()
         if len(pin) != size:
             rep.fail(("pin_size", letter, len(pin), size))
@@ -657,8 +659,7 @@ def condition_plus_check(pres, coeffs, w, m_max: int, budget: int) -> Report:
         raise ValueError("budget must be >= 0")
     rep = Report("condition_plus")
     triv = trivial_system(pres.alphabet)
-    nontriv_letters = [a for a in pres.alphabet
-                       if not isinstance(coeffs.spec(a), TrivialSpec)]
+    nontriv_letters = [a for a in pres.alphabet if coeffs.spec(a).order != 1]
     size_cap = m_max + 1 + max(max(len(l), len(r)) for l, r in pres.relations)
     reachable = _reachable_multisets(pres, w, size_cap, step_cap=budget + 4)
     cfg = BallConfig(pres, triv, "braided", max_width=max(12, size_cap))

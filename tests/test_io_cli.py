@@ -409,6 +409,7 @@ def test_cli_thompson_eval_long_points_still_print(capsys):
     (("presentation",), ["<x | x=x.x>"]),
     (("annular",), "no"),
     (("wires", 1, "top", "site", "side"), "left"),
+    (("wires", 2, "bottom", "index"), True),  # index 1 in the file; JSON true is no int
 ])
 def test_cli_malformed_diagram_exit_2(tmp_path, capsys, path, value):
     obj = diagram_to_json(atom_transistor(Q, CYC2, (), 0, 1, ()))

@@ -24,6 +24,7 @@ from picturecalc.picture import (
     atom_transistor,
     boundaries,
     canonical_key,
+    class_representative,
     classify_geometry,
     classify_kind,
     concat,
@@ -405,7 +406,7 @@ def test_canonical_key_invariance():
 def test_class_key_quotient():
     t = tplus()
     swapped = concat(t, atom_permutation(Q, TRIV, "xx", (1, 0)))
-    assert canonical_key(t, "class") == canonical_key(swapped, "class")
+    assert canonical_key(class_representative(t)) == canonical_key(class_representative(swapped))
     assert canonical_key(t) != canonical_key(swapped)
     # annular flag distinguishes keys
     assert canonical_key(eps(Q, TRIV, "x", annular=True)) != canonical_key(eps(Q, TRIV, "x"))
@@ -488,6 +489,16 @@ def test_no_geometry_name_comparison_outside_the_table():
     for path in sorted(Path(picture.__file__).parent.glob("*.py")):
         for i, line in enumerate(path.read_text().splitlines(), 1):
             assert not pattern.search(line), f"{path.name}:{i}: {line.strip()}"
+
+
+def test_no_spec_class_test_outside_coeff():
+    # a coefficient group's kind is read from its `order`; coeff.py alone
+    # tells the spec classes apart
+    pattern = re.compile(r"isinstance\(.*\b(Trivial|Cyclic|Free|Group)Spec\b")
+    for path in sorted(Path(picture.__file__).parent.glob("*.py")):
+        if path.name != "coeff.py":
+            for i, line in enumerate(path.read_text().splitlines(), 1):
+                assert not pattern.search(line), f"{path.name}:{i}: {line.strip()}"
 
 
 def test_no_src_line_orders_transistors_by_id():

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from picturecalc import moves, qmgraph
+from picturecalc import moves, picture, qmgraph
 from picturecalc.coeff import CyclicSpec, free_element, make_system, spec_parse, trivial_system
 from picturecalc.embed import gamma
 from picturecalc.errors import CompositionError
@@ -424,6 +426,19 @@ def test_pin_and_hyperplane_reports_build_no_class_key(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("geometry", moves.GEOMETRIES)
+def test_ball_makes_one_key_frame_per_built_neighbour(geometry, monkeypatch):
+    # each neighbour is named by its representative's exact key, the root once
+    calls = Counter()
+    for module, name in ((picture, "_key_frame"), (moves, "apply_move")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    ball(eps(Q, CYC2, "x", annular=geometry == "annular"), 3, BallConfig(Q, CYC2, geometry))
+    assert calls["apply_move"] > 0
+    assert calls["_key_frame"] == calls["apply_move"] + 1
+
+
 def test_pins_report_flags_a_dropped_pin_edge():
     # pins come from the vertices' diagrams, not from the edges
     cfg = BallConfig(Q, CYC3)
@@ -435,6 +450,19 @@ def test_pins_report_flags_a_dropped_pin_edge():
                          {e: kw for e, kw in g.edges.items() if e != (a, b)})
     rep = pins_report(doctored)
     assert not rep.passed and ("pin_not_clique", a, b) in rep.violations
+
+
+def test_pins_report_flags_an_oversized_pin():
+    # a vertex listed again under a fresh key puts a third member into each
+    # of its two-member Z/2 pins
+    cfg = BallConfig(Q, CYC2)
+    g = ball(eps(Q, CYC2, "x"), 3, cfg)
+    pin = next(pin for pin, _, complete in enumerate_pins(g) if complete)
+    v = g.vertices[min(pin)]
+    doctored = BallGraph(cfg, g.radius, g.vertices + [VertexClass(v.key + "'", v.rep, v.depth)],
+                         g.edges)
+    rep = pins_report(doctored)
+    assert not rep.passed and ("pin_size", "x", 3, 2) in rep.violations
 
 
 def test_edge_length_law():

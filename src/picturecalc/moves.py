@@ -14,19 +14,29 @@ all bijections, rotations or only the identity.
 
 `word_moves` lists the moves on a bottom word as witnesses, each with the
 word it leaves, in one table per word and configuration that the sampler
-walks on; `unitary_moves` adds each result's length for the ball explorer,
-and `apply_move` builds one of them from its parent's dicts and endpoint
-maps, cancelling the one dipole `unitary_moves` predicts, if any.  Lengths
+walks on; `unitary_moves` adds each result's length and effect for the
+explorer, and `apply_move` builds one of them from its parent's dicts and
+endpoint maps, cancelling the one dipole `unitary_moves` predicts, if any.  Lengths
 are Lipschitz along moves: d([A],[B]) = length(A^-1 . B), one unitary move
 changes the length of the reduced representative by at most one, and a
 permutation diagram changes it not at all.  So a vertex at depth k of the
-ball around [R] has length at most length(R) + k, and `bfs_classes` never
-builds a neighbour longer than length(R) + radius: it could not be in the
-ball, nor be the end of one of its edges.
+ball around [R] has length at most length(R) + k, and `bfs_classes` takes
+no move to a neighbour longer than length(R) + radius: it could not be in
+the ball, nor be the end of one of its edges.
+
+`bfs_classes` tells neighbours apart without building them: two vertices
+of a ball are equal iff their cone ids K and coefficient pairs C over one
+intern table (`hyperplane_names`) are, by `qmgraph`'s distance formula, as
+|v| = |K| + |W| and |C| = |W|.  A move that cancels nothing adds the cone
+of its fed wires, a cancelling one removes the cone above its feed (the
+connecting wires carry the identity; the upper wires keep their names),
+and a linear move swaps one coefficient pair: so a neighbour's signature
+(K, C) is read off its parent's names, and only a new one is built.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,6 +61,7 @@ from .picture import (
     reduce,
     rel_sides,
     replace,
+    top_down,
     with_bottom_ports,
 )
 
@@ -95,6 +106,36 @@ def geometry_class_rep(d: Diagram, geometry: str) -> Diagram:
     """Deterministic representative of [d] (normalized bottom permutation),
     whose exact key names the class."""
     return GEOMETRY[geometry].class_rep(d)
+
+
+# -- hyperplane names --------------------------------------------------------------
+
+class Interned(dict):
+    """`table[x]` is the id of x, new keys numbered in turn; `named[i]` the key."""
+
+    def __init__(self):
+        super().__init__()
+        self.named = []
+
+    def __missing__(self, key):
+        self.named.append(key)
+        self[key] = n = len(self)
+        return n
+
+
+def hyperplane_names(d: Diagram, table: Interned) -> tuple[dict[int, int], dict[int, int]]:
+    """(wire -> id, transistor -> cone id) of d in `top_down` order: wire
+    ("F", i) at frame-top port i, cone (id, payload, ..., bottom word) over
+    its top wires, wire (c, s) at slot s below cone c, coefficient pair
+    ("C", id, payload); a label fixes the group, so a payload names it."""
+    wires, t_bot, cones = d.wires, d.t_bot, {}
+    names = {w: table["F", i] for i, w in enumerate(d.top_ports)}
+    for t in top_down(d):
+        tops = [x for w in d.t_top[t] for x in (names[w], wires[w][1].payload)]
+        cones[t] = cone = table[(*tops, tuple([wires[w][0] for w in t_bot[t]]))]
+        for slot, w in enumerate(t_bot[t]):
+            names[w] = table[cone, slot]
+    return names, cones
 
 
 # -- move enumeration --------------------------------------------------------------
@@ -172,65 +213,47 @@ def word_moves(labels, cfg: BallConfig) -> tuple:
 
 def unitary_moves(rep: Diagram, cfg: BallConfig):
     """All unitary moves from a reduced class representative, without
-    building any diagram: `word_moves` of its bottom word.
-
-    Yields (kind, witness, length_after), where length_after is the length
-    of the move's result.  A new transistor adds one to the length, or
-    takes one off when it forms a dipole with the transistor above its feed
-    (at most one can: cancelling that pair leaves the other transistor's
-    top wires on the frame bottom, where they meet no transistor).  A
-    linear move changes one bottom wire's coefficient; that wire feeds no
-    transistor, so no dipole appears or goes.  The witness list itself
-    does not need rep to be reduced.
-    """
-    pres, wires, bottom = rep.pres, rep.wires, rep.bottom_ports
+    building any diagram: `word_moves` of its bottom word, each as (kind,
+    witness, length_after, effect).  A transistor move adds one to the
+    length, or takes one off when it forms a dipole with the transistor
+    above its feed, its effect, else None (at most one can: cancelling that
+    pair leaves the other's top wires on the frame bottom, where they meet
+    no transistor).  A linear move's effect is the coefficient it leaves on
+    a wire that feeds no transistor, so no dipole appears or goes.  The
+    witness list itself does not need rep to be reduced."""
+    pres, wires, bottom, wire_top = rep.pres, rep.wires, rep.bottom_ports, rep.wire_top
     before = length(rep)
     for kind, witness, _ in word_moves(rep.bot_word(), cfg):
         if kind == "transistor":
-            sel = tuple(bottom[p] for p in witness[2])
-            cancels = _dipole_above(pres, wires, rep.transistors, rep.t_bot,
-                                    rep.wire_top, sel, witness[:2]) is not None
-            yield kind, witness, before - 1 if cancels else before + 1
+            site = wire_top[bottom[witness[2][0]]]  # `_dipole_above`'s first test, hoisted
+            above = _dipole_above(pres, wires, rep.transistors, rep.t_bot, wire_top,
+                                  tuple([bottom[p] for p in witness[2]]), witness[:2]
+                                  ) if site[0] == "TB" and not site[2] else None
+            yield kind, witness, before + 1 if above is None else before - 1, above
         else:
-            c, g = wires[bottom[witness[0]]][1], witness[1]
-            change = (not coeff_multiply(c, g).is_identity()) - (not c.is_identity())
-            yield kind, witness, before + change
+            c = wires[bottom[witness[0]]][1]
+            new = coeff_multiply(c, witness[1])
+            yield kind, witness, before + (not new.is_identity()) - (not c.is_identity()), new
 
 
 def apply_move(rep: Diagram, kind: str, witness, geometry: str) -> Diagram:
-    """The reduced result of the move (kind, witness) of `unitary_moves`.
-    A reduced rep's transistor move can only form a dipole with the
-    transistor above its feed; when it forms none, the result is marked
-    reduced as built, and when it does, the pair is cancelled in place in
-    the move's fresh dicts, the new transistor the only seed."""
+    """The reduced result of the move (kind, witness) of `unitary_moves`,
+    its dipoles cancelled in the move's fresh dicts.  A reduced rep's
+    transistor move can only form a dipole with the transistor above its
+    feed, so the new transistor is then the only seed."""
     if kind == "linear":
         return apply_linear_move(rep, *witness)
-    rel_index, direction, positions = witness
-    out = apply_transistor_move(rep, rel_index, direction, positions, geometry)
-    if not rep._reduced:
-        return reduce(out)
-    sel = tuple(rep.bottom_ports[p] for p in positions)
-    if _dipole_above(rep.pres, rep.wires, rep.transistors, rep.t_bot,
-                     rep.wire_top, sel, (rel_index, direction)) is None:
-        out._reduced = True
-    else:
-        _cancel(out, (next(reversed(out.transistors)),))
+    out = apply_transistor_move(rep, *witness, geometry)
+    _cancel(out, (next(reversed(out.transistors)),) if rep._reduced else out.transistors)
     return out
 
 
-def neighbor_diagrams(rep: Diagram, cfg: BallConfig, max_length: int | None = None):
-    """The unitary moves from a reduced class representative, built, except
-    those whose result would be longer than `max_length`.
-
-    Yields (reduced result, kind, witness) in `unitary_moves` order;
-    witness is (rel_index, direction, positions) for transistor moves and
-    (letter, delta) for linear ones.  Results still need class
-    deduplication.
-    """
+def neighbor_diagrams(rep: Diagram, cfg: BallConfig):
+    """The unitary moves from a reduced class representative, built: (reduced
+    result, kind, witness) in `unitary_moves` order, witness (rel_index,
+    direction, positions) or (letter, delta).  Not deduplicated by class."""
     labels = rep.bot_word()
-    for kind, witness, length_after in unitary_moves(rep, cfg):
-        if max_length is not None and length_after > max_length:
-            continue
+    for kind, witness, _, _ in unitary_moves(rep, cfg):
         out = apply_move(rep, kind, witness, cfg.geometry)
         if kind == "linear":
             witness = (labels[witness[0]], witness[1])
@@ -254,41 +277,72 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
     i < j.  Missed sibling edges are recovered when the child expands, and
     the outermost shell expands as level radius + 1, which adds no vertex,
     only the edges back into the ball; so the edge set is the full induced
-    subgraph on the ball.
-
-    Only neighbours of length at most radius + length(root) are built: a
-    move changes the length by at most one and the geometry's permutations
-    keep it, so no vertex of the ball is longer.
+    subgraph on the ball.  Only moves to a length of at most radius +
+    length(root) are taken.  The first move to each new signature (sorted K
+    and C ids, see the module docstring) is the only one built, keyed and
+    class-represented.  Until it is expanded, a vertex keeps its bottom
+    wires' ids: wire id (c, s) names the cone c above, c its top wires'.
     """
     check_finite_coeffs(cfg.coeffs)
+    geometry, pres = cfg.geometry, cfg.pres
     root = normalize_base(base, cfg)
     max_length = radius + length(root)
-    index: dict[str, int] = {canonical_key(root): 0}
-    reps: list[Diagram] = [root]
-    depths: list[int] = [0]
+    table = Interned()
+    names, cones = hyperplane_names(root, table)
+    sig = tuple(sorted([*cones.values(), *[table["C", names[w], c.payload] for w, (_, c)
+                                           in root.wires.items() if not c.is_identity()]]))
+    index, reps, depths, sigs = {sig: 0}, [root], [0], [sig]
+    bottom_names = [tuple([names[w] for w in root.bottom_ports])]
     edges: dict[tuple[int, int], tuple[str, object]] = {}
     frontier = range(1)
     for depth in range(1, radius + 2):
-        found: dict[str, tuple[Diagram, int, str, object]] = {}
+        found: dict[tuple, tuple] = {}
         for i in frontier:
-            for out, kind, witness in neighbor_diagrams(reps[i], cfg, max_length):
-                rep = geometry_class_rep(out, cfg.geometry)
-                key = canonical_key(rep)
-                j = index.get(key)
-                if j is None:
-                    if depth <= radius:
-                        found.setdefault(key, (rep, i, kind, witness))
-                elif j != i:
-                    a, b = (i, j) if i < j else (j, i)
-                    edges.setdefault((a, b), (kind, witness))
+            rep, sig, bnames = reps[i], sigs[i], bottom_names[i]
+            wires, bottom, labels = rep.wires, rep.bottom_ports, rep.bot_word()
+            for kind, move, after, effect in unitary_moves(rep, cfg):
+                if after > max_length:
+                    continue
+                out, witness = list(sig), move
+                if kind == "linear":
+                    p = move[0]
+                    c, witness = wires[bottom[p]][1], (labels[p], move[1])
+                    if not c.is_identity():
+                        out.remove(table["C", bnames[p], c.payload])
+                    if not effect.is_identity():
+                        insort(out, table["C", bnames[p], effect.payload])
+                elif effect is not None:  # cancels the transistor above its feed
+                    cone = table.named[bnames[move[2][0]]][0]
+                    out.remove(cone)
+                else:
+                    tops = [x for p in move[2] for x in (bnames[p], wires[bottom[p]][1].payload)]
+                    cone = table[(*tops, rel_sides(pres, *move[:2])[1])]
+                    insort(out, cone)
+                out = tuple(out)
+                j = index.get(out)
+                if j is not None and j != i:
+                    edges.setdefault((i, j) if i < j else (j, i), (kind, witness))
+                if j is not None or depth > radius or out in found:
+                    continue
+                child = geometry_class_rep(apply_move(rep, kind, move, geometry), geometry)
+                named = dict(zip(bottom, bnames))
+                if kind == "transistor" and effect is not None:
+                    named.update(zip(rep.t_top[effect], table.named[cone][:-1:2]))
+                elif kind == "transistor":
+                    t = next(reversed(child.transistors))
+                    named.update((w, table[cone, s]) for s, w in enumerate(child.t_bot[t]))
+                found[out] = (canonical_key(child), child, i, kind, witness,
+                              tuple([named[w] for w in child.bottom_ports]))
+            bottom_names[i] = rep._trav = None  # names and traversal: not needed any more
         frontier = range(len(reps), len(reps) + len(found))
-        for key in sorted(found):
-            rep, parent, kind, witness = found[key]
-            j = len(reps)
-            index[key] = j
-            reps.append(rep)
+        for out in sorted(found, key=lambda out: found[out][0]):
+            _, child, parent, kind, witness, bnames = found[out]
+            index[out] = len(reps)
+            edges.setdefault((parent, len(reps)), (kind, witness))
+            reps.append(child)
             depths.append(depth)
-            edges.setdefault((parent, j), (kind, witness))
+            sigs.append(out)
+            bottom_names.append(bnames)
     return reps, depths, edges
 
 
@@ -300,7 +354,6 @@ def enumerate_reduced(pres, coeffs, w, budget: int, geometry: str = "braided",
     each once by exact key, deterministically ordered."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    check_finite_coeffs(coeffs)
     cfg = BallConfig(pres, coeffs, geometry, max_width)
     reps, depths, _ = bfs_classes(eps(pres, coeffs, tuple(w)), budget, cfg)
     feeds, target = GEOMETRY[geometry].feeds, tuple(w)

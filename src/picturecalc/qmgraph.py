@@ -11,13 +11,12 @@ dipole inside either half would be one of A or of B), and merged wires
 never chain, so length(A^-1 . B) = |A| + |B| - 2m + (wires of the reduced
 product with a nontrivial coefficient), m the cancelled pairs; by
 confluence the order of cancellation does not matter.  Name wires and
-transistors from the frame top down, in `picture.top_down` order: the wire
-at frame-top port i is ("F", i); a transistor's cone id interns the (id,
-coefficient) of its top wires with its bottom label word; the wire at its
-bottom slot s is (cone id, s).  By induction from the top, a wire of A
-merges with one of B iff they share an id, and a transistor of A cancels
-with one of B iff they share a cone id (top wires merged slot by slot with
-equal coefficients, bottom words equal).  A merged pair leaves one wire
+transistors from the frame top down (`moves.hyperplane_names`), a cone by
+its top wires' (id, coefficient) and its bottom word, a wire by its port
+or by (cone, slot).  By induction from the top, a wire of A merges with
+one of B iff they share an id, and a transistor of A cancels with one of B
+iff they share a cone id (top wires merged slot by slot with equal
+coefficients, bottom words equal).  A merged pair leaves one wire
 with coefficient c_a^-1 c_b, nontrivial iff c_a != c_b.  So, with K_v the
 cone ids of v, W_v the ids of its wires with a nontrivial coefficient and
 C_v their (id, coefficient) pairs,
@@ -71,9 +70,11 @@ from .coeff import coeff_serialize, nontrivial_elements, trivial_system
 from .errors import CompositionError
 from .moves import (
     BallConfig,
+    Interned,
     bfs_classes,
     geometry_class_key,
     geometry_class_rep,
+    hyperplane_names,
     neighbor_diagrams,
 )
 from .picture import (
@@ -90,7 +91,6 @@ from .picture import (
     length,
     multiply,
     reduce,
-    top_down,
 )
 
 
@@ -228,33 +228,20 @@ def hyperplane_coordinates(diagrams) -> tuple[list[tuple[int, int, int, int]], l
     docstring), and its pin keys, one per bottom position (see
     `enumerate_pins`).  Raises CompositionError unless all diagrams share the
     baseword, presentation and coefficient system."""
-    first, table, out, pins = diagrams[0], {}, [], []
-    word, intern = first.top_word(), table.setdefault
+    first, table, out, pins = diagrams[0], Interned(), [], []
+    word = first.top_word()
     trivial = {a for a in first.pres.alphabet if first.coeffs.spec(a).order == 1}
     for d in map(reduce, diagrams):
         if d.top_word() != word:
             raise CompositionError("vertices live over different basewords")
         if d.pres != first.pres or d.coeffs != first.coeffs:
             raise CompositionError("presentation or coefficient system mismatch")
-        wires, t_top, t_bot = d.wires, d.t_top, d.t_bot
-        name = {w: intern(("F", i), len(table)) for i, w in enumerate(d.top_ports)}
-        cones = 0
-        for t in top_down(d):
-            # a wire's label fixes its group, so the payload names the coefficient
-            cone = intern((tuple((name[w], wires[w][1].payload) for w in t_top[t]),
-                           tuple(wires[w][0] for w in t_bot[t])), len(table))
-            cones |= 1 << cone
-            for slot, w in enumerate(t_bot[t]):
-                name[w] = intern((cone, slot), len(table))
-        nontrivial = coefficients = 0
-        own = {}  # wire -> the bit of its (id, coefficient) pair
-        for w, (_, c) in wires.items():
-            if not c.is_identity():
-                nontrivial |= 1 << name[w]
-                own[w] = 1 << intern(("C", name[w], c.payload), len(table))
-                coefficients |= own[w]
-        out.append((len(d.transistors) + nontrivial.bit_count(), cones, nontrivial,
-                    coefficients))
+        wires, (name, named_cones) = d.wires, hyperplane_names(d, table)
+        cones = sum(1 << cone for cone in named_cones.values())  # distinct ids
+        own = {w: 1 << table["C", name[w], c.payload]  # the bit of w's (id, coefficient) pair
+               for w, (_, c) in wires.items() if not c.is_identity()}
+        nontrivial, coefficients = sum(1 << name[w] for w in own), sum(own.values())
+        out.append((len(d.transistors) + len(own), cones, nontrivial, coefficients))
         pins.append(tuple(None if wires[w][0] in trivial
                           else (cones, coefficients & ~own.get(w, 0), name[w])
                           for w in d.bottom_ports))

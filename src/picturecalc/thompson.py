@@ -239,38 +239,38 @@ def is_reduced_pair(tp: TreePair) -> bool:
     return reduce_pair(tp) is tp
 
 
-def _expand(tp: TreePair, refined: Forest) -> TreePair:
-    """The pair with image `refined`, which refines tp's image: each image
-    leaf's subtree in `refined` is grafted onto the domain leaf sent to it."""
-    subs = [subtree_at(refined, r, a) for r, a in leaf_addresses(tp.image)]
-    domain = tp.domain
-    for i, (r, a) in enumerate(leaf_addresses(tp.domain)):
-        domain = _replace(domain, r, a, subs[tp.perm[i]])
+def _expand(other: Forest, fixed: Forest, to_fixed, refined: Forest) -> tuple[Forest, tuple]:
+    """`other`, one side of a pair, with each leaf i grown by the subtree of
+    `refined` (a refinement of the other side, `fixed`) at fixed leaf
+    to_fixed[i]; and the map of its leaves onto those of `refined`."""
+    subs = [subtree_at(refined, r, a) for r, a in leaf_addresses(fixed)]
+    for i, (r, a) in enumerate(leaf_addresses(other)):
+        other = _replace(other, r, a, subs[to_fixed[i]])
     starts = list(accumulate(map(tree_leaves, subs), initial=0))
-    perm = tuple([k for j in tp.perm for k in range(starts[j], starts[j + 1])])
-    return TreePair(tp.arity, domain, refined, perm)
+    return other, tuple([k for j in to_fixed for k in range(starts[j], starts[j + 1])])
 
 
 def tp_multiply(a: TreePair, b: TreePair) -> TreePair:
     """Composite pair (a's action after b's), reduced.  Mirrors diagram
-    concatenation: a's image forest is refined against b's domain forest,
-    b's through its inverse, whose image is b's domain."""
+    concatenation: a's image and b's domain are refined to their common
+    refinement, the bijections composed through it; one pair is built."""
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
     if len(a.image) != len(b.domain):
         raise ValueError("root count mismatch")
     middle = merge_forest(a.image, b.domain)
-    a2 = _expand(a, middle)
-    b2 = tp_invert(_expand(tp_invert(b), middle))
-    perm = tuple(b2.perm[a2.perm[i]] for i in range(len(a2.perm)))
-    return reduce_pair(TreePair(a.arity, a2.domain, b2.image, perm))
+    domain, down = _expand(a.domain, a.image, a.perm, middle)
+    image, up = _expand(b.image, b.domain, _inverse(b.perm), middle)
+    back = _inverse(up)
+    return reduce_pair(TreePair(a.arity, domain, image, tuple([back[k] for k in down])))
+
+
+def _inverse(perm) -> tuple[int, ...]:
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def tp_invert(a: TreePair) -> TreePair:
-    inv = [0] * len(a.perm)
-    for i, j in enumerate(a.perm):
-        inv[j] = i
-    return TreePair(a.arity, a.image, a.domain, tuple(inv))
+    return TreePair(a.arity, a.image, a.domain, _inverse(a.perm))
 
 
 def membership(tp: TreePair) -> str:

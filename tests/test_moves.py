@@ -5,6 +5,7 @@ import random
 import pytest
 
 from picturecalc.coeff import CyclicSpec, FreeSpec, make_system, trivial_system
+from picturecalc import moves
 from picturecalc.errors import EnumerationError
 from picturecalc.moves import (
     GEOMETRIES,
@@ -37,6 +38,7 @@ from picturecalc.picture import (
     with_bottom_ports,
 )
 from picturecalc.presentation import builtin_presentation
+from picturecalc.qmgraph import ball, hyperplane_coordinates
 from picturecalc import sampling
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
@@ -60,14 +62,23 @@ CYC2 = make_system(Q.alphabet, {"x": CyclicSpec(2)})
 CYC3 = make_system(Q.alphabet, {"x": CyclicSpec(3)})
 ABC, ABC_WORD = builtin_presentation("commuting_abc")
 ABC2 = make_system(ABC.alphabet, {"a": CyclicSpec(2)})
+HOU, HOU_WORD = builtin_presentation("houghton", (2, 0))
+HOU2 = make_system(HOU.alphabet, {"a": CyclicSpec(2)})
+HIG, HIG_WORD = builtin_presentation("higman", (3, 1))
 
 # (presentation, coefficients, baseword, geometry, radius): the Thompson
-# radius-3 balls in every geometry, planar cyclic:3 (where a linear move can
-# take one nontrivial coefficient to another) and a commuting_abc ball
+# radius-3 balls in every geometry, cyclic:3 ones (where a linear move can
+# take one nontrivial coefficient to another), and commuting_abc, Houghton
+# and Higman balls
 MOVE_BALLS = [(Q, CYC2, ("x",), geometry, 3) for geometry in GEOMETRIES] + [
     (Q, CYC3, ("x",), "planar", 3),
     (ABC, ABC2, ABC_WORD, "braided", 2),
+    (Q, CYC3, ("x",), "braided", 3),
+    (Q, CYC3, ("x",), "annular", 3),
+    (HOU, HOU2, HOU_WORD, "braided", 3),
+    (HIG, trivial_system(HIG.alphabet), HIG_WORD, "planar", 2),
 ]
+BALL_NAMES = {Q: "thompson", ABC: "abc", HOU: "houghton", HIG: "higman"}
 
 
 def neighbor_keys(rep, cfg):
@@ -335,7 +346,7 @@ def test_enumerate_houghton_keys_match_per_variant_definition():
 
 def _ball_id(case):
     pres, coeffs, _, geometry, radius = case
-    return f"{'thompson' if pres is Q else 'abc'}-{coeffs.spec(pres.alphabet[0])}-{geometry}-r{radius}"
+    return f"{BALL_NAMES[pres]}-{coeffs.spec(pres.alphabet[0])}-{geometry}-r{radius}"
 
 
 @pytest.mark.parametrize("case", MOVE_BALLS, ids=_ball_id)
@@ -351,18 +362,25 @@ def test_unitary_moves_predict_length(case):
         table = word_moves(rep.bot_word(), cfg)
         assert [move[:2] for move in moves] == [move[:2] for move in table]
         before = length(rep)
-        for (kind, witness, length_after), (_, _, next_labels) in zip(moves, table):
+        for (kind, witness, length_after, effect), (_, _, next_labels) in zip(moves, table):
             if kind == "transistor":
                 raw = apply_transistor_move(rep, *witness, geometry)
+                # the effect is the transistor above the feed that cancels, if any
+                fed = tuple(rep.bottom_ports[p] for p in witness[2])
+                assert (effect is not None) == (length_after < before)
+                assert effect is None or rep.t_bot[effect] == fed
             else:
                 raw = apply_linear_move(rep, *witness)
+                assert raw.wires[rep.bottom_ports[witness[0]]][1] == effect
             out = apply_move(rep, kind, witness, geometry)
             assert raw.bot_word() == out.bot_word() == next_labels
             assert length_after == length(out)
             assert length_after == length_oracle(raw)
             kinds_seen.add((kind, length_after - before))
     # every way a move can change the length occurs among these balls
-    assert {("transistor", 1), ("transistor", -1), ("linear", 1), ("linear", -1)} <= kinds_seen
+    assert {("transistor", 1), ("transistor", -1)} <= kinds_seen
+    if not coeffs.is_all_trivial():
+        assert {("linear", 1), ("linear", -1)} <= kinds_seen
     if coeffs is CYC3:
         assert ("linear", 0) in kinds_seen
 
@@ -389,7 +407,7 @@ def test_derived_diagrams_match_fresh_ones(case):
     cfg = BallConfig(pres, coeffs, geometry)
     reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
     for rep in reps:
-        for kind, witness, _ in unitary_moves(rep, cfg):
+        for kind, witness, _, _ in unitary_moves(rep, cfg):
             if kind == "transistor":
                 raw = apply_transistor_move(rep, *witness, geometry)
                 assert raw._reduced is None
@@ -415,7 +433,7 @@ def test_cancelling_moves_match_reduce_oracle(case):
     reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
     cancelled = 0
     for rep in reps:
-        for kind, witness, after in unitary_moves(rep, cfg):
+        for kind, witness, after, _ in unitary_moves(rep, cfg):
             if kind == "transistor" and after < length(rep):
                 got = apply_move(rep, kind, witness, geometry)
                 want = reduce_oracle(apply_transistor_move(rep, *witness, geometry))
@@ -441,6 +459,38 @@ def test_bfs_classes_matches_unpruned_oracle(case):
     cfg = BallConfig(pres, coeffs, geometry)
     base = eps(pres, coeffs, w, annular=geometry == "annular")
     _assert_same_ball(bfs_classes(base, radius, cfg), bfs_oracle(base, radius, cfg))
+
+
+@pytest.mark.parametrize("case", MOVE_BALLS, ids=_ball_id)
+def test_neighbour_signatures_agree_with_class_keys(case):
+    """`bfs_classes` tells vertices apart by their cone ids and coefficient
+    pairs (K, C) over one intern table: on every built neighbour of every
+    vertex of the ball, equal (K, C) must mean equal class keys and back."""
+    pres, coeffs, w, geometry, radius = case
+    cfg = BallConfig(pres, coeffs, geometry)
+    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+    built = [out for rep in reps for out, _, _ in neighbor_diagrams(rep, cfg)]
+    coords, _ = hyperplane_coordinates(built)
+    keys_of, sigs_of = {}, {}
+    for out, (_, cones, _, coefficients) in zip(built, coords):
+        key = geometry_class_key(out, geometry)
+        keys_of.setdefault((cones, coefficients), set()).add(key)
+        sigs_of.setdefault(key, set()).add((cones, coefficients))
+    assert all(len(keys) == 1 for keys in keys_of.values())
+    assert all(len(sigs) == 1 for sigs in sigs_of.values())
+    assert len(keys_of) < len(built)  # some neighbours were found twice
+
+
+def test_ball_builds_each_vertex_once(monkeypatch):
+    """`bfs_classes` builds a neighbour only when its signature is new: one
+    `apply_move` per vertex but the root."""
+    built = []
+    real_apply = moves.apply_move
+    monkeypatch.setattr(moves, "apply_move", lambda *args: built.append(args) or real_apply(*args))
+    for geometry in GEOMETRIES:
+        built.clear()
+        g = ball(eps(Q, CYC2, "x"), 4, BallConfig(Q, CYC2, geometry))
+        assert len(built) == len(g.vertices) - 1
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from picturecalc import moves, picture, qmgraph
 from picturecalc.coeff import CyclicSpec, free_element, make_system, spec_parse, trivial_system
 from picturecalc.embed import gamma
 from picturecalc.errors import CompositionError
+from picturecalc.io import json_text
 from picturecalc.moves import BallConfig, apply_linear_move, apply_transistor_move, geometry_class_key
 from picturecalc.picture import (
     Diagram,
@@ -640,6 +642,23 @@ def test_exports():
     assert js["radius"] == 2 and len(js["vertices"]) == len(g.vertices)
     kinds = {e["kind"] for e in js["edges"]}
     assert kinds == {"transistor", "linear"}
+
+
+def test_ball_digest_is_pinned():
+    """sha256 of the JSON text of fixed balls: any change to their vertices,
+    their order, their edges or the witnesses shows here."""
+    pres_abc, w_abc = builtin_presentation("commuting_abc")
+    pres_hou, w_hou = builtin_presentation("houghton", (2, 0))
+    cases = [(Q, CYC2, ("x",), geometry, 4) for geometry in ("braided", "annular", "planar")] + [
+        (pres_abc, make_system(pres_abc.alphabet, {"a": CyclicSpec(2)}), w_abc, "braided", 3),
+        (pres_hou, make_system(pres_hou.alphabet, {"a": CyclicSpec(2)}), w_hou, "braided", 3),
+    ]
+    digests = []
+    for pres, coeffs, w, geometry, radius in cases:
+        g = ball(eps(pres, coeffs, w), radius, BallConfig(pres, coeffs, geometry))
+        digests.append(hashlib.sha256(json_text(to_json_dict(g)).encode()).hexdigest()[:16])
+    assert digests == ["2cd3e0c8fa602dde", "c63586f13d617819", "3db695da194064b1",
+                       "52e8798344ed5e9a", "c7184bd727ed4863"]
 
 
 def test_qm_axioms_annular_planar_balls():

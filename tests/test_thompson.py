@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -185,6 +187,22 @@ def test_tp_multiply_associative(rng):
     for _ in range(30):
         a, b, c = (random_tree_pair(rng, 2, 3) for _ in range(3))
         assert tp_multiply(tp_multiply(a, b), c) == tp_multiply(a, tp_multiply(b, c))
+
+
+def test_tp_multiply_digest_is_pinned():
+    """sha256 of the products of seeded pairs of arity 2-4 with 1-3 roots,
+    reduced and not: any change to `tp_multiply`'s results shows here."""
+    def products():
+        rng = random.Random(38)
+        for arity, roots, reduced in itertools.product((2, 3, 4), (1, 2, 3), (True, False)):
+            for _ in range(25):
+                a = random_tree_pair(rng, arity, 3, roots, reduced)
+                b = random_tree_pair(rng, arity, 3, roots, reduced)
+                p = tp_multiply(a, b)
+                yield repr((p.arity, p.domain, p.image, p.perm))
+
+    digest = hashlib.sha256("\n".join(products()).encode()).hexdigest()
+    assert digest == "09eeb88493ba2c32e23d5c599c90bf6dd4474a07bda2c71d15d2181c613a1447"
 
 
 def test_bridge_is_homomorphism(rng):

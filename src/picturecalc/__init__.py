@@ -45,7 +45,6 @@ from .picture import (
     classify_kind,
     concat,
     eps,
-    factorize,
     invert,
     is_reduced,
     length,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError
+from .presentation import MAX_WORD_LENGTH
 
 # --- group specs and elements ------------------------------------------------
 
@@ -143,8 +144,10 @@ def coeff_parse(spec: GroupSpec, text: str) -> GroupElement:
             total += power
         return cyclic_element(spec, total)
     word: list[tuple[str, int]] = []
-    for tok in tokens:
-        gen, power = _split_power(tok)
+    powers = [_split_power(tok) for tok in tokens]
+    if sum(abs(power) for _, power in powers) > MAX_WORD_LENGTH:
+        raise ParseError(f"coefficient longer than {MAX_WORD_LENGTH} letters")
+    for gen, power in powers:
         if gen not in spec.generators:
             raise ParseError(f"unknown generator {gen!r}")
         sign = 1 if power > 0 else -1
@@ -190,8 +193,8 @@ def spec_parse(text: str) -> GroupSpec:
             rank = int(arg)
         except ValueError:
             raise ParseError(f"bad free spec {text!r}") from None
-        if rank < 1:
-            raise ParseError("free rank must be >= 1")
+        if not 1 <= rank <= MAX_WORD_LENGTH:
+            raise ParseError(f"free rank must be between 1 and {MAX_WORD_LENGTH}")
         return FreeSpec(tuple(f"R{i}" for i in range(1, rank + 1)))
     raise ParseError(f"unknown group spec {text!r}")
 

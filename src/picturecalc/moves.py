@@ -102,12 +102,6 @@ def geometry_class_key(d: Diagram, geometry: str) -> str:
     return canonical_key(GEOMETRY[geometry].class_rep(d))
 
 
-def geometry_class_rep(d: Diagram, geometry: str) -> Diagram:
-    """Deterministic representative of [d] (normalized bottom permutation),
-    whose exact key names the class."""
-    return GEOMETRY[geometry].class_rep(d)
-
-
 # -- hyperplane names --------------------------------------------------------------
 
 class Interned(dict):
@@ -266,7 +260,7 @@ def normalize_base(base: Diagram, cfg: BallConfig) -> Diagram:
     d = reduce(base)
     if GEOMETRY[cfg.geometry].annular and not d.annular:
         d = replace(d, annular=True)
-    return geometry_class_rep(d, cfg.geometry)
+    return GEOMETRY[cfg.geometry].class_rep(d)
 
 
 def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
@@ -324,7 +318,7 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
                     edges.setdefault((i, j) if i < j else (j, i), (kind, witness))
                 if j is not None or depth > radius or out in found:
                     continue
-                child = geometry_class_rep(apply_move(rep, kind, move, geometry), geometry)
+                child = GEOMETRY[geometry].class_rep(apply_move(rep, kind, move, geometry))
                 named = dict(zip(bottom, bnames))
                 if kind == "transistor" and effect is not None:
                     named.update(zip(rep.t_top[effect], table.named[cone][:-1:2]))

@@ -445,12 +445,12 @@ def _relabel(d: Diagram, wire_off: int, trans_off: int):
     return wires, transistors, t_top, t_bot, top, bottom
 
 
-def _glue(d1: Diagram, d2: Diagram) -> Diagram:
-    """d2 glued below d1, owning fresh dicts that `_cancel` may change in
-    place.  d2's ids move past d1's, but each frame-top wire of d2 merges
-    into the frame-bottom wire of d1 above it, which keeps its id and place
-    and carries (d1's coefficient)*(d2's).  d1's dicts are copied, and only
-    d2's items are relabelled and appended."""
+def concat(d1: Diagram, d2: Diagram) -> Diagram:
+    """Glue d2 below d1; not reduced.  The result owns fresh dicts that
+    `_cancel` may change in place.  d2's ids move past d1's, but each
+    frame-top wire of d2 merges into the frame-bottom wire of d1 above it,
+    which keeps its id and place and carries (d1's coefficient)*(d2's).
+    d1's dicts are copied, and only d2's items are relabelled and appended."""
     if d1.pres != d2.pres or d1.coeffs != d2.coeffs:
         raise CompositionError("presentation or coefficient system mismatch")
     if d1.bot_word() != d2.top_word():
@@ -481,11 +481,6 @@ def _glue(d1: Diagram, d2: Diagram) -> Diagram:
                     tuple(map(ren.__getitem__, d2.bottom_ports)), wire_top, wire_bot)
     out.annular = d1.annular or d2.annular
     return out
-
-
-def concat(d1: Diagram, d2: Diagram) -> Diagram:
-    """Glue d2 below d1; merged wires carry (d1's coefficient)*(d2's).  Not reduced."""
-    return _glue(d1, d2)
 
 
 def sum_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
@@ -629,7 +624,7 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
     transistors directly below the seam are seeds, no two dipoles overlap,
     and the order of cancellation does not change the result.  Otherwise
     every transistor is a seed, as in `reduce`."""
-    out = _glue(d1, d2)
+    out = concat(d1, d2)
     if is_reduced(d1) and is_reduced(d2):
         wire_bot = out.wire_bot
         _cancel(out, [wire_bot[w][1] for w in d1.bottom_ports if wire_bot[w][0] == "TT"])
@@ -793,53 +788,3 @@ def classify_kind(d: Diagram) -> str:
     if not d.transistors and nontrivial == 1 and _sweep(d, GEOMETRY["planar"]):
         return "linear"
     return "general"
-
-
-# -- factorization ---------------------------------------------------------------
-
-
-def factorize(d: Diagram) -> tuple[Diagram, list[tuple[Diagram, Diagram]]]:
-    """Absolutely reduced alternating decomposition, peeled from the bottom.
-
-    Returns (lead, [(U_1, P_1), ..., (U_n, P_n)]) with each U_i a unitary
-    atom, each P_i a permutation diagram, n = length(d), and
-
-        lead o U_1 o P_1 o ... o U_n o P_n == d   (exact concatenation).
-
-    One pass up a cut from the frame bottom, in reverse `top_down` order,
-    so each transistor's bottom wires are on the cut when it is peeled; a
-    wire's coefficient is peeled when the wire reaches the cut, left to
-    right.  The factors depend only on the diagram, not on its ids.  The
-    leading permutation cannot be avoided for braided diagrams whose first
-    transistor attaches to scattered frame-top ports.
-    """
-    if not is_reduced(d):
-        raise ValueError("factorize requires a reduced diagram")
-    pres, coeffs, wires = d.pres, d.coeffs, d.wires
-    cut = list(d.bottom_ports)
-    rev: list[tuple[Diagram, Diagram]] = []
-
-    def peel_coefficients(positions):
-        word = [wires[w][0] for w in cut]
-        for i in positions:
-            g = wires[cut[i]][1]
-            if not g.is_identity():
-                rev.append((atom_linear(pres, coeffs, word, i, g), eps(pres, coeffs, word)))
-
-    peel_coefficients(range(len(cut)))
-    for tid in reversed(list(top_down(d))):
-        sel, top = d.t_bot[tid], d.t_top[tid]
-        first = cut.index(sel[0])
-        passing = [i for i, w in enumerate(cut) if w not in sel]
-        left = [i for i in passing if i < first]
-        right = passing[len(left):]
-        sigma = left + [cut.index(w) for w in sel] + right  # u's bottom onto the cut
-        word = [wires[w][0] for w in cut]
-        u = atom_transistor(pres, coeffs, [word[i] for i in left], *d.transistors[tid],
-                            [word[i] for i in right])
-        rev.append((u, atom_permutation(pres, coeffs, [word[i] for i in sigma], sigma)))
-        cut = [cut[i] for i in left] + list(top) + [cut[i] for i in right]
-        peel_coefficients(range(len(left), len(left) + len(top)))
-    rev.reverse()
-    return atom_permutation(pres, coeffs, d.top_word(), [cut.index(w) for w in d.top_ports],
-                            d.annular), rev

@@ -45,6 +45,7 @@ lies on an x..y geodesic, the next vertex of a geodesic from it to y is
 one closer to y and lies on one too, and the ball is the full induced
 subgraph of X on its vertices; so a decreasing neighbour is always an
 edge of the ball, and the exact distances make the path an X-geodesic.
+`geodesic` takes the same descent in X, to the first of `neighbors` one closer.
 
 The verifiers check the weak-modularity axioms, the forbidden induced
 subgraphs, the pin lemmas, hyperplane sector/gate structure, the technical
@@ -68,24 +69,15 @@ from itertools import combinations, islice
 
 from .coeff import coeff_serialize, nontrivial_elements, trivial_system
 from .errors import CompositionError
-from .moves import (
-    BallConfig,
-    Interned,
-    bfs_classes,
-    geometry_class_key,
-    geometry_class_rep,
-    hyperplane_names,
-    neighbor_diagrams,
-)
+from .moves import (BallConfig, Interned, bfs_classes, geometry_class_key, hyperplane_names,
+                    neighbor_diagrams)
 from .picture import (
     GEOMETRY,
     Diagram,
     atom_linear,
     atom_permutation,
     canonical_key,
-    concat,
     eps,
-    factorize,
     invert,
     is_permutation_diagram,
     length,
@@ -157,14 +149,10 @@ class BallGraph:
         return "B" if max(c[0] for c in self.coordinates) < 128 else "I"
 
     def row(self, i: int) -> array:
-        """d(i, j) for every vertex j by the formula of the module
-        docstring, built on first use."""
+        """d(i, j) for every vertex j (`distance_row`), built on first use."""
         if self._rows[i] is None:
             coords = self.coordinates
-            s, k, w, c = coords[i]
-            self._rows[i] = array(self._typecode, [
-                s + t - 2 * (k & kt).bit_count() - (w & wt).bit_count() - (c & ct).bit_count()
-                for t, kt, wt, ct in coords])
+            self._rows[i] = array(self._typecode, distance_row(coords[i], coords))
         return self._rows[i]
 
     def distance(self, i: int, j: int) -> int:
@@ -199,17 +187,17 @@ class BallGraph:
         return out
 
 
-def neighbors(v: VertexClass, cfg: BallConfig) -> set[tuple[VertexClass, str]]:
-    """All adjacent classes with the kind of a realizing unitary move.
-    Public API for exploring single vertices; `ball` and `verify` do not
-    call it (they go through `bfs_classes`)."""
+def neighbors(v: VertexClass, cfg: BallConfig) -> list[tuple[VertexClass, str]]:
+    """All adjacent classes, in order of first move, with the kind of a
+    realizing unitary move.  Public API for exploring single vertices;
+    `ball` and `verify` do not call it (they go through `bfs_classes`)."""
     out: dict[str, tuple[VertexClass, str]] = {}
     for d, kind, _ in neighbor_diagrams(v.rep, cfg):
-        rep = geometry_class_rep(d, cfg.geometry)
+        rep = GEOMETRY[cfg.geometry].class_rep(d)
         key = canonical_key(rep)
         if key != v.key and key not in out:
             out[key] = (VertexClass(key, rep), kind)
-    return set(out.values())
+    return list(out.values())
 
 
 def ball(base: Diagram, radius: int, cfg: BallConfig) -> BallGraph:
@@ -248,26 +236,32 @@ def hyperplane_coordinates(diagrams) -> tuple[list[tuple[int, int, int, int]], l
     return out, pins
 
 
+def distance_row(u: tuple[int, int, int, int], coords) -> list[int]:
+    """d(u, v) for every v of coords by the formula of the module docstring."""
+    s, k, w, c = u
+    return [s + t - 2 * (k & kt).bit_count() - (w & wt).bit_count() - (c & ct).bit_count()
+            for t, kt, wt, ct in coords]
+
+
 def pair_distance(a: VertexClass, b: VertexClass) -> int:
     """length(A^-1 . B) from the hyperplane coordinates of the two vertices,
     without building the product (see the module docstring)."""
-    return BallGraph(None, 0, [a, b], {}).distance(0, 1)  # a graph of the two alone
+    u, v = hyperplane_coordinates([a.rep, b.rep])[0]
+    return distance_row(u, [v])[0]
 
 
 def geodesic(a: VertexClass, b: VertexClass, cfg: BallConfig) -> list[VertexClass]:
-    """Vertex path of length pair_distance(a,b) built from factor prefixes.
-    Public API; `verify` does not call it (it takes geodesics by descent
-    through the exact distances, see the module docstring)."""
-    g = multiply(invert(a.rep), b.rep)
-    lead, factors = factorize(g)
+    """Vertex path a..b of length pair_distance(a, b): from a, step to the first
+    of `neighbors(cur, cfg)` one closer to b, until b.  Raises ValueError when
+    no neighbour within `cfg.max_width` is one closer."""
     path = [a]
-    cur = concat(a.rep, lead)
-    for u, p in factors:
-        cur = multiply(cur, u)
-        rep = geometry_class_rep(cur, cfg.geometry)
-        path.append(VertexClass(canonical_key(rep), rep))
-        cur = concat(cur, p)
-    assert path[-1].key == b.key
+    for left in reversed(range(pair_distance(a, b))):
+        steps = [v for v, _ in neighbors(path[-1], cfg)]
+        coords = hyperplane_coordinates([b.rep, *(v.rep for v in steps)])[0]
+        to_b = distance_row(coords[0], coords[1:])
+        if left not in to_b:
+            raise ValueError(f"no neighbour within max_width {cfg.max_width} is closer to b")
+        path.append(steps[to_b.index(left)] if left else b)
     return path
 
 

@@ -27,8 +27,8 @@ from picturecalc.picture import (
     canonical_key,
     classify_kind,
     eps,
-    factorize,
     invert,
+    is_reduced,
     length,
     multiply,
     reduce,
@@ -36,6 +36,7 @@ from picturecalc.picture import (
     replace,
     rotate_bottom,
     sum_diagrams,
+    top_down,
     with_bottom_ports,
 )
 from picturecalc.thompson import TreePair, forest_leaves
@@ -754,6 +755,58 @@ def reduce_pair_oracle(tp: TreePair) -> TreePair:
             v = tp.perm[k]
             perm.append(v - (n - 1) if v > j else v)
         tp = TreePair(n, domain, image, tuple(perm))
+
+
+# -- factorization ---------------------------------------------------------------
+# The alternating decomposition of a reduced diagram into unitary atoms and
+# permutations, which the factor-by-factor embedding oracle below reads.
+
+
+def factorize(d: Diagram) -> tuple[Diagram, list[tuple[Diagram, Diagram]]]:
+    """Absolutely reduced alternating decomposition, peeled from the bottom.
+
+    Returns (lead, [(U_1, P_1), ..., (U_n, P_n)]) with each U_i a unitary
+    atom, each P_i a permutation diagram, n = length(d), and
+
+        lead o U_1 o P_1 o ... o U_n o P_n == d   (exact concatenation).
+
+    One pass up a cut from the frame bottom, in reverse `top_down` order,
+    so each transistor's bottom wires are on the cut when it is peeled; a
+    wire's coefficient is peeled when the wire reaches the cut, left to
+    right.  The factors depend only on the diagram, not on its ids.  The
+    leading permutation cannot be avoided for braided diagrams whose first
+    transistor attaches to scattered frame-top ports.
+    """
+    if not is_reduced(d):
+        raise ValueError("factorize requires a reduced diagram")
+    pres, coeffs, wires = d.pres, d.coeffs, d.wires
+    cut = list(d.bottom_ports)
+    rev: list[tuple[Diagram, Diagram]] = []
+
+    def peel_coefficients(positions):
+        word = [wires[w][0] for w in cut]
+        for i in positions:
+            g = wires[cut[i]][1]
+            if not g.is_identity():
+                rev.append((atom_linear(pres, coeffs, word, i, g), eps(pres, coeffs, word)))
+
+    peel_coefficients(range(len(cut)))
+    for tid in reversed(list(top_down(d))):
+        sel, top = d.t_bot[tid], d.t_top[tid]
+        first = cut.index(sel[0])
+        passing = [i for i, w in enumerate(cut) if w not in sel]
+        left = [i for i in passing if i < first]
+        right = passing[len(left):]
+        sigma = left + [cut.index(w) for w in sel] + right  # u's bottom onto the cut
+        word = [wires[w][0] for w in cut]
+        u = atom_transistor(pres, coeffs, [word[i] for i in left], *d.transistors[tid],
+                            [word[i] for i in right])
+        rev.append((u, atom_permutation(pres, coeffs, [word[i] for i in sigma], sigma)))
+        cut = [cut[i] for i in left] + list(top) + [cut[i] for i in right]
+        peel_coefficients(range(len(left), len(left) + len(top)))
+    rev.reverse()
+    return atom_permutation(pres, coeffs, d.top_word(), [cut.index(w) for w in d.top_ports],
+                            d.annular), rev
 
 
 # -- the universal embedding, factor by factor -----------------------------------------

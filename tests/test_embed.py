@@ -35,7 +35,7 @@ from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.sampling import random_element
 from picturecalc.thompson import identity_pair, tp_multiply
 
-from oracles import block_oracle, gamma_oracle, psi_unreduced_factor_oracle
+from oracles import block_oracle, factorize, gamma_oracle, psi_unreduced_factor_oracle
 from oracles import shuffled_transistor_ids
 
 TRIVQ = trivial_system(QPRES.alphabet)
@@ -307,7 +307,7 @@ def test_length_bounds_random(rng):
 
 
 def test_gamma3_factorizes_into_three_transistor_atoms():
-    from picturecalc.picture import classify_kind, factorize
+    from picturecalc.picture import classify_kind
 
     lead, factors = factorize(gamma(3))
     assert len(factors) == 3

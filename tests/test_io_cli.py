@@ -33,6 +33,7 @@ from picturecalc.picture import (
     multiply,
 )
 from picturecalc.presentation import (
+    MAX_WORD_LENGTH,
     builtin_presentation,
     parse_presentation,
     parse_word,
@@ -423,6 +424,24 @@ def test_cli_malformed_diagram_exit_2(tmp_path, capsys, path, value):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, coeff, message", [
+    ("free:1", "R1^1000000000000000", "coefficient longer than"),
+    ("free:1", "R1^600000.R1^-600000", "coefficient longer than"),  # counted before reducing
+    (f"free:{MAX_WORD_LENGTH + 1}", "1", "free rank must be between 1 and"),
+])
+def test_cli_oversized_coefficient_text_exit_2(tmp_path, capsys, spec, coeff, message):
+    """Coefficient text is size-checked before a power or a rank expands."""
+    obj = diagram_to_json(eps(Q, trivial_system(Q.alphabet), "x"))
+    obj["coeffs"]["x"], obj["wires"][0]["coeff"] = spec, coeff
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(obj))
+    t0 = time.perf_counter()
+    rc = main(["reduce", "--in", str(src)])
+    err = capsys.readouterr().err
+    assert rc == 2 and time.perf_counter() - t0 < 1.0
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tid", ["zero", 1, -1, True])

@@ -16,7 +16,6 @@ from picturecalc.moves import (
     bfs_classes,
     enumerate_reduced,
     geometry_class_key,
-    geometry_class_rep,
     neighbor_diagrams,
     normalize_base,
     unitary_moves,
@@ -126,7 +125,7 @@ def test_neighbors_match_oracle_random(geometry, rng):
         cfg = BallConfig(pres, coeffs, geometry, max_width=6)
         for _ in range(6):
             d = random_walk_diagram(pres, coeffs, w, rng.randrange(3), rng, geometry, 6)
-            rep = geometry_class_rep(d, geometry)
+            rep = GEOMETRY[geometry].class_rep(d)
             assert neighbor_keys(rep, cfg) == neighbor_keys_oracle(rep, cfg)
 
 
@@ -275,7 +274,7 @@ def test_class_keys_and_reps_match_oracle(geometry):
             assert canonical_key(d) == key_text_oracle(d)
             want = class_key_oracle(d, geometry)
             assert geometry_class_key(d, geometry) == want
-            rep = geometry_class_rep(d, geometry)
+            rep = GEOMETRY[geometry].class_rep(d)
             assert canonical_key(rep) == want == key_text_oracle(rep)
 
 
@@ -288,7 +287,7 @@ def test_annular_class_key_compares_bottom_text_as_text():
     want = class_key_oracle(d, "annular")
     assert "|B10,11,12,13,2," in want
     assert geometry_class_key(d, "annular") == want
-    rep = geometry_class_rep(d, "annular")
+    rep = GEOMETRY["annular"].class_rep(d)
     assert canonical_key(rep) == want == key_text_oracle(rep)
 
 
@@ -416,7 +415,7 @@ def test_derived_diagrams_match_fresh_ones(case):
             _assert_fresh_maps(out)
             assert out._reduced and reduce_oracle(out) is out
             geometry_class_key(out, geometry)  # computes out's traversal, as the ball does
-            for variant in (geometry_class_rep(out, geometry), rotate_bottom(out, 1),
+            for variant in (GEOMETRY[geometry].class_rep(out), rotate_bottom(out, 1),
                             with_bottom_ports(out, out.bottom_ports[::-1])):
                 _assert_fresh_maps(variant)
                 assert variant._trav is not None

@@ -29,7 +29,6 @@ from picturecalc.picture import (
     classify_kind,
     concat,
     eps,
-    factorize,
     invert,
     is_reduced,
     length,
@@ -48,6 +47,7 @@ from oracles import (
     classify_geometry_oracle,
     concat_oracle,
     count_dipoles,
+    factorize,
     feed_tuples_oracle,
     key_text_oracle,
     label_permutations_oracle,

@@ -52,10 +52,12 @@ Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
 CYC2 = make_system(Q.alphabet, {"x": CyclicSpec(2)})
 CYC3 = make_system(Q.alphabet, {"x": CyclicSpec(3)})
+ABC, ABC_WORD = builtin_presentation("commuting_abc")
+ABC_CYC2 = make_system(ABC.alphabet, {"a": CyclicSpec(2)})
 
 
 def mkvertex(d, cfg):
-    from picturecalc.moves import geometry_class_rep, normalize_base
+    from picturecalc.moves import normalize_base
     rep = normalize_base(d, cfg)
     return VertexClass(geometry_class_key(rep, cfg.geometry), rep)
 
@@ -269,17 +271,56 @@ def test_geodesic_properties():
         assert pair_distance(p, g2) == 2 - k
 
 
+GEODESIC_CASES = [
+    (Q, CYC2, "x", "braided"),
+    (Q, CYC2, "x", "annular"),
+    (Q, CYC2, "x", "planar"),
+    (ABC, ABC_CYC2, ABC_WORD, "braided"),
+]
+
+
+def _geodesic_pairs(pres, coeffs, word, geometry, rng):
+    """Random pairs of a radius-3 ball, and of seeded random elements with
+    at least one pair farther apart than any two vertices of that ball."""
+    cfg = BallConfig(pres, coeffs, geometry)
+    g = ball(eps(pres, coeffs, word, annular=picture.GEOMETRY[geometry].annular), 3, cfg)
+    pairs = [(rng.choice(g.vertices), rng.choice(g.vertices)) for _ in range(12)]
+    far = [mkvertex(random_element(pres, coeffs, word, rng, geometry, steps=8), cfg)
+           for _ in range(4)]
+    pairs += [(g.vertices[0], far[0]), *zip(far, far[1:])]
+    assert max(pair_distance(a, b) for a, b in pairs) > 6
+    return cfg, pairs
+
+
 def test_geodesic_random_vertices(rng):
-    cfg = BallConfig(Q, CYC2)
-    g = ball(eps(Q, CYC2, "x"), 3, cfg)
-    idx = [rng.randrange(len(g.vertices)) for _ in range(12)]
-    for i in idx:
-        j = rng.randrange(len(g.vertices))
-        a, b = g.vertices[i], g.vertices[j]
-        path = geodesic(a, b, cfg)
-        assert len(path) == g.distance(i, j) + 1
-        for u, v in zip(path, path[1:]):
-            assert pair_distance(u, v) == 1
+    for case in GEODESIC_CASES:
+        cfg, pairs = _geodesic_pairs(*case, rng)
+        for a, b in pairs:
+            path = geodesic(a, b, cfg)
+            assert (path[0].key, path[-1].key) == (a.key, b.key)
+            assert len(path) == pair_distance(a, b) + 1
+            for u, v in zip(path, path[1:]):
+                assert pair_distance(u, v) == 1
+
+
+def test_geodesic_steps_to_first_closer_neighbour(rng):
+    for case in GEODESIC_CASES:
+        cfg, pairs = _geodesic_pairs(*case, rng)
+        for a, b in pairs:
+            path = geodesic(a, b, cfg)
+            for k, (u, v) in enumerate(zip(path, path[1:])):
+                left = len(path) - k - 2
+                first = next(w for w, _ in neighbors(u, cfg) if pair_distance(w, b) == left)
+                assert v.key == first.key
+
+
+def test_geodesic_respects_max_width():
+    cfg = BallConfig(Q, TRIV, max_width=2)
+    v = mkvertex(eps(Q, TRIV, "x"), cfg)
+    far = mkvertex(gamma(2), cfg)  # bottom word x^3
+    assert pair_distance(v, far) == 2
+    with pytest.raises(ValueError, match="max_width 2"):
+        geodesic(v, far, cfg)
 
 
 def _certified_pairs(g):

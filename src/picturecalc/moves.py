@@ -44,7 +44,6 @@ from .coeff import (
     CoefficientSystem,
     GroupElement,
     coeff_multiply,
-    identity as coeff_identity,
     nontrivial_elements,
 )
 from .errors import EnumerationError
@@ -54,6 +53,7 @@ from .picture import (
     _assemble,
     _cancel,
     _dipole_above,
+    apply_transistor_move,
     bottom_variant_keys,
     canonical_key,
     eps,
@@ -134,42 +134,6 @@ def hyperplane_names(d: Diagram, table: Interned) -> tuple[dict[int, int], dict[
 
 # -- move enumeration --------------------------------------------------------------
 
-def apply_transistor_move(d: Diagram, rel_index: int, direction: int,
-                          positions: tuple[int, ...], geometry: str = "braided") -> Diagram:
-    """D . P . (eps(a)+T+eps(b)) built directly: the bottom wires at
-    `positions` (in that order) feed the new transistor.  Not reduced, and
-    its reduced flag stays unset (`apply_move` sets it).  The endpoint maps
-    are d's, updated for the fed wires, the produced wires and the frame
-    bottom."""
-    top_side, bot_side = rel_sides(d.pres, rel_index, direction)
-    sel = tuple(d.bottom_ports[p] for p in positions)
-    if tuple(d.wires[w][0] for w in sel) != top_side:
-        raise ValueError("selected wires do not spell the relation side")
-    wires = d.wires.copy()
-    tid = (max(d.transistors) if d.transistors else 0) + 1
-    wid = (max(d.wires) if d.wires else 0) + 1
-    produced = tuple(range(wid, wid + len(bot_side)))
-    for w, letter in zip(produced, bot_side):
-        wires[w] = (letter, coeff_identity(d.coeffs.spec(letter)))
-    transistors = d.transistors.copy()
-    transistors[tid] = (rel_index, direction)
-    t_top = d.t_top.copy()
-    t_bot = d.t_bot.copy()
-    t_top[tid] = sel
-    t_bot[tid] = produced
-
-    new_ports = GEOMETRY[geometry].after(d.bottom_ports, positions, produced)
-    wire_top = d.wire_top.copy()
-    wire_bot = d.wire_bot.copy()
-    for i, w in enumerate(sel):
-        wire_bot[w] = ("TT", tid, i)
-    for i, w in enumerate(produced):
-        wire_top[w] = ("TB", tid, i)
-    for i, w in enumerate(new_ports):
-        wire_bot[w] = ("FB", i)
-    return _assemble(d, wires, transistors, t_top, t_bot, new_ports, wire_top, wire_bot)
-
-
 def apply_linear_move(d: Diagram, position: int, g: GroupElement) -> Diagram:
     """Right-multiply the coefficient of the bottom wire at `position` by g."""
     w = d.bottom_ports[position]
@@ -240,18 +204,6 @@ def apply_move(rep: Diagram, kind: str, witness, geometry: str) -> Diagram:
     out = apply_transistor_move(rep, *witness, geometry)
     _cancel(out, (next(reversed(out.transistors)),) if rep._reduced else out.transistors)
     return out
-
-
-def neighbor_diagrams(rep: Diagram, cfg: BallConfig):
-    """The unitary moves from a reduced class representative, built: (reduced
-    result, kind, witness) in `unitary_moves` order, witness (rel_index,
-    direction, positions) or (letter, delta).  Not deduplicated by class."""
-    labels = rep.bot_word()
-    for kind, witness, _, _ in unitary_moves(rep, cfg):
-        out = apply_move(rep, kind, witness, cfg.geometry)
-        if kind == "linear":
-            witness = (labels[witness[0]], witness[1])
-        yield out, kind, witness
 
 
 # -- class BFS ----------------------------------------------------------------------

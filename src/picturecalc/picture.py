@@ -335,11 +335,52 @@ def with_bottom_ports(d: Diagram, ports) -> Diagram:
                      d.wire_top, wire_bot, d._reduced, d._trav)
 
 
+def apply_transistor_move(d: Diagram, rel_index: int, direction: int,
+                          positions: tuple[int, ...], geometry: str = "braided") -> Diagram:
+    """D . P . (eps(a)+T+eps(b)) built directly: the bottom wires at
+    `positions` (in that order) feed the new transistor.  Not reduced, and
+    its reduced flag stays unset (`apply_move` sets it).  The endpoint maps
+    are d's, updated for the fed wires, the produced wires and the frame
+    bottom."""
+    top_side, bot_side = rel_sides(d.pres, rel_index, direction)
+    sel = tuple(d.bottom_ports[p] for p in positions)
+    if tuple(d.wires[w][0] for w in sel) != top_side:
+        raise ValueError("selected wires do not spell the relation side")
+    wires = d.wires.copy()
+    tid = (max(d.transistors) if d.transistors else 0) + 1
+    wid = (max(d.wires) if d.wires else 0) + 1
+    produced = tuple(range(wid, wid + len(bot_side)))
+    for w, letter in zip(produced, bot_side):
+        wires[w] = (letter, identity(d.coeffs.spec(letter)))
+    transistors = d.transistors.copy()
+    transistors[tid] = (rel_index, direction)
+    t_top = d.t_top.copy()
+    t_bot = d.t_bot.copy()
+    t_top[tid] = sel
+    t_bot[tid] = produced
+
+    new_ports = GEOMETRY[geometry].after(d.bottom_ports, positions, produced)
+    wire_top = d.wire_top.copy()
+    wire_bot = d.wire_bot.copy()
+    for i, w in enumerate(sel):
+        wire_bot[w] = ("TT", tid, i)
+    for i, w in enumerate(produced):
+        wire_top[w] = ("TB", tid, i)
+    for i, w in enumerate(new_ports):
+        wire_bot[w] = ("FB", i)
+    return _assemble(d, wires, transistors, t_top, t_bot, new_ports, wire_top, wire_bot)
+
+
 # -- construction atoms --------------------------------------------------------
 
 
-def _resolve_labelled(pres, coeffs, labelled_word) -> LabelledWord:
-    out = []
+def eps(pres: SemigroupPresentation, coeffs: CoefficientSystem | None,
+        labelled_word, annular: bool = False) -> Diagram:
+    """epsilon(u1...un): n wires frame-top to frame-bottom, no transistors.
+    Each item of the word is a letter or a (letter, coefficient or None) pair."""
+    if coeffs is None:
+        coeffs = trivial_system(pres.alphabet)
+    wires: dict[int, tuple[str, GroupElement]] = {}
     for item in labelled_word:
         if isinstance(item, str):
             letter, elem = item, None
@@ -352,70 +393,34 @@ def _resolve_labelled(pres, coeffs, labelled_word) -> LabelledWord:
             elem = identity(spec)
         if elem.spec != spec:
             raise ValueError(f"element/spec mismatch at letter {letter!r}")
-        out.append((letter, elem))
-    return tuple(out)
-
-
-def eps(pres: SemigroupPresentation, coeffs: CoefficientSystem | None,
-        labelled_word, annular: bool = False) -> Diagram:
-    """epsilon(u1...un): n wires frame-top to frame-bottom, no transistors."""
-    if coeffs is None:
-        coeffs = trivial_system(pres.alphabet)
-    lw = _resolve_labelled(pres, coeffs, labelled_word)
-    if not lw:
+        wires[len(wires)] = (letter, elem)
+    if not wires:
         raise ValueError("empty word")
-    wires = {i: lw[i] for i in range(len(lw))}
-    ports = tuple(range(len(lw)))
+    ports = tuple(wires)
     return Diagram(pres, coeffs, wires, {}, {}, {}, ports, ports, annular, _reduced=True)
 
 
 def atom_permutation(pres, coeffs, labelled_word, perm, annular: bool = False) -> Diagram:
     """Wire i runs from frame-top port i to frame-bottom port perm[i]."""
-    if coeffs is None:
-        coeffs = trivial_system(pres.alphabet)
-    lw = _resolve_labelled(pres, coeffs, labelled_word)
-    n = len(lw)
+    d = eps(pres, coeffs, labelled_word, annular)
     perm = tuple(perm)
-    if sorted(perm) != list(range(n)):
+    if sorted(perm) != list(d.top_ports):
         raise ValueError("perm must be a bijection on positions")
-    wires = {i: lw[i] for i in range(n)}
-    bottom = [0] * n
-    for i in range(n):
-        bottom[perm[i]] = i
-    return Diagram(pres, coeffs, wires, {}, {}, {}, tuple(range(n)), tuple(bottom),
-                   annular, _reduced=True)
+    return with_bottom_ports(d, sorted(d.top_ports, key=perm.__getitem__))
 
 
 def atom_transistor(pres, coeffs, a: Word, rel_index: int, direction: int,
                     b: Word, annular: bool = False) -> Diagram:
     """Planar diagram eps(a) + T + eps(b) with one transistor, identity labels."""
-    if coeffs is None:
-        coeffs = trivial_system(pres.alphabet)
     if not (0 <= rel_index < len(pres.relations)):
         raise ValueError("invalid relation reference")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    top_side, bot_side = rel_sides(pres, rel_index, direction)
-    a, b = tuple(a), tuple(b)
-    wires: dict[int, tuple[str, GroupElement]] = {}
-    nid = 0
-
-    def add(letter):
-        nonlocal nid
-        wires[nid] = (letter, identity(coeffs.spec(letter)))
-        nid += 1
-        return nid - 1
-
-    left = [add(c) for c in a]
-    t_in = [add(c) for c in top_side]
-    right = [add(c) for c in b]
-    t_out = [add(c) for c in bot_side]
-    tid = 0
-    top_ports = tuple(left + t_in + right)
-    bottom_ports = tuple(left + t_out + right)
-    return Diagram(pres, coeffs, wires, {tid: (rel_index, direction)},
-                   {tid: tuple(t_in)}, {tid: tuple(t_out)},
-                   top_ports, bottom_ports, annular, _reduced=True)
+    top_side = rel_sides(pres, rel_index, direction)[0]
+    d = apply_transistor_move(eps(pres, coeffs, (*a, *top_side, *b), annular), rel_index,
+                              direction, tuple(range(len(a), len(a) + len(top_side))), "planar")
+    d._reduced = True  # one transistor forms no dipole
+    return d
 
 
 def atom_linear(pres, coeffs, word: Word, i: int, g: GroupElement,

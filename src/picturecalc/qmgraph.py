@@ -69,8 +69,8 @@ from itertools import combinations, islice
 
 from .coeff import coeff_serialize, nontrivial_elements, trivial_system
 from .errors import CompositionError
-from .moves import (BallConfig, Interned, bfs_classes, geometry_class_key, hyperplane_names,
-                    neighbor_diagrams)
+from .moves import (BallConfig, Interned, apply_move, bfs_classes, geometry_class_key,
+                    hyperplane_names, unitary_moves)
 from .picture import (
     GEOMETRY,
     Diagram,
@@ -175,13 +175,24 @@ class BallGraph:
             frontier = nxt
         return out
 
+    @cached_property
+    def commons(self) -> dict[tuple[int, int], list[int]]:
+        """(a, c) -> the ascending common neighbours of a < c, read off the
+        2-paths a-b-c centre by centre, for every pair with one, in ascending
+        pair order: the order of `induced_squares`, which fixes hyperplane ids."""
+        out: dict[tuple[int, int], list[int]] = {}
+        for b, nbrs in enumerate(self.adj):
+            for pair in combinations(sorted(nbrs), 2):
+                out.setdefault(pair, []).append(b)
+        return dict(sorted(out.items()))
+
     def triangles(self, margin: int | None = None):
         lim = self.radius if margin is None else margin
         out = []
         for (i, j) in self.edges:
             if self.depth(i) > lim or self.depth(j) > lim:
                 continue
-            for k in self.adj[i] & self.adj[j]:
+            for k in self.commons.get((i, j), ()):
                 if k > j and self.depth(k) <= lim:
                     out.append((i, j, k))
         return out
@@ -192,8 +203,8 @@ def neighbors(v: VertexClass, cfg: BallConfig) -> list[tuple[VertexClass, str]]:
     realizing unitary move.  Public API for exploring single vertices;
     `ball` and `verify` do not call it (they go through `bfs_classes`)."""
     out: dict[str, tuple[VertexClass, str]] = {}
-    for d, kind, _ in neighbor_diagrams(v.rep, cfg):
-        rep = GEOMETRY[cfg.geometry].class_rep(d)
+    for kind, witness, _, _ in unitary_moves(v.rep, cfg):
+        rep = GEOMETRY[cfg.geometry].class_rep(apply_move(v.rep, kind, witness, cfg.geometry))
         key = canonical_key(rep)
         if key != v.key and key not in out:
             out[key] = (VertexClass(key, rep), kind)
@@ -297,8 +308,7 @@ def verify_qm_axioms(g: BallGraph) -> Report:
     with premises restricted so the promised witness must lie in the ball."""
     rep = Report("qm_axioms")
     margin = g.radius - 1
-    inner = g.within(margin)
-    inner_set = set(inner)
+    inner_set = set(g.within(margin))
     n = len(g.vertices)
     row = g.row  # row(x)[u] = d(u, x): one row serves every u
     # triangle condition
@@ -307,7 +317,7 @@ def verify_qm_axioms(g: BallGraph) -> Report:
             rep.skipped += 1
             continue
         to_v, to_w = row(v), row(w)
-        to_commons = [row(x) for x in g.adj[v] & g.adj[w]]
+        to_commons = [row(x) for x in g.commons.get((v, w), ())]
         for u in range(n):
             k = to_v[u]
             if k != to_w[u] or u == v or u == w:
@@ -326,7 +336,7 @@ def verify_qm_axioms(g: BallGraph) -> Report:
             if w in g.adj[v]:
                 continue
             to_v, to_w = row(v), row(w)
-            to_commons = [row(x) for x in (g.adj[v] & g.adj[w]) - {z}]
+            to_commons = [row(x) for x in g.commons[v, w] if x != z]
             for u in range(n):
                 k = to_z[u]
                 if to_v[u] != k - 1 or to_w[u] != k - 1:
@@ -338,23 +348,21 @@ def verify_qm_axioms(g: BallGraph) -> Report:
     for (a, b) in g.edges:
         if a not in inner_set or b not in inner_set:
             continue
-        commons = sorted((g.adj[a] & g.adj[b]) & inner_set)
         rep.hit()
-        for c, d in combinations(commons, 2):
+        for c, d in combinations([c for c in g.commons.get((a, b), ()) if c in inner_set], 2):
             if d not in g.adj[c]:
                 rep.fail(("K4-", a, b, c, d))
     # induced K3,2: two nonadjacent vertices with 3 pairwise nonadjacent commons
-    for a in inner:
-        for b in inner:
-            if b <= a or b in g.adj[a]:
-                continue
-            commons = sorted((g.adj[a] & g.adj[b]) & inner_set)
-            if len(commons) < 3:
-                continue
-            rep.hit()
-            for c, d, e in combinations(commons, 3):
-                if d not in g.adj[c] and e not in g.adj[c] and e not in g.adj[d]:
-                    rep.fail(("K3,2", a, b, c, d, e))
+    for (a, b), shared in g.commons.items():
+        if a not in inner_set or b not in inner_set or b in g.adj[a]:
+            continue
+        shared = [c for c in shared if c in inner_set]
+        if len(shared) < 3:
+            continue
+        rep.hit()
+        for c, d, e in combinations(shared, 3):
+            if d not in g.adj[c] and e not in g.adj[c] and e not in g.adj[d]:
+                rep.fail(("K3,2", a, b, c, d, e))
     rep.details["triangle_free"] = not g.triangles()
     return rep
 
@@ -445,14 +453,12 @@ class _UnionFind:
 def induced_squares(g: BallGraph):
     """(a, b, c, d) with edges ab, bc, cd, da and non-edges ac, bd."""
     out = []
-    n = len(g.vertices)
-    for a in range(n):
-        for c in range(a + 1, n):
-            if c in g.adj[a]:
-                continue
-            for b, d in combinations(sorted(g.adj[a] & g.adj[c]), 2):
-                if d not in g.adj[b]:
-                    out.append((a, b, c, d))
+    for (a, c), shared in g.commons.items():
+        if c in g.adj[a]:
+            continue
+        for b, d in combinations(shared, 2):
+            if d not in g.adj[b]:
+                out.append((a, b, c, d))
     return out
 
 
@@ -559,7 +565,7 @@ def hyperplanes_report(g: BallGraph) -> Report:
             continue
         member_set = set(J.member_edges)
         # (1) sectors vs projection fibers over a carrier clique
-        carrier = min(J.carrier_cliques, key=lambda c: (max(g.depth(i) for i in c), sorted(c)))
+        carrier = _base_carrier(g, J)
         comp = _UnionFind(range(len(g.vertices)))
         for (i, j) in g.edges:
             if (i, j) not in member_set:
@@ -596,6 +602,11 @@ def hyperplanes_report(g: BallGraph) -> Report:
                 if not _linear_edge_witness_ok(g, i, j):
                     rep.fail(("linear_edge_form", J.hid, i, j))
     return rep
+
+
+def _base_carrier(g: BallGraph, J: Hyperplane) -> frozenset[int]:
+    """J's carrier clique of least greatest depth, then least members."""
+    return min(J.carrier_cliques, key=lambda c: (max(g.depth(i) for i in c), sorted(c)))
 
 
 def _linear_edge_witness_ok(g: BallGraph, i: int, j: int) -> bool:
@@ -690,7 +701,7 @@ def rotative_stab_probe(g: BallGraph, J: Hyperplane, plus_verified: bool = False
     if not plus_verified:
         raise ValueError("probe requires condition (+) verified for this configuration")
     rep.details["label"] = "candidates under (+)"
-    carrier = min(J.carrier_cliques, key=lambda c: (max(g.depth(i) for i in c), sorted(c)))
+    carrier = _base_carrier(g, J)
     members = sorted(carrier)
     base = g.vertices[members[0]].rep
     # the carrier is a complete pin: its members share the base's key there
@@ -701,39 +712,33 @@ def rotative_stab_probe(g: BallGraph, J: Hyperplane, plus_verified: bool = False
         raise ValueError("carrier clique is not a pin of its base vertex")
     word = base.bot_word()
     spec = g.cfg.coeffs.spec(word[position])
-    candidates = [(None, None)]
+    candidates = []  # the nontrivial ones: the identity fixes everything
     for gval in nontrivial_elements(spec):
         lin = atom_linear(base.pres, base.coeffs, word, position, gval,
                           annular=base.annular)
-        cand = multiply(multiply(base, lin), invert(base))
-        candidates.append((gval, cand))
-    # identity candidate fixes everything
+        candidates.append((gval, multiply(multiply(base, lin), invert(base))))
+    base_images = []  # the key of each candidate's image of the base vertex
     for gval, cand in candidates:
-        if cand is None:
-            continue
         for clique in J.carrier_cliques:
             keys = {g.vertices[i].key for i in clique}
-            image = set()
-            for i in clique:
-                moved = multiply(cand, g.vertices[i].rep)
-                image.add(geometry_class_key(moved, g.geometry))
+            image = {i: geometry_class_key(multiply(cand, g.vertices[i].rep), g.geometry)
+                     for i in clique}
             rep.hit()
-            if image != keys:
+            if set(image.values()) != keys:
                 rep.fail(("clique_not_stabilised", J.hid, coeff_serialize(gval), sorted(clique)))
+            if clique is carrier:
+                base_images.append(image[members[0]])
     # free and transitive on the base carrier clique
     base_key = g.vertices[members[0]].key
     orbit = {base_key}
-    for gval, cand in candidates:
-        if cand is None:
-            continue
-        moved = geometry_class_key(multiply(cand, base), g.geometry)
+    for (gval, _), moved in zip(candidates, base_images):
         rep.hit()
         if moved == base_key:
             rep.fail(("not_free", J.hid, coeff_serialize(gval)))
         orbit.add(moved)
     if orbit != {g.vertices[i].key for i in carrier}:
         rep.fail(("not_transitive", J.hid))
-    rep.details["candidates"] = len(candidates)
+    rep.details["candidates"] = len(candidates) + 1  # the identity included
     return rep
 
 

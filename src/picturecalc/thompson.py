@@ -22,8 +22,8 @@ from itertools import accumulate
 from .picture import (
     GEOMETRY,
     Diagram,
+    apply_transistor_move,
     atom_permutation,
-    atom_transistor,
     concat,
     eps,
     invert,
@@ -366,17 +366,16 @@ def evaluate_map(tp: TreePair, q: NAdic) -> NAdic:
 
 
 def _forest_diagram(forest: Forest, pres, coeffs) -> Diagram:
-    """One positive caret atom per internal node, in preorder: every node
-    left of a node is then expanded, so it sits at the bottom position of
-    its leftmost leaf.  Leaf i is leftmost below one node per trailing zero
-    digit of its address."""
+    """One positive caret hung in place per internal node, in preorder:
+    every node left of a node is then expanded, so it sits at the bottom
+    position of its leftmost leaf.  Leaf i is leftmost below one node per
+    trailing zero digit of its address."""
     d = eps(pres, coeffs, ("x",) * len(forest))
     for i, (_, addr) in enumerate(leaf_addresses(forest)):
         depth = len(addr)
         while depth and addr[depth - 1] == 0:
             depth -= 1
-            rest = ("x",) * (len(d.bottom_ports) - i - 1)
-            d = concat(d, atom_transistor(pres, coeffs, ("x",) * i, 0, 1, rest))
+            d = apply_transistor_move(d, 0, 1, (i,), "planar")
     return d
 
 

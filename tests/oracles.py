@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
-from picturecalc.coeff import TrivialSpec, free_element, identity, nontrivial_elements
+from picturecalc.coeff import TrivialSpec, free_element, identity, nontrivial_elements, trivial_system
 from picturecalc.embed import QPRES, free_system
 from picturecalc.errors import CompositionError
 from picturecalc.moves import BallConfig
@@ -39,7 +39,7 @@ from picturecalc.picture import (
     top_down,
     with_bottom_ports,
 )
-from picturecalc.thompson import TreePair, forest_leaves
+from picturecalc.thompson import TreePair, forest_leaves, leaf_addresses, thompson_presentation
 
 
 # -- all reduction orders -------------------------------------------------------
@@ -255,6 +255,94 @@ def pins_oracle(g) -> list[tuple[frozenset[str], str, bool]]:
                 pin, letter = _pin_oracle(v.rep, position, g.cfg.coeffs, g.geometry)
                 seen.setdefault(pin, (letter, pin <= in_ball))
     return [(pin, letter, complete) for pin, (letter, complete) in seen.items()]
+
+
+# -- the quasi-median checks by adjacency-set intersections ------------------------
+# Each common-neighbour set intersected from the adjacency sets where it is
+# needed, the K3,2 test and the induced squares over every vertex pair.
+
+def triangles_oracle(g, margin: int | None = None) -> list[tuple[int, int, int]]:
+    """(i, j, k) with i < j < k pairwise adjacent, all within the margin,
+    per edge (i, j) in edge order."""
+    lim = g.radius if margin is None else margin
+    out = []
+    for (i, j) in g.edges:
+        if g.depth(i) > lim or g.depth(j) > lim:
+            continue
+        for k in sorted(g.adj[i] & g.adj[j]):
+            if k > j and g.depth(k) <= lim:
+                out.append((i, j, k))
+    return out
+
+
+def induced_squares_oracle(g) -> list[tuple[int, int, int, int]]:
+    """(a, b, c, d) with edges ab, bc, cd, da and non-edges ac, bd."""
+    out = []
+    n = len(g.vertices)
+    for a in range(n):
+        for c in range(a + 1, n):
+            if c in g.adj[a]:
+                continue
+            for b, d in itertools.combinations(sorted(g.adj[a] & g.adj[c]), 2):
+                if d not in g.adj[b]:
+                    out.append((a, b, c, d))
+    return out
+
+
+def qm_axioms_oracle(g) -> tuple[int, int, list, bool]:
+    """(checked, skipped, violations, triangle_free) of the triangle and
+    quadrangle conditions and the forbidden K4- and K3,2, premises limited
+    to radius - 1 as in `verify_qm_axioms`."""
+    checked, skipped, violations = 0, 0, []
+    inner = [i for i in range(len(g.vertices)) if g.depth(i) <= g.radius - 1]
+    inner_set = set(inner)
+    n = len(g.vertices)
+    for (v, w) in g.edges:
+        if v not in inner_set or w not in inner_set:
+            skipped += 1
+            continue
+        commons = g.adj[v] & g.adj[w]
+        for u in range(n):
+            k = g.distance(u, v)
+            if k != g.distance(u, w) or u == v or u == w:
+                continue
+            checked += 1
+            if not any(g.distance(u, x) == k - 1 for x in commons):
+                violations.append(("triangle", u, v, w))
+    for z in range(n):
+        for v, w in itertools.combinations(sorted(g.adj[z]), 2):
+            if v not in inner_set or w not in inner_set:
+                skipped += 1
+                continue
+            if w in g.adj[v]:
+                continue
+            commons = (g.adj[v] & g.adj[w]) - {z}
+            for u in range(n):
+                k = g.distance(u, z)
+                if g.distance(u, v) != k - 1 or g.distance(u, w) != k - 1:
+                    continue
+                checked += 1
+                if not any(g.distance(u, x) == k - 2 for x in commons):
+                    violations.append(("quadrangle", u, z, v, w))
+    for (a, b) in g.edges:
+        if a not in inner_set or b not in inner_set:
+            continue
+        checked += 1
+        for c, d in itertools.combinations(sorted(g.adj[a] & g.adj[b] & inner_set), 2):
+            if d not in g.adj[c]:
+                violations.append(("K4-", a, b, c, d))
+    for a in inner:
+        for b in inner:
+            if b <= a or b in g.adj[a]:
+                continue
+            commons = sorted(g.adj[a] & g.adj[b] & inner_set)
+            if len(commons) < 3:
+                continue
+            checked += 1
+            for c, d, e in itertools.combinations(commons, 3):
+                if d not in g.adj[c] and e not in g.adj[c] and e not in g.adj[d]:
+                    violations.append(("K3,2", a, b, c, d, e))
+    return checked, skipped, violations, not triangles_oracle(g)
 
 
 def linear_edge_witness_oracle(g, i: int, j: int) -> bool:
@@ -698,6 +786,28 @@ def random_element_oracle(pres, coeffs, w, rng, geometry: str = "braided", steps
 
 
 # -- tree pairs: the rescanning caret cancellation -----------------------------------
+
+def forest_diagram_oracle(forest, pres, coeffs) -> Diagram:
+    """One positive caret atom glued below per internal node, in preorder,
+    at the bottom position of the node's leftmost leaf."""
+    d = eps(pres, coeffs, ("x",) * len(forest))
+    for i, (_, addr) in enumerate(leaf_addresses(forest)):
+        depth = len(addr)
+        while depth and addr[depth - 1] == 0:
+            depth -= 1
+            rest = ("x",) * (len(d.bottom_ports) - i - 1)
+            d = concat_oracle(d, atom_transistor(pres, coeffs, ("x",) * i, 0, 1, rest))
+    return d
+
+
+def tree_pair_to_diagram_oracle(tp: TreePair) -> Diagram:
+    """Domain forest, leaf bijection and inverted image forest, glued."""
+    pres = thompson_presentation(tp.arity)
+    coeffs = trivial_system(pres.alphabet)
+    link = atom_permutation(pres, coeffs, ("x",) * len(tp.perm), tp.perm)
+    bot = invert(forest_diagram_oracle(tp.image, pres, coeffs))
+    return concat_oracle(concat_oracle(forest_diagram_oracle(tp.domain, pres, coeffs), link), bot)
+
 
 def _caret_sites_oracle(forest, arity: int):
     """(root, address, leftmost leaf index) of each all-leaf internal node."""

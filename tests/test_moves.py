@@ -16,7 +16,6 @@ from picturecalc.moves import (
     bfs_classes,
     enumerate_reduced,
     geometry_class_key,
-    neighbor_diagrams,
     normalize_base,
     unitary_moves,
     word_moves,
@@ -37,7 +36,7 @@ from picturecalc.picture import (
     with_bottom_ports,
 )
 from picturecalc.presentation import builtin_presentation
-from picturecalc.qmgraph import ball, hyperplane_coordinates
+from picturecalc.qmgraph import ball, hyperplane_coordinates, neighbors
 from picturecalc import sampling
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
@@ -78,6 +77,17 @@ MOVE_BALLS = [(Q, CYC2, ("x",), geometry, 3) for geometry in GEOMETRIES] + [
     (HIG, trivial_system(HIG.alphabet), HIG_WORD, "planar", 2),
 ]
 BALL_NAMES = {Q: "thompson", ABC: "abc", HOU: "houghton", HIG: "higman"}
+
+
+def neighbor_diagrams(rep, cfg):
+    """Every unitary move of rep, built: (reduced result, kind, witness) in
+    `unitary_moves` order, a linear witness as (letter, delta)."""
+    labels = rep.bot_word()
+    for kind, witness, _, _ in unitary_moves(rep, cfg):
+        out = apply_move(rep, kind, witness, cfg.geometry)
+        if kind == "linear":
+            witness = (labels[witness[0]], witness[1])
+        yield out, kind, witness
 
 
 def neighbor_keys(rep, cfg):
@@ -382,6 +392,25 @@ def test_unitary_moves_predict_length(case):
         assert {("linear", 1), ("linear", -1)} <= kinds_seen
     if coeffs is CYC3:
         assert ("linear", 0) in kinds_seen
+
+
+@pytest.mark.parametrize("case", MOVE_BALLS, ids=_ball_id)
+def test_neighbors_match_oracle_on_every_ball_vertex(case):
+    """`qmgraph.neighbors` of every vertex: the definition-level neighbour
+    classes, listed in order of first move (`moves_oracle` order), each with
+    the kind of that first move."""
+    pres, coeffs, w, geometry, radius = case
+    cfg = BallConfig(pres, coeffs, geometry)
+    g = ball(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+    for v in g.vertices:
+        first = {}
+        for raw, kind, _ in moves_oracle(v.rep, cfg):
+            first.setdefault(class_key_oracle(reduce_oracle(raw), geometry), kind)
+        first.pop(v.key, None)
+        got = neighbors(v, cfg)
+        assert [(u.key, kind) for u, kind in got] == list(first.items())
+        assert set(first) == neighbor_keys_oracle(v.rep, cfg)
+        assert all(u.key == canonical_key(u.rep) for u, _ in got)
 
 
 def _fresh(d: Diagram) -> Diagram:

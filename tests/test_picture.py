@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -34,6 +35,7 @@ from picturecalc.picture import (
     length,
     multiply,
     reduce,
+    rel_sides,
     sum_diagrams,
     top_down,
 )
@@ -178,6 +180,36 @@ def test_atom_permutation():
     assert classify_kind(swap) == "permutation"
     with pytest.raises(ValueError):
         atom_permutation(Q, TRIV, "xx", (0, 0))
+
+
+def test_atom_digest_is_pinned():
+    """sha256 of the keys of every transistor atom of the builtins, per
+    relation, direction, pad of at most one letter a side, annular flag and
+    coefficient system, and of every permutation atom on each such atom's
+    top word, one letter labelled: atoms are hung with
+    `apply_transistor_move` and bottom-port orders, and their internal ids
+    may change, their keys may not."""
+    def keys():
+        for name, params in [("thompson", ()), ("higman", (3, 1)), ("quasi_auto", (2, 1, 1)),
+                             ("houghton", (2, 0)), ("commuting_abc", ())]:
+            pres, _ = builtin_presentation(name, params)
+            first = pres.alphabet[0]
+            cyc = make_system(pres.alphabet, {first: CyclicSpec(2)})
+            pads = [()] + [(x,) for x in pres.alphabet]
+            for rel_index, direction in itertools.product(range(len(pres.relations)), (1, -1)):
+                top = rel_sides(pres, rel_index, direction)[0]
+                for a, b, annular in itertools.product(pads, pads, (False, True)):
+                    for coeffs in (trivial_system(pres.alphabet), cyc):
+                        yield canonical_key(atom_transistor(pres, coeffs, a, rel_index,
+                                                            direction, b, annular))
+                    word = a + top + b
+                    labelled = [(x, cyclic_element(CyclicSpec(2), 1) if x == first else None)
+                                for x in word]
+                    for perm in itertools.permutations(range(len(word))):
+                        yield canonical_key(atom_permutation(pres, cyc, labelled, perm, annular))
+
+    digest = hashlib.sha256("\n".join(keys()).encode()).hexdigest()
+    assert digest == "a07a3135fbc4b85ba08ef0dc801fcb065d65fabc2d4f5b3a27fbe96f2af72522"
 
 
 def test_atom_linear():

@@ -1,5 +1,8 @@
+import ast
 import hashlib
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,7 @@ from picturecalc.qmgraph import (
     geodesic,
     hyperplanes,
     hyperplanes_report,
+    induced_squares,
     neighbors,
     pair_distance,
     pins_report,
@@ -42,10 +46,13 @@ from picturecalc.qmgraph import (
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
 from oracles import (
+    induced_squares_oracle,
     linear_edge_witness_oracle,
     pair_distance_matching_oracle,
     pair_distance_oracle,
     pins_oracle,
+    qm_axioms_oracle,
+    triangles_oracle,
 )
 
 Q, _ = builtin_presentation("thompson")
@@ -402,6 +409,68 @@ def test_qm_axioms_catch_broken_graph():
     assert broken is not None and not rep.passed
 
 
+def _assert_common_neighbour_checks_match_oracle(g):
+    rep = verify_qm_axioms(g)
+    checked, skipped, violations, triangle_free = qm_axioms_oracle(g)
+    assert (rep.checked, rep.skipped, rep.violations) == (checked, skipped, violations)
+    assert rep.details["triangle_free"] == triangle_free and rep.passed == (not violations)
+    assert induced_squares(g) == induced_squares_oracle(g)
+    for margin in (None, g.radius - 1):
+        assert g.triangles(margin) == triangles_oracle(g, margin)
+    return rep
+
+
+@pytest.mark.parametrize("case", [(Q, CYC2, ("x",), geometry, radius)
+                                  for geometry in ("braided", "annular", "planar")
+                                  for radius in (3, 4)]
+                         + [(ABC, ABC_CYC2, ABC_WORD, "braided", 3)],
+                         ids=lambda case: f"{'abc' if case[0] is ABC else 'thompson'}-{case[3]}"
+                                          f"-r{case[4]}")
+def test_common_neighbour_table_matches_set_intersections(case):
+    """The verifiers read common neighbours from `BallGraph.commons`: the
+    triangle, quadrangle, K4- and K3,2 checks, the triangles and the induced
+    squares must equal the intersections of adjacency sets, order included."""
+    pres, coeffs, w, geometry, radius = case
+    g = ball(eps(pres, coeffs, w, annular=geometry == "annular"), radius,
+             BallConfig(pres, coeffs, geometry))
+    assert _assert_common_neighbour_checks_match_oracle(g).passed
+    assert induced_squares(g)
+
+
+def test_common_neighbour_table_matches_set_intersections_on_doctored_balls():
+    # one linear edge from depth 1 to depth 2 removed: K4-, triangle and
+    # quadrangle violations
+    cfg = BallConfig(Q, make_system(Q.alphabet, {"x": CyclicSpec(4)}))
+    g = ball(eps(Q, cfg.coeffs, "x"), 3, cfg)
+    cut = next(e for e, (kind, _) in g.edges.items()
+               if kind == "linear" and (g.depth(e[0]), g.depth(e[1])) == (1, 2))
+    doctored = BallGraph(cfg, g.radius, g.vertices, {e: kw for e, kw in g.edges.items() if e != cut})
+    rep = _assert_common_neighbour_checks_match_oracle(doctored)
+    assert {v[0] for v in rep.violations} == {"K4-", "triangle", "quadrangle"}
+    # five inner vertices rewired into a K3,2: a, b joined to each of c, d, e
+    cfg = BallConfig(Q, CYC2)
+    g = ball(eps(Q, CYC2, "x"), 4, cfg)
+    five = a, b, c, d, e = g.within(g.radius - 1)[1:6]
+    edges = {f: kw for f, kw in g.edges.items() if not set(f) <= set(five)}
+    edges.update({(x, y): ("transistor", None) for x in (a, b) for y in (c, d, e)})
+    rep = _assert_common_neighbour_checks_match_oracle(BallGraph(cfg, g.radius, g.vertices, edges))
+    assert ("K3,2", a, b, c, d, e) in rep.violations
+
+
+def test_common_neighbours_come_from_one_table():
+    # qmgraph intersects adjacency sets nowhere but in `BallGraph.commons`,
+    # so the table stays the one place common neighbours come from
+    text = Path(qmgraph.__file__).read_text()
+    ball_graph = next(node for node in ast.parse(text).body
+                      if isinstance(node, ast.ClassDef) and node.name == "BallGraph")
+    commons = next(node for node in ball_graph.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "commons")
+    pattern = re.compile(r"adj\[[^\]]*\]\s*&|&\s*[\w.]*adj\[")
+    for i, line in enumerate(text.splitlines(), 1):
+        if not commons.lineno <= i <= commons.end_lineno:
+            assert not pattern.search(line), f"qmgraph.py:{i}: {line.strip()}"
+
+
 def test_pins_trivial_and_cyclic():
     cfg = BallConfig(Q, TRIV)
     g = ball(eps(Q, TRIV, "x"), 3, cfg)
@@ -672,6 +741,21 @@ def test_rotative_stab_probe_cyclic():
         assert rep.details["label"] == "candidates under (+)"
         with pytest.raises(ValueError):
             rotative_stab_probe(g, J, plus_verified=False)
+
+
+def test_rotative_stab_probe_moves_each_carrier_vertex_once(monkeypatch):
+    # the free and transitive check reads the base vertex's images from the
+    # stabiliser loop: per candidate, two products build it and one moves
+    # each member of each carrier clique
+    cfg = BallConfig(Q, CYC3)
+    g = ball(eps(Q, CYC3, "x"), 3, cfg)
+    J = next(J for J in hyperplanes(g) if J.kind == "linear" and J.interior)
+    products, real = [], qmgraph.multiply
+    monkeypatch.setattr(qmgraph, "multiply", lambda a, b: products.append(1) or real(a, b))
+    rep = rotative_stab_probe(g, J, plus_verified=True)
+    nontrivial = rep.details["candidates"] - 1
+    assert len(products) == nontrivial * (2 + sum(len(c) for c in J.carrier_cliques))
+    assert rep.checked == nontrivial * (len(J.carrier_cliques) + 1) and rep.passed
 
 
 def test_exports():

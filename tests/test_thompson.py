@@ -21,6 +21,7 @@ from picturecalc.sampling import random_element, random_tree_pair
 from picturecalc.thompson import (
     NAdic,
     TreePair,
+    _forest_diagram,
     _replace,
     diagram_to_tree_pair,
     evaluate_map,
@@ -36,7 +37,13 @@ from picturecalc.thompson import (
     tree_pair_to_diagram,
 )
 
-from oracles import evaluate_oracle, membership_oracle, reduce_pair_oracle
+from oracles import (
+    evaluate_oracle,
+    forest_diagram_oracle,
+    membership_oracle,
+    reduce_pair_oracle,
+    tree_pair_to_diagram_oracle,
+)
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -203,6 +210,33 @@ def test_tp_multiply_digest_is_pinned():
 
     digest = hashlib.sha256("\n".join(products()).encode()).hexdigest()
     assert digest == "09eeb88493ba2c32e23d5c599c90bf6dd4474a07bda2c71d15d2181c613a1447"
+
+
+def _seeded_pairs():
+    rng = random.Random(20)
+    for arity, roots, reduced in itertools.product((2, 3, 4), (1, 2, 3), (True, False)):
+        for carets in (0, 1, 2, 3, 4, 5) * 3:
+            yield random_tree_pair(rng, arity, carets, roots, reduced)
+
+
+def test_tree_pair_diagram_digest_is_pinned():
+    """sha256 of the keys of the diagrams of seeded pairs of arity 2-4 with
+    1-3 roots, reduced and not: the forests' carets are hung in place, and
+    the keys must not change."""
+    keys = [canonical_key(tree_pair_to_diagram(tp)) for tp in _seeded_pairs()]
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert digest == "fa1f39c4a6c42d0553eb6766b0bdf8e6925a06119cd935451c551357ac27572a"
+
+
+def test_forests_match_caret_atoms_glued_one_by_one():
+    for tp in _seeded_pairs():
+        pres = thompson_presentation(tp.arity)
+        triv = trivial_system(pres.alphabet)
+        for forest in (tp.domain, tp.image):
+            assert (canonical_key(_forest_diagram(forest, pres, triv))
+                    == canonical_key(forest_diagram_oracle(forest, pres, triv)))
+        assert canonical_key(tree_pair_to_diagram(tp)) == canonical_key(
+            tree_pair_to_diagram_oracle(tp))
 
 
 def test_bridge_is_homomorphism(rng):

@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, CompositionError, EnumerationError, FileNotFoundError,
+    except (ParseError, CompositionError, EnumerationError, OSError,
             json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -47,10 +47,13 @@ subgraph of X on its vertices; so a decreasing neighbour is always an
 edge of the ball, and the exact distances make the path an X-geodesic.
 `geodesic` takes the same descent in X, to the first of `neighbors` one closer.
 
-The verifiers check the weak-modularity axioms, the forbidden induced
-subgraphs, the pin lemmas, hyperplane sector/gate structure, the technical
-condition (+) and the rotative-stabiliser description of linear
-hyperplanes, reporting any violating tuple.
+The verifiers check the weak-modularity axioms (the triangle and quadrangle
+conditions as one interval test), the forbidden induced subgraphs, the pin
+lemmas (reading one map from each vertex pair to the complete pins holding
+it), hyperplane sector/gate structure and crossings (reading one map from
+each edge to its hyperplane id), the technical condition (+) and the
+rotative-stabiliser description of linear hyperplanes, reporting any
+violating tuple.
 
 A hyperplane is called interior when at least one member edge has both
 endpoints within radius r-2; assertions quantify over margin-limited
@@ -65,7 +68,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 from .coeff import coeff_serialize, nontrivial_elements, trivial_system
 from .errors import CompositionError
@@ -158,22 +161,6 @@ class BallGraph:
     def distance(self, i: int, j: int) -> int:
         """Global distance via the length formula (valid beyond the ball)."""
         return self.row(i)[j]
-
-    def bfs_distances(self, start: int) -> list[int | None]:
-        out: list[int | None] = [None] * len(self.vertices)
-        out[start] = 0
-        frontier = [start]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for i in frontier:
-                for j in self.adj[i]:
-                    if out[j] is None:
-                        out[j] = d
-                        nxt.append(j)
-            frontier = nxt
-        return out
 
     @cached_property
     def commons(self) -> dict[tuple[int, int], list[int]]:
@@ -311,39 +298,33 @@ def verify_qm_axioms(g: BallGraph) -> Report:
     inner_set = set(g.within(margin))
     n = len(g.vertices)
     row = g.row  # row(x)[u] = d(u, x): one row serves every u
-    # triangle condition
+
+    def unwitnessed(v, w, witnesses, to_ref, offset):
+        """The u with d(u,v) = d(u,ref) - offset = d(u,w) = k that no witness x
+        has at d(u,x) = k - 1.  No u in {v, w} has d(u,v) = d(u,w)."""
+        to_v, to_w = row(v), row(w)
+        to_witnesses = [row(x) for x in witnesses]
+        premise = [u for u in range(n) if to_v[u] == to_ref[u] - offset == to_w[u]]
+        rep.checked += len(premise)
+        return [u for u in premise if not any(to_x[u] == to_v[u] - 1 for to_x in to_witnesses)]
+    # triangle condition: ref v, offset 0
     for (v, w) in g.edges:
         if v not in inner_set or w not in inner_set:
             rep.skipped += 1
             continue
-        to_v, to_w = row(v), row(w)
-        to_commons = [row(x) for x in g.commons.get((v, w), ())]
-        for u in range(n):
-            k = to_v[u]
-            if k != to_w[u] or u == v or u == w:
-                continue
-            rep.hit()
-            if not any(to_x[u] == k - 1 for to_x in to_commons):
-                rep.fail(("triangle", u, v, w))
-    # quadrangle condition
+        for u in unwitnessed(v, w, g.commons.get((v, w), ()), row(v), 0):
+            rep.fail(("triangle", u, v, w))
+    # quadrangle condition: ref z, offset 1
     for z in range(n):
         nbrs = sorted(g.adj[z])
-        to_z = row(z)
         for v, w in combinations(nbrs, 2):
             if v not in inner_set or w not in inner_set:
                 rep.skipped += 1
                 continue
             if w in g.adj[v]:
                 continue
-            to_v, to_w = row(v), row(w)
-            to_commons = [row(x) for x in g.commons[v, w] if x != z]
-            for u in range(n):
-                k = to_z[u]
-                if to_v[u] != k - 1 or to_w[u] != k - 1:
-                    continue
-                rep.hit()
-                if not any(to_x[u] == k - 2 for to_x in to_commons):
-                    rep.fail(("quadrangle", u, z, v, w))
+            for u in unwitnessed(v, w, [x for x in g.commons[v, w] if x != z], row(z), 1):
+                rep.fail(("quadrangle", u, z, v, w))
     # induced K4- : an edge with two nonadjacent common neighbors
     for (a, b) in g.edges:
         if a not in inner_set or b not in inner_set:
@@ -394,6 +375,7 @@ def pins_report(g: BallGraph) -> Report:
     rep = Report("pins")
     pins = enumerate_pins(g)
     complete = []
+    holders: dict[tuple[int, int], list[int]] = {}  # a < b -> the complete pins holding both
     for pin, letter, is_complete in pins:
         if not is_complete:
             rep.skipped += 1
@@ -402,26 +384,26 @@ def pins_report(g: BallGraph) -> Report:
         rep.hit()
         if len(pin) != size:
             rep.fail(("pin_size", letter, len(pin), size))
-        complete.append(pin)
-        for a in pin:
-            for b in pin:
-                if a < b and b not in g.adj[a]:
+        for a, b in permutations(pin, 2):
+            if a < b:
+                holders.setdefault((a, b), []).append(len(complete))
+                if b not in g.adj[a]:
                     rep.fail(("pin_not_clique", a, b))
-    for p, q in combinations(complete, 2):
-        rep.hit()
-        if len(p & q) > 1:
-            rep.fail(("pin_intersection", sorted(p & q)))
+        complete.append(pin)
+    rep.checked += len(complete) * (len(complete) - 1) // 2  # each pair of pins
+    for p, q in sorted({pq for held in holders.values() for pq in combinations(held, 2)}):
+        rep.fail(("pin_intersection", sorted(complete[p] & complete[q])))
     margin = g.radius - 1
     for (a, b, c) in g.triangles(margin):
         rep.hit()
-        if not any({a, b, c} <= pin for pin in complete):
+        if not any(c in complete[p] for p in holders.get((a, b), ())):
             rep.fail(("triangle_outside_pins", a, b, c))
     # every linear edge lies in a pin
     for (i, j), (kind, witness) in g.edges.items():
         if kind != "linear":
             continue
         rep.hit()
-        if not any(i in pin and j in pin for pin in complete):
+        if (i, j) not in holders:
             if g.depth(i) <= margin and g.depth(j) <= margin:
                 rep.fail(("linear_edge_outside_pins", i, j))
             else:
@@ -482,28 +464,26 @@ def hyperplanes(g: BallGraph) -> list[Hyperplane]:
     def norm(i, j):
         return (i, j) if i < j else (j, i)
 
-    pin_ids = [pin for pin, _, complete in enumerate_pins(g) if complete]
-    for ids in pin_ids:
+    pin_edge = []  # (pin, its first edge) per complete pin with edges, all of one class
+    for ids in (pin for pin, _, complete in enumerate_pins(g) if complete):
         clique_edges = [e for e in combinations(sorted(ids), 2) if e in g.edges]
+        pin_edge += [(ids, e) for e in clique_edges[:1]]
         for e in clique_edges[1:]:
             uf.union(clique_edges[0], e)
     for (a, b, c, d) in induced_squares(g):
         uf.union(norm(a, b), norm(c, d))
         uf.union(norm(b, c), norm(d, a))
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    groups: dict[tuple[int, int], tuple[list, list]] = {}  # root -> (edges, pins in pin order)
     for e in g.edges:
-        groups.setdefault(uf.find(e), []).append(e)
+        groups.setdefault(uf.find(e), ([], []))[0].append(e)
+    for ids, e in pin_edge:
+        groups[uf.find(e)][1].append(ids)
     margin = g.radius - 2
     out = []
-    for hid, (root, members) in enumerate(sorted(groups.items())):
+    for hid, (_, (members, pins)) in enumerate(sorted(groups.items())):
         kinds = {g.edge_kind(*e) for e in members}
         kind = kinds.pop() if len(kinds) == 1 else "mixed"
-        if kind == "linear":
-            member_set = set(members)
-            carriers = [ids for ids in pin_ids
-                        if any(e in member_set for e in combinations(sorted(ids), 2))]
-        else:
-            carriers = [frozenset(e) for e in members]
+        carriers = pins if kind == "linear" else [frozenset(e) for e in members]
         interior = any(g.depth(i) <= margin and g.depth(j) <= margin
                        for (i, j) in members)
         out.append(Hyperplane(hid, kind, sorted(members), carriers, interior))
@@ -555,7 +535,13 @@ def hyperplanes_report(g: BallGraph) -> Report:
     hyps = hyperplanes(g)
     rep.details["count"] = len(hyps)
     rep.details["interior"] = sum(1 for J in hyps if J.interior)
+    hid_of = {e: J.hid for J in hyps for e in J.member_edges}
     geodesics = _certified_geodesic_edges(g, rep)
+    doubles: dict[int, list[tuple[int, int, int]]] = {}  # hid -> (x, y, crossings > 1)
+    for x, y, path_edges in geodesics:
+        for hid, crossings in Counter(hid_of[e] for e in path_edges).items():
+            if crossings > 1:
+                doubles.setdefault(hid, []).append((x, y, crossings))
     inner = g.within(margin)
     for J in hyps:
         if J.kind == "mixed":
@@ -563,13 +549,12 @@ def hyperplanes_report(g: BallGraph) -> Report:
         if not J.interior:
             rep.skipped += 1
             continue
-        member_set = set(J.member_edges)
         # (1) sectors vs projection fibers over a carrier clique
         carrier = _base_carrier(g, J)
         comp = _UnionFind(range(len(g.vertices)))
-        for (i, j) in g.edges:
-            if (i, j) not in member_set:
-                comp.union(i, j)
+        for e in g.edges:
+            if hid_of[e] != J.hid:
+                comp.union(*e)
         gates: dict[int, int] = {}
         gate_ok = True
         to_carrier = [(g.row(c), c) for c in carrier]
@@ -590,11 +575,9 @@ def hyperplanes_report(g: BallGraph) -> Report:
                 elif same_fiber and not same_comp:
                     rep.inconclusive.append(("sector_truncated", J.hid, x, y))
         # (2) geodesics cross the hyperplane at most once
-        for x, y, path_edges in geodesics:
-            crossings = sum(1 for e in path_edges if e in member_set)
-            rep.hit()
-            if crossings > 1:
-                rep.fail(("double_crossing", J.hid, x, y, crossings))
+        rep.checked += len(geodesics)
+        for x, y, crossings in doubles.get(J.hid, ()):
+            rep.fail(("double_crossing", J.hid, x, y, crossings))
         # (3) linear-hyperplane witness form for every member linear edge
         if J.kind == "linear":
             for (i, j) in J.member_edges:

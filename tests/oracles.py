@@ -8,6 +8,7 @@ code paths.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import zlib
 from collections import deque
@@ -38,6 +39,15 @@ from picturecalc.picture import (
     sum_diagrams,
     top_down,
     with_bottom_ports,
+)
+from picturecalc.qmgraph import (
+    Report,
+    _base_carrier,
+    _certified_geodesic_edges,
+    _linear_edge_witness_ok,
+    _UnionFind,
+    enumerate_pins,
+    hyperplanes,
 )
 from picturecalc.thompson import TreePair, forest_leaves, leaf_addresses, thompson_presentation
 
@@ -357,6 +367,137 @@ def linear_edge_witness_oracle(g, i: int, j: int) -> bool:
             if class_key_oracle(replace(u, wires=wires), g.geometry) == g.vertices[j].key:
                 return True
     return False
+
+
+# -- the pin and hyperplane reports by scans ---------------------------------------
+# Each vertex pair's pins and each edge's hyperplane found again where needed:
+# a linear hyperplane's carriers by a scan over every complete pin, the
+# crossings by a scan of every certified geodesic per hyperplane, and the pin
+# pairs, triangles and linear edges of `pins_report` by scans over all
+# complete pins.
+
+def linear_carriers_oracle(g, J) -> list[frozenset[int]]:
+    """The complete pins with an edge in the linear hyperplane J, in pin order."""
+    member_set = set(J.member_edges)
+    return [pin for pin, _, complete in enumerate_pins(g)
+            if complete and any(e in member_set for e in itertools.combinations(sorted(pin), 2))]
+
+
+def pins_report_oracle(g) -> Report:
+    """`pins_report`, each pin pair, triangle and linear edge tested against
+    every complete pin."""
+    rep = Report("pins")
+    complete = []
+    for pin, letter, is_complete in enumerate_pins(g):
+        if not is_complete:
+            rep.skipped += 1
+            continue
+        size = g.cfg.coeffs.spec(letter).order
+        rep.hit()
+        if len(pin) != size:
+            rep.fail(("pin_size", letter, len(pin), size))
+        complete.append(pin)
+        for a in pin:
+            for b in pin:
+                if a < b and b not in g.adj[a]:
+                    rep.fail(("pin_not_clique", a, b))
+    for p, q in itertools.combinations(complete, 2):
+        rep.hit()
+        if len(p & q) > 1:
+            rep.fail(("pin_intersection", sorted(p & q)))
+    margin = g.radius - 1
+    for (a, b, c) in g.triangles(margin):
+        rep.hit()
+        if not any({a, b, c} <= pin for pin in complete):
+            rep.fail(("triangle_outside_pins", a, b, c))
+    for (i, j), (kind, _) in g.edges.items():
+        if kind != "linear":
+            continue
+        rep.hit()
+        if not any(i in pin and j in pin for pin in complete):
+            if g.depth(i) <= margin and g.depth(j) <= margin:
+                rep.fail(("linear_edge_outside_pins", i, j))
+            else:
+                rep.skipped += 1
+    rep.details["pin_count"] = len(complete)
+    rep.details["max_pin_size"] = max((len(p) for p in complete), default=0)
+    return rep
+
+
+def hyperplanes_report_oracle(g) -> Report:
+    """`hyperplanes_report` over `hyperplanes(g)`, with each hyperplane's
+    member edges as a set: its sectors join every other edge, every certified
+    geodesic is scanned for its crossings, and a linear hyperplane's carriers
+    come from `linear_carriers_oracle`."""
+    rep = Report("hyperplanes")
+    margin = g.radius - 2
+    hyps = hyperplanes(g)
+    rep.details["count"] = len(hyps)
+    rep.details["interior"] = sum(1 for J in hyps if J.interior)
+    geodesics = _certified_geodesic_edges(g, rep)
+    inner = g.within(margin)
+    for J in hyps:
+        if J.kind == "mixed":
+            rep.fail(("mixed_kind_hyperplane", J.hid))
+        if not J.interior:
+            rep.skipped += 1
+            continue
+        member_set = set(J.member_edges)
+        if J.kind == "linear":
+            J = dataclasses.replace(J, carrier_cliques=linear_carriers_oracle(g, J))
+        carrier = _base_carrier(g, J)
+        comp = _UnionFind(range(len(g.vertices)))
+        for (i, j) in g.edges:
+            if (i, j) not in member_set:
+                comp.union(i, j)
+        gates: dict[int, int] = {}
+        gate_ok = True
+        for x in range(len(g.vertices)):
+            dists = sorted((g.distance(c, x), c) for c in carrier)
+            if len(dists) > 1 and dists[0][0] == dists[1][0]:
+                rep.fail(("gate_not_unique", J.hid, x, sorted(carrier)))
+                gate_ok = False
+                continue
+            gates[x] = dists[0][1]
+        rep.hit()
+        if gate_ok:
+            for x, y in itertools.combinations(inner, 2):
+                same_comp = comp.find(x) == comp.find(y)
+                same_fiber = gates[x] == gates[y]
+                if same_comp and not same_fiber:
+                    rep.fail(("sector_mismatch", J.hid, x, y))
+                elif same_fiber and not same_comp:
+                    rep.inconclusive.append(("sector_truncated", J.hid, x, y))
+        for x, y, path_edges in geodesics:
+            crossings = sum(1 for e in path_edges if e in member_set)
+            rep.hit()
+            if crossings > 1:
+                rep.fail(("double_crossing", J.hid, x, y, crossings))
+        if J.kind == "linear":
+            for (i, j) in J.member_edges:
+                rep.hit()
+                if not _linear_edge_witness_ok(g, i, j):
+                    rep.fail(("linear_edge_form", J.hid, i, j))
+    return rep
+
+
+def bfs_distances_oracle(g, start: int) -> list[int | None]:
+    """Edge-path distances from start inside the ball g, by breadth-first
+    search (None for a vertex the ball's edges do not reach)."""
+    out: list[int | None] = [None] * len(g.vertices)
+    out[start] = 0
+    frontier = [start]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for i in frontier:
+            for j in g.adj[i]:
+                if out[j] is None:
+                    out[j] = d
+                    nxt.append(j)
+        frontier = nxt
+    return out
 
 
 # -- distance by the product formula ---------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import random
@@ -211,6 +212,52 @@ def test_cli_verify_determinism(tmp_path):
     assert main(argv + ["--out", str(o1)]) == 0
     assert main(argv + ["--out", str(o2)]) == 0
     assert o1.read_text() == o2.read_text()
+
+
+_VERIFY_DIGESTS = [  # sha256[:16] of the --out bytes and of stdout
+    (["--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "3"],
+     "6d1d1a443ab3f810", "a8597a5478858d23"),
+    (["--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "3",
+      "--geometry", "annular"], "76e139bd68141508", "f8fa656549b1eb88"),
+    (["--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "3",
+      "--geometry", "planar"], "80fae59f8db51aeb", "1df9f70e6609f1c0"),
+    (["--builtin", "thompson", "--coeff", "x=cyclic:3", "--radius", "3",
+      "--geometry", "annular"], "f9fe3cb304bfef0e", "23d0c072307fc528"),
+    (["--builtin", "commuting_abc", "--coeff", "a=cyclic:2", "--radius", "3"],
+     "900f529aa9fd2fa3", "438229b18ea12a31"),
+    (["--builtin", "higman:3,1", "--coeff", "x=cyclic:2", "--radius", "3"],
+     "5374664569e9695c", "908a471d424c78f0"),
+    (["--builtin", "houghton:2,0", "--coeff", "a=cyclic:2", "--radius", "3"],
+     "77be36ea774b29c9", "426d8e559c5a1346"),
+    (["--builtin", "quasi_auto:2,1,1", "--coeff", "a=cyclic:3", "--radius", "2",
+      "--geometry", "annular"], "24fbf873a94d0a19", "b10b296e18f91e76"),
+]
+
+
+@pytest.mark.parametrize("argv, out_digest, stdout_digest", _VERIFY_DIGESTS,
+                         ids=["thompson", "thompson-annular", "thompson-planar",
+                              "thompson-cyclic3-annular", "commuting_abc", "higman", "houghton",
+                              "quasi_auto-annular"])
+def test_verify_output_digest_is_pinned(argv, out_digest, stdout_digest, tmp_path, capsys):
+    """Every report's counts, lists and their order show in these bytes."""
+    out = tmp_path / "report.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()[:16]
+    prints = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert (digest, prints) == (out_digest, stdout_digest)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--in", "{dir}"],
+    ["ball", "--presentation", "{dir}", "--word", "x", "--radius", "1"],
+    ["ball", "--builtin", "thompson", "--radius", "1", "--dot", "{dir}"],
+    ["verify", "--builtin", "thompson", "--radius", "1", "--out", "{dir}"],
+], ids=["in", "presentation", "dot", "out"])
+def test_cli_directory_path_exits_2(argv, tmp_path, capsys):
+    # a file error is an input error, not a counterexample
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_module_run_is_hash_seed_independent(tmp_path):

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import re
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from picturecalc.picture import (
 from picturecalc.presentation import builtin_presentation, parse_presentation
 from picturecalc.qmgraph import (
     BallGraph,
+    Hyperplane,
     VertexClass,
     _descent_path,
     _linear_edge_witness_ok,
@@ -46,11 +48,15 @@ from picturecalc.qmgraph import (
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
 
 from oracles import (
+    bfs_distances_oracle,
+    hyperplanes_report_oracle,
     induced_squares_oracle,
+    linear_carriers_oracle,
     linear_edge_witness_oracle,
     pair_distance_matching_oracle,
     pair_distance_oracle,
     pins_oracle,
+    pins_report_oracle,
     qm_axioms_oracle,
     triangles_oracle,
 )
@@ -102,7 +108,7 @@ def test_pair_distance_equals_bfs():
         cfg = BallConfig(Q, coeffs)
         g = ball(eps(Q, coeffs, "x"), r, cfg)
         for i in range(len(g.vertices)):
-            bfs = g.bfs_distances(i)
+            bfs = bfs_distances_oracle(g, i)
             for j in range(i + 1, len(g.vertices)):
                 formula = g.distance(i, j)
                 assert bfs[j] is not None
@@ -420,12 +426,16 @@ def _assert_common_neighbour_checks_match_oracle(g):
     return rep
 
 
-@pytest.mark.parametrize("case", [(Q, CYC2, ("x",), geometry, radius)
-                                  for geometry in ("braided", "annular", "planar")
-                                  for radius in (3, 4)]
-                         + [(ABC, ABC_CYC2, ABC_WORD, "braided", 3)],
-                         ids=lambda case: f"{'abc' if case[0] is ABC else 'thompson'}-{case[3]}"
-                                          f"-r{case[4]}")
+ORACLE_BALLS = [(Q, CYC2, ("x",), geometry, radius)
+                for geometry in ("braided", "annular", "planar") for radius in (3, 4)
+                ] + [(ABC, ABC_CYC2, ABC_WORD, "braided", 3)]
+
+
+def _oracle_ball_id(case):
+    return f"{'abc' if case[0] is ABC else 'thompson'}-{case[3]}-r{case[4]}"
+
+
+@pytest.mark.parametrize("case", ORACLE_BALLS, ids=_oracle_ball_id)
 def test_common_neighbour_table_matches_set_intersections(case):
     """The verifiers read common neighbours from `BallGraph.commons`: the
     triangle, quadrangle, K4- and K3,2 checks, the triangles and the induced
@@ -455,6 +465,76 @@ def test_common_neighbour_table_matches_set_intersections_on_doctored_balls():
     edges.update({(x, y): ("transistor", None) for x in (a, b) for y in (c, d, e)})
     rep = _assert_common_neighbour_checks_match_oracle(BallGraph(cfg, g.radius, g.vertices, edges))
     assert ("K3,2", a, b, c, d, e) in rep.violations
+
+
+def _assert_reports_match_scan_oracles(g):
+    """Whole pin and hyperplane reports, lists in order, equal the scans."""
+    pins, hyps = asdict(pins_report(g)), asdict(hyperplanes_report(g))
+    assert pins == asdict(pins_report_oracle(g))
+    assert hyps == asdict(hyperplanes_report_oracle(g))
+    for J in hyperplanes(g):
+        if J.kind == "linear":
+            assert J.carrier_cliques == linear_carriers_oracle(g, J)
+    return pins, hyps
+
+
+@pytest.mark.parametrize("case", ORACLE_BALLS, ids=_oracle_ball_id)
+def test_reports_read_pair_and_edge_maps_as_the_scans_do(case):
+    """`pins_report` reads one pair -> pins map and `hyperplanes_report` one
+    edge -> hyperplane-id map; `hyperplanes` files each pin under its class."""
+    pres, coeffs, w, geometry, radius = case
+    g = ball(eps(pres, coeffs, w, annular=geometry == "annular"), radius,
+             BallConfig(pres, coeffs, geometry))
+    pins, hyps = _assert_reports_match_scan_oracles(g)
+    assert pins["passed"] and hyps["passed"] and pins["checked"] and hyps["checked"]
+
+
+def test_reports_match_scan_oracles_on_doctored_balls():
+    cfg3 = BallConfig(Q, CYC3)
+    g = ball(eps(Q, CYC3, "x"), 3, cfg3)
+    pins = enumerate_pins(g)
+    # a dropped pin edge: the pin is no clique
+    a, b = sorted(next(pin for pin, _, complete in pins if complete))[:2]
+    doctored = BallGraph(cfg3, g.radius, g.vertices,
+                         {e: kw for e, kw in g.edges.items() if e != (a, b)})
+    report, _ = _assert_reports_match_scan_oracles(doctored)
+    assert ("pin_not_clique", a, b) in report["violations"]
+    # a dropped inner pin: its triangle and its linear edges lie in no pin (not
+    # the base vertex's, the only carrier clique of its hyperplane in the ball)
+    drop = next(k for k, (pin, _, complete) in enumerate(pins)
+                if complete and 0 not in pin and all(g.depth(i) <= g.radius - 1 for i in pin))
+    doctored = BallGraph(cfg3, g.radius, g.vertices, g.edges)
+    doctored._pins = pins[:drop] + pins[drop + 1:]
+    report, _ = _assert_reports_match_scan_oracles(doctored)
+    assert {"triangle_outside_pins", "linear_edge_outside_pins"} <= {
+        item[0] for item in report["violations"]}
+    # two complete pins sharing two vertices
+    cfg2 = BallConfig(Q, CYC2)
+    g = ball(eps(Q, CYC2, "x"), 3, cfg2)
+    pins = enumerate_pins(g)
+    twice = next(k for k, (_, _, complete) in enumerate(pins) if complete)
+    doctored = BallGraph(cfg2, g.radius, g.vertices, g.edges)
+    doctored._pins = pins + [pins[twice]]
+    report, _ = _assert_reports_match_scan_oracles(doctored)
+    assert ("pin_intersection", sorted(pins[twice][0])) in report["violations"]
+    # an interior transistor hyperplane merged with another transistor
+    # hyperplane that one certified geodesic also crosses
+    hyps = hyperplanes(g)
+    hid_of = {e: J.hid for J in hyps for e in J.member_edges}
+    for x, y in _certified_pairs(g):
+        path = _descent_path(g, x, y)
+        crossed = [hyps[hid_of[min(p, q), max(p, q)]] for p, q in zip(path, path[1:])]
+        crossed = [J for J in crossed if J.kind == "transistor"]
+        if len(crossed) > 1 and crossed[0].interior:
+            keep, fold = crossed[:2]
+            break
+    doctored = BallGraph(cfg2, g.radius, g.vertices, g.edges)
+    doctored._hyperplanes = [
+        Hyperplane(J.hid, J.kind, sorted(J.member_edges + fold.member_edges),
+                   J.carrier_cliques + fold.carrier_cliques, J.interior) if J is keep else J
+        for J in hyps if J is not fold]
+    _, report = _assert_reports_match_scan_oracles(doctored)
+    assert ("double_crossing", keep.hid, x, y, 2) in report["violations"]
 
 
 def test_common_neighbours_come_from_one_table():

@@ -550,30 +550,33 @@ def hyperplanes_report(g: BallGraph) -> Report:
             rep.skipped += 1
             continue
         # (1) sectors vs projection fibers over a carrier clique
-        carrier = _base_carrier(g, J)
-        comp = _UnionFind(range(len(g.vertices)))
-        for e in g.edges:
-            if hid_of[e] != J.hid:
-                comp.union(*e)
-        gates: dict[int, int] = {}
-        gate_ok = True
-        to_carrier = [(g.row(c), c) for c in carrier]
-        for x in range(len(g.vertices)):
-            dists = sorted((to_c[x], c) for to_c, c in to_carrier)
-            if len(dists) > 1 and dists[0][0] == dists[1][0]:
-                rep.fail(("gate_not_unique", J.hid, x, sorted(carrier)))
-                gate_ok = False
-                continue
-            gates[x] = dists[0][1]
-        rep.hit()
-        if gate_ok:
-            for x, y in combinations(inner, 2):
-                same_comp = comp.find(x) == comp.find(y)
-                same_fiber = gates[x] == gates[y]
-                if same_comp and not same_fiber:
-                    rep.fail(("sector_mismatch", J.hid, x, y))
-                elif same_fiber and not same_comp:
-                    rep.inconclusive.append(("sector_truncated", J.hid, x, y))
+        if not J.carrier_cliques:
+            rep.fail(("no_carrier_clique", J.hid))
+        else:
+            carrier = _base_carrier(g, J)
+            comp = _UnionFind(range(len(g.vertices)))
+            for e in g.edges:
+                if hid_of[e] != J.hid:
+                    comp.union(*e)
+            gates: dict[int, int] = {}
+            gate_ok = True
+            to_carrier = [(g.row(c), c) for c in carrier]
+            for x in range(len(g.vertices)):
+                dists = sorted((to_c[x], c) for to_c, c in to_carrier)
+                if len(dists) > 1 and dists[0][0] == dists[1][0]:
+                    rep.fail(("gate_not_unique", J.hid, x, sorted(carrier)))
+                    gate_ok = False
+                    continue
+                gates[x] = dists[0][1]
+            rep.hit()
+            if gate_ok:
+                for x, y in combinations(inner, 2):
+                    same_comp = comp.find(x) == comp.find(y)
+                    same_fiber = gates[x] == gates[y]
+                    if same_comp and not same_fiber:
+                        rep.fail(("sector_mismatch", J.hid, x, y))
+                    elif same_fiber and not same_comp:
+                        rep.inconclusive.append(("sector_truncated", J.hid, x, y))
         # (2) geodesics cross the hyperplane at most once
         rep.checked += len(geodesics)
         for x, y, crossings in doubles.get(J.hid, ()):
@@ -684,6 +687,9 @@ def rotative_stab_probe(g: BallGraph, J: Hyperplane, plus_verified: bool = False
     if not plus_verified:
         raise ValueError("probe requires condition (+) verified for this configuration")
     rep.details["label"] = "candidates under (+)"
+    if not J.carrier_cliques:
+        rep.fail(("no_carrier_clique", J.hid))
+        return rep
     carrier = _base_carrier(g, J)
     members = sorted(carrier)
     base = g.vertices[members[0]].rep

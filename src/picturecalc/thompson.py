@@ -8,9 +8,9 @@ the domain subdivision (evaluate_map substitutes the image leaf's digit
 prefix by the domain leaf's); this orientation makes the bridge to
 diagrams over <x | x=x^n> a homomorphism for top-to-bottom concatenation.
 
-Multiplication refines the middle (first factor's image against the
-second's domain) and composes the bijections; a pair is reduced when no
-caret sits below same-numbered, order-matched leaves on both sides.
+Multiplication refines the middle and composes the bijections; a pair
+is reduced through the bridge, where a caret below same-numbered,
+order-matched leaves on both sides is a dipole.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from itertools import accumulate
 from .picture import (
     GEOMETRY,
     Diagram,
-    apply_transistor_move,
     atom_permutation,
     concat,
-    eps,
     invert,
     is_reduced,
+    reduce,
 )
-from .coeff import trivial_system
+from .coeff import identity, trivial_system
 from .presentation import SemigroupPresentation
 
 Tree = tuple
@@ -168,71 +167,18 @@ def _caret_starts(forest: Forest) -> list[int]:
     return out
 
 
-def _fold(forest: Forest, leaf, node) -> list:
-    """The values of a forest's roots, folded bottom-up without recursion:
-    leaf(i) at leaf i, node(the children's values) at an internal node."""
-    done: list = []
-    i = 0
-    stack = list(reversed(forest))
-    while stack:
-        t = stack.pop()
-        if type(t) is int:  # the node's t children are done
-            kids = done[-t:]
-            del done[-t:]
-            done.append(node(kids))
-        elif t:
-            stack.append(len(t))
-            stack.extend(reversed(t))
-        else:
-            done.append(leaf(i))
-            i += 1
-    return done
-
-
 def reduce_pair(tp: TreePair) -> TreePair:
     """Cancel matched carets until none is left; tp itself if none does.
 
     Every cascade of cancellations starts at a caret pair, so a pair with
-    none is returned after one scan.  Otherwise one bottom-up pass over the
-    domain decides every cancellation at once, naming each node by its
-    leaf interval (lo, hi), which no other node of its forest shares (an
-    internal node has at least two children): a domain leaf collapses onto the image leaf the
-    bijection sends it to, and a domain node onto an image node when its
-    children collapse, in order, onto that node's children.  The collapsed
-    nodes whose parents stay are the leaves of the reduced pair."""
+    none is returned after one scan; any other is reduced as its diagram,
+    where a matched caret pair is a dipole."""
     n, perm = tp.arity, tp.perm
     image_carets = set(_caret_starts(tp.image))
     if not any(perm[i] in image_carets and all(perm[i + k] == perm[i] + k for k in range(1, n))
                for i in _caret_starts(tp.domain)):
         return tp
-    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def image_node(kids):
-        children[kids[0][0], kids[-1][1]] = kids
-        return kids[0][0], kids[-1][1]
-
-    _fold(tp.image, lambda i: (i, i + 1), image_node)
-    mated: list[tuple[int, tuple[int, int]]] = []  # (domain lo, image span) per new leaf
-
-    def domain_node(kids):  # kids: (image span or None, rebuilt tree, domain lo)
-        spans = [k[0] for k in kids]
-        if None not in spans and children.get((spans[0][0], spans[-1][1])) == spans:
-            return (spans[0][0], spans[-1][1]), (), kids[0][2]
-        mated.extend([(k[2], k[0]) for k in kids if k[0] is not None])
-        return None, tuple([k[1] for k in kids]), kids[0][2]
-
-    roots = _fold(tp.domain, lambda i: ((perm[i], perm[i] + 1), (), i), domain_node)
-    mated.extend([(r[2], r[0]) for r in roots if r[0] is not None])
-    leaves = {span for _, span in mated}
-
-    def image_cut(kids):  # kids: (span, rebuilt tree)
-        span = (kids[0][0][0], kids[-1][0][1])
-        return span, () if span in leaves else tuple([k[1] for k in kids])
-
-    image = _fold(tp.image, lambda i: ((i, i + 1), ()), image_cut)
-    rank = {span: j for j, span in enumerate(sorted(leaves))}
-    return TreePair(n, tuple([r[1] for r in roots]), tuple([r[1] for r in image]),
-                    tuple([rank[span] for _, span in sorted(mated)]))
+    return diagram_to_tree_pair(reduce(tree_pair_to_diagram(tp)))
 
 
 def is_reduced_pair(tp: TreePair) -> bool:
@@ -366,17 +312,25 @@ def evaluate_map(tp: TreePair, q: NAdic) -> NAdic:
 
 
 def _forest_diagram(forest: Forest, pres, coeffs) -> Diagram:
-    """One positive caret hung in place per internal node, in preorder:
-    every node left of a node is then expanded, so it sits at the bottom
-    position of its leftmost leaf.  Leaf i is leftmost below one node per
-    trailing zero digit of its address."""
-    d = eps(pres, coeffs, ("x",) * len(forest))
-    for i, (_, addr) in enumerate(leaf_addresses(forest)):
-        depth = len(addr)
-        while depth and addr[depth - 1] == 0:
-            depth -= 1
-            d = apply_transistor_move(d, 0, 1, (i,), "planar")
-    return d
+    """One positive caret per internal node, built in one preorder pass:
+    a node's wire feeds its caret, whose bottom wires are its children's,
+    and the leaves' wires, left to right, are the frame bottom."""
+    x = ("x", identity(coeffs.spec("x")))
+    roots = tuple(range(len(forest)))
+    wires = dict.fromkeys(roots, x)
+    transistors, t_top, t_bot, leaves = {}, {}, {}, []
+    stack = list(zip(reversed(forest), reversed(roots)))
+    while stack:
+        t, w = stack.pop()
+        if not t:
+            leaves.append(w)
+            continue
+        c = len(transistors)
+        kids = tuple(range(len(wires), len(wires) + len(t)))
+        transistors[c], t_top[c], t_bot[c] = (0, 1), (w,), kids
+        wires.update(dict.fromkeys(kids, x))
+        stack.extend(zip(reversed(t), reversed(kids)))
+    return Diagram(pres, coeffs, wires, transistors, t_top, t_bot, roots, leaves)
 
 
 def tree_pair_to_diagram(tp: TreePair) -> Diagram:

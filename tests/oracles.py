@@ -1008,6 +1008,72 @@ def reduce_pair_oracle(tp: TreePair) -> TreePair:
         tp = TreePair(n, domain, image, tuple(perm))
 
 
+def _fold(forest, leaf, node) -> list:
+    """The values of a forest's roots, folded bottom-up without recursion:
+    leaf(i) at leaf i, node(the children's values) at an internal node."""
+    done: list = []
+    i = 0
+    stack = list(reversed(forest))
+    while stack:
+        t = stack.pop()
+        if type(t) is int:  # the node's t children are done
+            kids = done[-t:]
+            del done[-t:]
+            done.append(node(kids))
+        elif t:
+            stack.append(len(t))
+            stack.extend(reversed(t))
+        else:
+            done.append(leaf(i))
+            i += 1
+    return done
+
+
+def reduce_pair_fold_oracle(tp: TreePair) -> TreePair:
+    """Every cancellation decided in one bottom-up pass over the domain,
+    tp itself when no caret pair matches.  Each node is named by its leaf
+    interval (lo, hi), which no other node of its forest shares (an
+    internal node has at least two children): a domain leaf collapses onto
+    the image leaf the bijection sends it to, and a domain node onto an
+    image node when its children collapse, in order, onto that node's
+    children.  The collapsed nodes whose parents stay are the leaves of
+    the reduced pair.  Linear, so it checks pairs too large for the
+    rescanning `reduce_pair_oracle`."""
+    n, perm = tp.arity, tp.perm
+    image_carets = {leftmost for _, _, leftmost in _caret_sites_oracle(tp.image, n)}
+    if not any(perm[i] in image_carets and all(perm[i + k] == perm[i] + k for k in range(1, n))
+               for _, _, i in _caret_sites_oracle(tp.domain, n)):
+        return tp
+    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def image_node(kids):
+        children[kids[0][0], kids[-1][1]] = kids
+        return kids[0][0], kids[-1][1]
+
+    _fold(tp.image, lambda i: (i, i + 1), image_node)
+    mated: list[tuple[int, tuple[int, int]]] = []  # (domain lo, image span) per new leaf
+
+    def domain_node(kids):  # kids: (image span or None, rebuilt tree, domain lo)
+        spans = [k[0] for k in kids]
+        if None not in spans and children.get((spans[0][0], spans[-1][1])) == spans:
+            return (spans[0][0], spans[-1][1]), (), kids[0][2]
+        mated.extend([(k[2], k[0]) for k in kids if k[0] is not None])
+        return None, tuple([k[1] for k in kids]), kids[0][2]
+
+    roots = _fold(tp.domain, lambda i: ((perm[i], perm[i] + 1), (), i), domain_node)
+    mated.extend([(r[2], r[0]) for r in roots if r[0] is not None])
+    leaves = {span for _, span in mated}
+
+    def image_cut(kids):  # kids: (span, rebuilt tree)
+        span = (kids[0][0][0], kids[-1][0][1])
+        return span, () if span in leaves else tuple([k[1] for k in kids])
+
+    image = _fold(tp.image, lambda i: ((i, i + 1), ()), image_cut)
+    rank = {span: j for j, span in enumerate(sorted(leaves))}
+    return TreePair(n, tuple([r[1] for r in roots]), tuple([r[1] for r in image]),
+                    tuple([rank[span] for _, span in sorted(mated)]))
+
+
 # -- factorization ---------------------------------------------------------------
 # The alternating decomposition of a reduced diagram into unitary atoms and
 # permutations, which the factor-by-factor embedding oracle below reads.

@@ -838,6 +838,22 @@ def test_rotative_stab_probe_moves_each_carrier_vertex_once(monkeypatch):
     assert rep.checked == nontrivial * (len(J.carrier_cliques) + 1) and rep.passed
 
 
+def test_hyperplane_without_carrier_clique_is_a_violation():
+    # with every pin holding the base vertex dropped, the base's linear
+    # hyperplane is interior but has no carrier clique in the ball: a
+    # counterexample, which both reports record instead of raising
+    cfg = BallConfig(Q, CYC3)
+    g = ball(eps(Q, CYC3, "x"), 3, cfg)
+    doctored = BallGraph(cfg, g.radius, g.vertices, g.edges)
+    doctored._pins = [pin for pin in enumerate_pins(g) if 0 not in pin[0]]
+    J = next(J for J in hyperplanes(doctored)
+             if J.kind == "linear" and J.interior and not J.carrier_cliques)
+    rep = hyperplanes_report(doctored)
+    assert not rep.passed and ("no_carrier_clique", J.hid) in rep.violations
+    probe = rotative_stab_probe(doctored, J, plus_verified=True)
+    assert not probe.passed and probe.violations == [("no_carrier_clique", J.hid)]
+
+
 def test_exports():
     cfg = BallConfig(Q, CYC2)
     g = ball(eps(Q, CYC2, "x"), 2, cfg)

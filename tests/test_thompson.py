@@ -41,6 +41,7 @@ from oracles import (
     evaluate_oracle,
     forest_diagram_oracle,
     membership_oracle,
+    reduce_pair_fold_oracle,
     reduce_pair_oracle,
     tree_pair_to_diagram_oracle,
 )
@@ -167,6 +168,29 @@ def test_reduce_pair_matches_rescanning_oracle(rng):
     assert cancelled > 100
 
 
+def test_reduce_pair_matches_fold_oracle_on_large_cascades():
+    """Seeded pairs of arity 2-4 with 1-3 roots and 40-120 carets, too large
+    for the rescanning oracle (it is cubic).  Each is grafted again and
+    again on a leaf of the caret grafted last, so cancellations cascade;
+    pairs left ungrafted mostly have no caret pair and come back as
+    themselves."""
+    rng = random.Random(23)
+    kept = cancelled = 0
+    for _ in range(30):
+        arity = rng.choice((2, 3, 4))
+        tp = random_tree_pair(rng, arity, rng.randrange(40, 121), rng.choice((1, 2, 3)),
+                              reduced=False)
+        i = rng.randrange(len(tp.perm))
+        for _ in range(rng.choice((0, rng.randrange(1, 40)))):
+            tp = _graft(tp, i)
+            i += rng.randrange(arity)
+        out, want = reduce_pair(tp), reduce_pair_fold_oracle(tp)
+        assert out == want and (out is tp) == (want is tp)
+        kept += out is tp
+        cancelled += out is not tp
+    assert kept >= 5 and cancelled >= 10
+
+
 def test_reduce_pair_deep_comb_over_itself():
     right = CARET
     for _ in range(1199):
@@ -174,6 +198,14 @@ def test_reduce_pair_deep_comb_over_itself():
     tp = TreePair(2, (right,), (right,), tuple(range(1201)))
     t0 = time.perf_counter()
     assert reduce_pair(tp) == identity_pair(2)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_deep_comb_pair_diagram_roundtrip_is_linear():
+    # each forest's carets are built in one pass, not hung one at a time
+    tp = _comb_pair(2400)
+    t0 = time.perf_counter()
+    assert diagram_to_tree_pair(tree_pair_to_diagram(tp)) == tp
     assert time.perf_counter() - t0 < 0.5
 
 

@@ -8,24 +8,21 @@ the domain subdivision (evaluate_map substitutes the image leaf's digit
 prefix by the domain leaf's); this orientation makes the bridge to
 diagrams over <x | x=x^n> a homomorphism for top-to-bottom concatenation.
 
-Multiplication refines the middle and composes the bijections; a pair
-is reduced through the bridge, where a caret below same-numbered,
-order-matched leaves on both sides is a dipole.
+Pairs multiply as their diagrams do, and a pair is reduced through the
+bridge, where a caret below same-numbered, order-matched leaves on both
+sides is a dipole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .picture import (
     GEOMETRY,
     Diagram,
-    atom_permutation,
-    concat,
-    invert,
     is_reduced,
+    multiply,
     reduce,
 )
 from .coeff import identity, trivial_system
@@ -37,10 +34,6 @@ Forest = tuple
 
 def thompson_presentation(arity: int) -> SemigroupPresentation:
     return SemigroupPresentation(("x",), ((("x",), ("x",) * arity),))
-
-
-def tree_leaves(tree: Tree) -> int:
-    return forest_leaves((tree,))
 
 
 def forest_leaves(forest: Forest) -> int:
@@ -79,30 +72,6 @@ def _shape_code(forest: Forest) -> tuple[int, ...]:
         code.append(len(t))
         stack.extend(reversed(t))
     return tuple(code)
-
-
-def merge_forest(f1: Forest, f2: Forest) -> Forest:
-    """The least common refinement: each leaf of f1 that is a node of f2
-    gets f2's subtree there."""
-    if len(f1) != len(f2):
-        raise ValueError("forests have different root counts")
-    out = f1
-    for root, addr in leaf_addresses(f1):
-        t = f2[root]
-        for i in addr:
-            if not t:
-                break
-            t = t[i]
-        if t:
-            out = _replace(out, root, addr, t)
-    return out
-
-
-def subtree_at(forest: Forest, root: int, addr: tuple[int, ...]) -> Tree:
-    t = forest[root]
-    for i in addr:
-        t = t[i]
-    return t
 
 
 def _replace(forest: Forest, root: int, addr: tuple[int, ...], sub: Tree) -> Forest:
@@ -185,30 +154,14 @@ def is_reduced_pair(tp: TreePair) -> bool:
     return reduce_pair(tp) is tp
 
 
-def _expand(other: Forest, fixed: Forest, to_fixed, refined: Forest) -> tuple[Forest, tuple]:
-    """`other`, one side of a pair, with each leaf i grown by the subtree of
-    `refined` (a refinement of the other side, `fixed`) at fixed leaf
-    to_fixed[i]; and the map of its leaves onto those of `refined`."""
-    subs = [subtree_at(refined, r, a) for r, a in leaf_addresses(fixed)]
-    for i, (r, a) in enumerate(leaf_addresses(other)):
-        other = _replace(other, r, a, subs[to_fixed[i]])
-    starts = list(accumulate(map(tree_leaves, subs), initial=0))
-    return other, tuple([k for j in to_fixed for k in range(starts[j], starts[j + 1])])
-
-
 def tp_multiply(a: TreePair, b: TreePair) -> TreePair:
-    """Composite pair (a's action after b's), reduced.  Mirrors diagram
-    concatenation: a's image and b's domain are refined to their common
-    refinement, the bijections composed through it; one pair is built."""
+    """Composite pair (a's action after b's), reduced: the product of the
+    pairs' diagrams, read back, since the bridge is a homomorphism."""
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
     if len(a.image) != len(b.domain):
         raise ValueError("root count mismatch")
-    middle = merge_forest(a.image, b.domain)
-    domain, down = _expand(a.domain, a.image, a.perm, middle)
-    image, up = _expand(b.image, b.domain, _inverse(b.perm), middle)
-    back = _inverse(up)
-    return reduce_pair(TreePair(a.arity, domain, image, tuple([back[k] for k in down])))
+    return diagram_to_tree_pair(multiply(tree_pair_to_diagram(a), tree_pair_to_diagram(b)))
 
 
 def _inverse(perm) -> tuple[int, ...]:
@@ -289,7 +242,7 @@ def nadic_from_digits(digits, base: int) -> NAdic:
 def evaluate_map(tp: TreePair, q: NAdic) -> NAdic:
     """Apply the right-continuous map of the pair: find the image leaf whose
     digit address prefixes q, substitute the matching domain leaf's address."""
-    if tp.roots != 1:
+    if tp.roots != 1 or len(tp.image) != 1:
         raise ValueError("evaluation needs single-rooted pairs")
     if q.base != tp.arity:
         raise ValueError("base/arity mismatch")
@@ -311,38 +264,42 @@ def evaluate_map(tp: TreePair, q: NAdic) -> NAdic:
 # -- bridge to diagrams over <x | x=x^n> --------------------------------------------
 
 
-def _forest_diagram(forest: Forest, pres, coeffs) -> Diagram:
-    """One positive caret per internal node, built in one preorder pass:
-    a node's wire feeds its caret, whose bottom wires are its children's,
-    and the leaves' wires, left to right, are the frame bottom."""
-    x = ("x", identity(coeffs.spec("x")))
-    roots = tuple(range(len(forest)))
-    wires = dict.fromkeys(roots, x)
-    transistors, t_top, t_bot, leaves = {}, {}, {}, []
-    stack = list(zip(reversed(forest), reversed(roots)))
-    while stack:
-        t, w = stack.pop()
-        if not t:
-            leaves.append(w)
-            continue
-        c = len(transistors)
-        kids = tuple(range(len(wires), len(wires) + len(t)))
-        transistors[c], t_top[c], t_bot[c] = (0, 1), (w,), kids
-        wires.update(dict.fromkeys(kids, x))
-        stack.extend(zip(reversed(t), reversed(kids)))
-    return Diagram(pres, coeffs, wires, transistors, t_top, t_bot, roots, leaves)
-
-
 def tree_pair_to_diagram(tp: TreePair) -> Diagram:
     """Domain forest above (positive carets), image forest below, mirrored
-    (negative carets), linked through the leaf bijection.  The result is
-    reduced iff the pair is."""
+    (negative carets): domain leaf i and image leaf perm[i] are one wire.
+    The carets are hung children first into one set of dicts, so a caret's
+    wires exist when it is hung.  The result is reduced iff the pair is."""
     pres = thompson_presentation(tp.arity)
     coeffs = trivial_system(pres.alphabet)
-    top = _forest_diagram(tp.domain, pres, coeffs)
-    bot = invert(_forest_diagram(tp.image, pres, coeffs))
-    link = atom_permutation(pres, coeffs, ("x",) * len(tp.perm), tp.perm)
-    return concat(top, concat(link, bot))
+    x = ("x", identity(coeffs.spec("x")))
+    wires = dict.fromkeys(range(len(tp.perm)), x)  # wire i is domain leaf i
+    transistors, t_top, t_bot = {}, {}, {}
+
+    def hang(forest, leaf_wires, sign):
+        """Hang a caret of direction `sign` for every internal node of
+        `forest`, whose leaves are `leaf_wires`; returns the roots' wires."""
+        leaves, done = iter(leaf_wires), []
+        stack = list(reversed(forest))
+        while stack:
+            t = stack.pop()
+            if type(t) is int:  # the node's t children are hung
+                kids = tuple(done[-t:])
+                del done[-t:]
+                w, c = len(wires), len(transistors)
+                wires[w] = x
+                transistors[c] = (0, sign)
+                t_top[c], t_bot[c] = ((w,), kids) if sign == 1 else (kids, (w,))
+                done.append(w)
+            elif t:
+                stack.append(len(t))
+                stack.extend(reversed(t))
+            else:
+                done.append(next(leaves))
+        return done
+
+    top = hang(tp.domain, range(len(tp.perm)), 1)
+    bottom = hang(tp.image, _inverse(tp.perm), -1)
+    return Diagram(pres, coeffs, wires, transistors, t_top, t_bot, top, bottom)
 
 
 def _is_thompson_presentation(pres) -> int | None:

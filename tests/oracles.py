@@ -1074,6 +1074,60 @@ def reduce_pair_fold_oracle(tp: TreePair) -> TreePair:
                     tuple([rank[span] for _, span in sorted(mated)]))
 
 
+def _subtree_oracle(forest, root: int, addr):
+    t = forest[root]
+    for i in addr:
+        t = t[i]
+    return t
+
+
+def _merge_forest_oracle(f1, f2):
+    """The least common refinement: each leaf of f1 that is a node of f2
+    gets f2's subtree there."""
+    out = f1
+    for root, addr in leaf_addresses(f1):
+        t = f2[root]
+        for i in addr:
+            if not t:
+                break
+            t = t[i]
+        if t:
+            out = _replace_oracle(out, root, addr, t)
+    return out
+
+
+def _expand_oracle(other, fixed, to_fixed, refined):
+    """`other`, one side of a pair, with each leaf i grown by the subtree of
+    `refined` (a refinement of the other side, `fixed`) at fixed leaf
+    to_fixed[i]; and the map of its leaves onto those of `refined`."""
+    subs = [_subtree_oracle(refined, r, a) for r, a in leaf_addresses(fixed)]
+    for i, (r, a) in enumerate(leaf_addresses(other)):
+        other = _replace_oracle(other, r, a, subs[to_fixed[i]])
+    starts = list(itertools.accumulate([forest_leaves((t,)) for t in subs], initial=0))
+    return other, [k for j in to_fixed for k in range(starts[j], starts[j + 1])]
+
+
+def _inverse_oracle(perm) -> list[int]:
+    out = [0] * len(perm)
+    for i, j in enumerate(perm):
+        out[j] = i
+    return out
+
+
+def tp_multiply_refine_oracle(a: TreePair, b: TreePair) -> TreePair:
+    """a's action after b's by the refinement law, with no diagram: a's
+    image and b's domain are refined to their least common refinement, each
+    outer forest is grown to match, the bijections are composed through
+    the middle, and the pair is reduced by `reduce_pair_fold_oracle`."""
+    assert a.arity == b.arity and len(a.image) == len(b.domain)
+    middle = _merge_forest_oracle(a.image, b.domain)
+    domain, down = _expand_oracle(a.domain, a.image, a.perm, middle)
+    image, up = _expand_oracle(b.image, b.domain, _inverse_oracle(b.perm), middle)
+    back = _inverse_oracle(up)
+    perm = tuple([back[k] for k in down])
+    return reduce_pair_fold_oracle(TreePair(a.arity, domain, image, perm))
+
+
 # -- factorization ---------------------------------------------------------------
 # The alternating decomposition of a reduced diagram into unitary atoms and
 # permutations, which the factor-by-factor embedding oracle below reads.

@@ -164,6 +164,13 @@ def test_cli_thompson_eval(capsys):
     assert capsys.readouterr().out.strip() == "1/2^2"
 
 
+def test_cli_thompson_eval_rejects_multi_root_image(capsys):
+    rc = main(["thompson", "eval", "--pair", "(..)|.+.@perm=0,1", "--point", "1/2^1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and not out
+    assert "error: evaluation needs single-rooted pairs" in err
+
+
 def test_cli_thompson_eval_deep_comb(capsys):
     # a right comb 1,200 carets deep over a left comb: the pair maps the left
     # comb's last leaf, address 1, onto the right comb's last leaf 1^1200,

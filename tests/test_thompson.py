@@ -21,7 +21,6 @@ from picturecalc.sampling import random_element, random_tree_pair
 from picturecalc.thompson import (
     NAdic,
     TreePair,
-    _forest_diagram,
     _replace,
     diagram_to_tree_pair,
     evaluate_map,
@@ -39,10 +38,10 @@ from picturecalc.thompson import (
 
 from oracles import (
     evaluate_oracle,
-    forest_diagram_oracle,
     membership_oracle,
     reduce_pair_fold_oracle,
     reduce_pair_oracle,
+    tp_multiply_refine_oracle,
     tree_pair_to_diagram_oracle,
 )
 
@@ -244,6 +243,29 @@ def test_tp_multiply_digest_is_pinned():
     assert digest == "09eeb88493ba2c32e23d5c599c90bf6dd4474a07bda2c71d15d2181c613a1447"
 
 
+def test_tp_multiply_matches_refinement_oracle():
+    """Seeded pairs of arity 2-4 with 1-3 roots, reduced and not (these with
+    a grafted caret pair): the product of the pairs' diagrams is the pair
+    the refinement law builds without a diagram."""
+    rng = random.Random(24)
+    for arity, roots, reduced in itertools.product((2, 3, 4), (1, 2, 3), (True, False)):
+        for _ in range(50):
+            a, b = (random_tree_pair(rng, arity, rng.randrange(17), roots, reduced)
+                    for _ in range(2))
+            if not reduced:
+                a = _graft(a, rng.randrange(len(a.perm)))
+            assert tp_multiply(a, b) == tp_multiply_refine_oracle(a, b)
+
+
+def test_tp_multiply_deep_comb_by_its_inverse():
+    # the 2,400 caret pairs cancel through the seam in one pass of the
+    # diagram product, with no forest rebuilt per leaf
+    a, b = _comb_pair(2400), tp_invert(_comb_pair(2400))
+    t0 = time.perf_counter()
+    assert tp_multiply(a, b) == identity_pair(2)
+    assert time.perf_counter() - t0 < 0.5
+
+
 def _seeded_pairs():
     rng = random.Random(20)
     for arity, roots, reduced in itertools.product((2, 3, 4), (1, 2, 3), (True, False)):
@@ -262,11 +284,6 @@ def test_tree_pair_diagram_digest_is_pinned():
 
 def test_forests_match_caret_atoms_glued_one_by_one():
     for tp in _seeded_pairs():
-        pres = thompson_presentation(tp.arity)
-        triv = trivial_system(pres.alphabet)
-        for forest in (tp.domain, tp.image):
-            assert (canonical_key(_forest_diagram(forest, pres, triv))
-                    == canonical_key(forest_diagram_oracle(forest, pres, triv)))
         assert canonical_key(tree_pair_to_diagram(tp)) == canonical_key(
             tree_pair_to_diagram_oracle(tp))
 
@@ -321,6 +338,14 @@ def test_evaluate_matches_interval_oracle(rng):
             q = nadic(k, 8) if k else nadic(0, 0)
             got = as_fraction(evaluate_map(tp, q))
             assert got == evaluate_oracle(tp, Fraction(k, 256))
+
+
+def test_evaluate_rejects_multi_root_pairs():
+    # a caret over two roots, either way up, is a groupoid element, not a
+    # map of [0,1)
+    for tp in (TreePair(2, (CARET,), ((), ()), (0, 1)), TreePair(2, ((), ()), (CARET,), (0, 1))):
+        with pytest.raises(ValueError, match="single-rooted"):
+            evaluate_map(tp, nadic(1, 1))
 
 
 def test_evaluate_composition_law(rng):

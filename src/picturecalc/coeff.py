@@ -158,8 +158,8 @@ def coeff_parse(spec: GroupSpec, text: str) -> GroupElement:
 def _split_power(token: str) -> tuple[str, int]:
     if "^" in token:
         gen, _, exp = token.partition("^")
-        try:
-            power = int(exp)
+        try:  # a sign and decimal digits, as in words: int() alone also takes '+2' and '1_0'
+            power = int(exp) if exp.strip().removeprefix("-").isdecimal() else 0
         except ValueError:
             raise ParseError(f"malformed token {token!r}") from None
         if power == 0 or not gen:

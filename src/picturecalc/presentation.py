@@ -20,6 +20,7 @@ Serialization always emits the canonical '.'-separated form.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -87,55 +88,11 @@ def validate_presentation(p: SemigroupPresentation) -> list[Violation]:
 
 # --- parsing ---------------------------------------------------------------
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Yield (kind, value, position) with kind in {punct, ident, int}."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in RESERVED:
-            toks.append(("punct", c, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in RESERVED:
-            j += 1
-        val = text[i:j]
-        # isdecimal, not isdigit: int() rejects digits such as '²'
-        toks.append(("int" if val.isdecimal() else "ident", val, i))
-        i = j
-    return toks
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.textlen = len(text)
-
-    def _peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else ("eof", "", self.textlen)
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, at = self._next()
-        if kind == "eof" or val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", at)
-        return val
-
-    def ident(self) -> tuple[str, int]:
-        kind, val, at = self._next()
-        if kind not in ("ident", "int"):
-            raise ParseError(f"expected identifier, found {val or 'end of input'!r}", at)
-        return val, at
+def _split(text: str, at: int, sep: str) -> Iterator[tuple[str, int]]:
+    """Each sep-field of text, stripped, with its position (text begins at position at)."""
+    for field in text.split(sep):
+        yield field.strip(), at + len(field) - len(field.lstrip())
+        at += len(field) + len(sep)
 
 
 def _expand_atom(token: str, at: int, alphabet: tuple[str, ...]) -> list[str]:
@@ -150,68 +107,55 @@ def _expand_atom(token: str, at: int, alphabet: tuple[str, ...]) -> list[str]:
     raise ParseError(f"undeclared letter {token!r}", at)
 
 
-def _parse_word(p: _Parser, alphabet: tuple[str, ...]) -> Word:
-    """word := atom ('.' atom)*, read from the parser's position."""
+def _read_word(text: str, at: int, alphabet: tuple[str, ...]) -> Word:
+    """word := atom ('.' atom)*, atom := letters ('^' uint)?; text starts at position at."""
     letters: list[str] = []
-    while True:
-        tok, at = p.ident()
-        expanded = _expand_atom(tok, at, alphabet)
-        kind, val, _ = p._peek()
+    for atom, pos in _split(text, at, "."):
+        name, caret, exp = atom.partition("^")
+        if not name.rstrip():
+            raise ParseError("expected a letter", pos)
+        expanded = _expand_atom(name.rstrip(), pos, alphabet)
         power = 1
-        if val == "^":
-            p._next()
-            k, v, at = p._next()
+        if caret:
+            digits = exp.strip()
+            pos += len(atom) - len(digits)  # atom is stripped, so digits end it
             try:
-                power = int(v) if k == "int" else 0
+                # isdecimal, not isdigit: int() rejects digits such as '²'
+                power = int(digits) if digits.isdecimal() else 0
             except ValueError:  # over 4,300 digits: longer than any word allowed
                 power = MAX_WORD_LENGTH + 1
             if power < 1:
-                raise ParseError("power must be a positive integer", at)
+                raise ParseError("power must be a positive integer", pos)
         if len(letters) + len(expanded) * power > MAX_WORD_LENGTH:
-            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", at)
+            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", pos)
         letters.extend(expanded * power)
-        kind, val, _ = p._peek()
-        if val == ".":
-            p._next()
-            continue
-        break
     return tuple(letters)
 
 
 def parse_presentation(text: str) -> SemigroupPresentation:
-    p = _Parser(text)
-    p.expect("<")
+    body = text.strip()
+    at = len(text) - len(text.lstrip())  # position of '<'
+    if not (body.startswith("<") and body.endswith(">")):
+        raise ParseError("expected '<' ... '>' around the whole text", at)
+    letters, bar, rels = body[1:-1].partition("|")
+    if not bar:
+        raise ParseError("expected '|'", at + len(body) - 1)
+
     alphabet: list[str] = []
-    while True:
-        name, at = p.ident()
+    for name, pos in _split(letters, at + 1, ","):
         if not _letter_ok(name):
-            raise ParseError(f"bad letter name {name!r}", at)
+            raise ParseError(f"bad letter name {name!r}", pos)
         if name in alphabet:
-            raise ParseError(f"duplicate letter {name!r}", at)
+            raise ParseError(f"duplicate letter {name!r}", pos)
         alphabet.append(name)
-        kind, val, at = p._peek()
-        if val == ",":
-            p._next()
-            continue
-        break
-    p.expect("|")
     alpha = tuple(alphabet)
 
     relations: list[tuple[Word, Word]] = []
-    while True:
-        lhs = _parse_word(p, alpha)
-        p.expect("=")
-        rhs = _parse_word(p, alpha)
-        relations.append((lhs, rhs))
-        kind, val, _ = p._peek()
-        if val == ",":
-            p._next()
-            continue
-        break
-    p.expect(">")
-    kind, val, at = p._peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {val!r}", at)
+    for rel, pos in _split(rels, at + len(letters) + 2, ","):
+        lhs, eq, rhs = rel.partition("=")
+        if not eq:
+            raise ParseError("expected '='", pos + len(rel))
+        relations.append((_read_word(lhs, pos, alpha), _read_word(rhs, pos + len(lhs) + 1, alpha)))
 
     pres = SemigroupPresentation(alpha, tuple(relations))
     bad = validate_presentation(pres)
@@ -227,14 +171,7 @@ def serialize_presentation(p: SemigroupPresentation) -> str:
 
 def parse_word(text: str, p: SemigroupPresentation) -> Word:
     """Parse a baseword in the presentation's alphabet (same atom grammar)."""
-    parser = _Parser(text)
-    letters = _parse_word(parser, p.alphabet)
-    kind, val, at = parser._peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {val!r}", at)
-    if not letters:
-        raise ParseError("empty word")
-    return letters
+    return _read_word(text, 0, p.alphabet)
 
 
 # --- builtin fixtures -------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import lru_cache
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
 from picturecalc.coeff import TrivialSpec, free_element, identity, nontrivial_elements, trivial_system
 from picturecalc.embed import QPRES, free_system
-from picturecalc.errors import CompositionError
+from picturecalc.errors import CompositionError, ParseError
 from picturecalc.moves import BallConfig
 from picturecalc.picture import (
     Diagram,
@@ -39,6 +39,11 @@ from picturecalc.picture import (
     sum_diagrams,
     top_down,
     with_bottom_ports,
+)
+from picturecalc.presentation import (
+    MAX_WORD_LENGTH,
+    SemigroupPresentation,
+    validate_presentation,
 )
 from picturecalc.qmgraph import (
     Report,
@@ -1350,3 +1355,138 @@ def shuffled_transistor_ids(d: Diagram, rng) -> Diagram:
     return Diagram(d.pres, d.coeffs, d.wires, {ren[t]: d.transistors[t] for t in old},
                    {ren[t]: d.t_top[t] for t in old}, {ren[t]: d.t_bot[t] for t in old},
                    d.top_ports, d.bottom_ports, d.annular)
+
+
+# -- the presentation grammar, token by token --------------------------------------
+
+_RESERVED_ORACLE = set("<>|=,.^")
+
+def _tokenize_oracle(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, position) with kind in {punct, ident, int}."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _RESERVED_ORACLE:
+            toks.append(("punct", c, i))
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in _RESERVED_ORACLE:
+            j += 1
+        val = text[i:j]
+        # isdecimal, not isdigit: int() rejects digits such as '²'
+        toks.append(("int" if val.isdecimal() else "ident", val, i))
+        i = j
+    return toks
+
+
+class _ParserOracle:
+    def __init__(self, text: str):
+        self.toks = _tokenize_oracle(text)
+        self.pos = 0
+        self.textlen = len(text)
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else ("eof", "", self.textlen)
+
+    def next(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, value: str):
+        kind, val, at = self.next()
+        if kind == "eof" or val != value:
+            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", at)
+        return val
+
+    def ident(self) -> tuple[str, int]:
+        kind, val, at = self.next()
+        if kind not in ("ident", "int"):
+            raise ParseError(f"expected identifier, found {val or 'end of input'!r}", at)
+        return val, at
+
+
+def _expand_atom_oracle(token: str, at: int, alphabet: tuple[str, ...]) -> list[str]:
+    if token in alphabet:
+        return [token]
+    if all(len(a) == 1 for a in alphabet):
+        letters = list(token)
+        for c in letters:
+            if c not in alphabet:
+                raise ParseError(f"undeclared letter {c!r}", at)
+        return letters
+    raise ParseError(f"undeclared letter {token!r}", at)
+
+
+def _parse_word_tokens_oracle(p: _ParserOracle, alphabet: tuple[str, ...]) -> tuple[str, ...]:
+    """word := atom ('.' atom)*, read from the parser's position."""
+    letters: list[str] = []
+    while True:
+        tok, at = p.ident()
+        expanded = _expand_atom_oracle(tok, at, alphabet)
+        power = 1
+        if p.peek()[1] == "^":
+            p.next()
+            k, v, at = p.next()
+            try:
+                power = int(v) if k == "int" else 0
+            except ValueError:  # over 4,300 digits: longer than any word allowed
+                power = MAX_WORD_LENGTH + 1
+            if power < 1:
+                raise ParseError("power must be a positive integer", at)
+        if len(letters) + len(expanded) * power > MAX_WORD_LENGTH:
+            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", at)
+        letters.extend(expanded * power)
+        if p.peek()[1] != ".":
+            return tuple(letters)
+        p.next()
+
+
+def parse_presentation_oracle(text: str) -> SemigroupPresentation:
+    """The presentation grammar read by a tokenizer and a recursive-descent
+    parser, for comparison with the package's field-splitting reader."""
+    p = _ParserOracle(text)
+    p.expect("<")
+    alphabet: list[str] = []
+    while True:
+        name, at = p.ident()
+        if name in alphabet:
+            raise ParseError(f"duplicate letter {name!r}", at)
+        alphabet.append(name)
+        if p.peek()[1] != ",":
+            break
+        p.next()
+    p.expect("|")
+    alpha = tuple(alphabet)
+    relations = []
+    while True:
+        lhs = _parse_word_tokens_oracle(p, alpha)
+        p.expect("=")
+        relations.append((lhs, _parse_word_tokens_oracle(p, alpha)))
+        if p.peek()[1] != ",":
+            break
+        p.next()
+    p.expect(">")
+    kind, val, at = p.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {val!r}", at)
+    pres = SemigroupPresentation(alpha, tuple(relations))
+    bad = validate_presentation(pres)
+    if bad:
+        raise ParseError("; ".join(str(v) for v in bad))
+    return pres
+
+
+def parse_word_oracle(text: str, pres: SemigroupPresentation) -> tuple[str, ...]:
+    """A baseword read token by token (see parse_presentation_oracle)."""
+    p = _ParserOracle(text)
+    letters = _parse_word_tokens_oracle(p, pres.alphabet)
+    kind, val, at = p.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {val!r}", at)
+    return letters

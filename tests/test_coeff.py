@@ -92,6 +92,18 @@ def test_parse_serialize():
         coeff_parse(F2, "R1^x")
 
 
+def test_parse_power_is_a_signed_decimal():
+    """Coefficient powers follow the word power rule plus a sign: the other
+    literal forms int() reads are rejected."""
+    assert coeff_parse(Z5, "t^-12") == cyclic_element(Z5, 3)
+    assert coeff_parse(Z5, "t^\u0663") == cyclic_element(Z5, 3)
+    assert coeff_parse(F2, "R1^-2").payload == (("R1", -1), ("R1", -1))
+    for spec, text in [(Z5, "t^1_0"), (Z5, "t^+2"), (Z5, "t^-+2"), (Z5, "t^--2"), (Z5, "t^0x1"),
+                       (Z5, "t^\u00b2"), (Z5, "t^-0"), (F2, "R1^1_0"), (F2, "R1^+1"), (F2, "R1^ ")]:
+        with pytest.raises(ParseError):
+            coeff_parse(spec, text)
+
+
 def test_spec_parse():
     assert spec_parse("trivial") == TrivialSpec()
     assert spec_parse("cyclic:4") == CyclicSpec(4)

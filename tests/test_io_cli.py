@@ -44,7 +44,7 @@ from picturecalc.presentation import (
 from picturecalc.sampling import random_element, random_tree_pair, random_walk_diagram
 from picturecalc.thompson import TreePair
 
-from oracles import evaluate_oracle
+from oracles import evaluate_oracle, parse_presentation_oracle, parse_word_oracle
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -498,6 +498,21 @@ def test_cli_oversized_coefficient_text_exit_2(tmp_path, capsys, spec, coeff, me
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec, coeff", [("cyclic:5", "t^1_0"), ("cyclic:5", "t^+2"), ("free:2", "R1^1_0")])
+def test_cli_coefficient_power_forms_of_int_exit_2(tmp_path, capsys, spec, coeff):
+    """A coefficient power is a sign and decimal digits, as a word power is:
+    the forms int() alone also reads ('1_0', '+2') are malformed."""
+    obj = diagram_to_json(eps(Q, trivial_system(Q.alphabet), "x"))
+    obj["coeffs"]["x"], obj["wires"][0]["coeff"] = spec, coeff
+    src = tmp_path / "power.json"
+    src.write_text(json.dumps(obj))
+    rc = main(["reduce", "--in", str(src)])
+    assert rc == 2 and capsys.readouterr().err == f"error: malformed token {coeff!r}\n"
+    obj["wires"][0]["coeff"] = coeff.replace("1_0", "-10").replace("+", "")
+    src.write_text(json.dumps(obj))
+    assert main(["reduce", "--in", str(src)]) == 0
+
+
 @pytest.mark.parametrize("tid", ["zero", 1, -1, True])
 def test_cli_bad_transistor_id_exit_2(tmp_path, capsys, tid):
     obj = diagram_to_json(atom_transistor(Q, CYC2, (), 0, 1, ()))
@@ -558,19 +573,19 @@ def _write_pres(tmp_path):
 FUZZ_CHARS = "<>|=,.^()+@ \t0123456789xyab²"
 
 
-def _mutate(rng, text):
-    """text with one to three characters deleted, inserted or swapped."""
-    chars = list(text)
+def _mutate(rng, text, chars=FUZZ_CHARS):
+    """text with one to three characters deleted, inserted (from chars) or swapped."""
+    out = list(text)
     for _ in range(rng.randrange(1, 4)):
-        i = rng.randrange(len(chars) + 1)
+        i = rng.randrange(len(out) + 1)
         op = rng.randrange(3)
-        if op == 0 and i < len(chars):
-            del chars[i]
+        if op == 0 and i < len(out):
+            del out[i]
         elif op == 1:
-            chars.insert(i, rng.choice(FUZZ_CHARS))
-        elif i + 1 < len(chars):
-            chars[i], chars[i + 1] = chars[i + 1], chars[i]
-    return "".join(chars)
+            out.insert(i, rng.choice(chars))
+        elif i + 1 < len(out):
+            out[i], out[i + 1] = out[i + 1], out[i]
+    return "".join(out)
 
 
 def _random_word_text(rng, letters):
@@ -613,6 +628,80 @@ def test_fuzzed_parsers_return_a_value_or_raise_parse_error():
         text = tree_pair_to_text(tp)
         assert tree_pair_from_text(text, arity) == tp
         _parse_or_parse_error(lambda t: tree_pair_from_text(t, arity), _mutate(rng, text))
+
+
+# FUZZ_CHARS plus what int() reads in a number but a power may not ('_', '-'),
+# Unicode whitespace and a non-ASCII decimal digit
+READER_FUZZ_CHARS = FUZZ_CHARS + "_-\u00a0\u3000\u0663"
+SPACES = ("", "", " ", "\t", "\n", "\u00a0", "\u3000")
+READER_EDGE_CASES = [
+    "<x | x=x.x> y", "<x | x=x.x>>", "<x | x=x.x> >", "<<x | x=x.x>", "<x | x=x.x",
+    "<x,,y | x=y>", "<x, | x=x.x>", "< | x=x.x>", "<x | >", "<x | x=x.x,>", "<x | ,x=x.x>",
+    "<x | x=>", "<x | =x>", "<x | x=x.>", "<x | x=.x>", "<x | x=x..x>", "<x | x=x.x | x>",
+    "<x | x=x^00>", "<x | x=x^01>", "<x | x=x^1_0>", "<x | x=x^+2>", "<x | x=x^-2>",
+    "<x | x=x^>", "<x | x=x^^2>", "<x | x=x^2^2>", "<x | x=x ^ 2>", "<x | x=x^\u00b2>",
+    "<x | x=x^\u0663>", "<x | x=x^" + "9" * 5000 + ">", "<x | x=x.x=x>", "<x | x x=x>",
+    "<1,2 | 1=2.2>", "<1,2 | 1=2^2>", "<a,b | ab=b^2a>", "<a,b | ab=b^2.a>", "<a,b1 | a=ab1>",
+    "<x|x=x.x>", "\u3000<\u00a0x\t|\nx = x . x\u3000>\n", "", "<>", "<|>", "<x>", "|",
+]
+READER_WORD_EDGE_CASES = [
+    "", " ", ".", "x.", ".x", "x..x", "x x", "x^", "x^00", "x^01", "x^1_0", "x^+2", "x^-2", "x^2^2",
+    "x^\u00b2", "x^\u0663", "x^" + "9" * 5000, " x ^ 2 . x ", "xx", "ab", "ab^2c", "x1x2", "x1.x2^2", "r=a",
+]
+
+
+def _spaced(rng, tokens):
+    """tokens joined with random whitespace, ASCII and Unicode, around each."""
+    spaces = rng.choices(SPACES, k=len(tokens) + 1)
+    return "".join(map(str.__add__, spaces, tokens)) + spaces[-1]
+
+
+def _word_tokens(rng, letters):
+    juxtapose = all(len(a) == 1 for a in letters)
+    tokens = []
+    for k in range(rng.randrange(1, 5)):
+        tokens += ["."] if k else []
+        tokens.append("".join(rng.choice(letters) for _ in range(rng.randrange(1, 3) if juxtapose else 1)))
+        tokens += ["^", str(rng.randrange(1, 13))] if rng.random() < 0.2 else []
+    return tokens
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+def test_presentation_reader_matches_token_parser_oracle():
+    """The field-splitting reader and the tokenizing oracle accept the same
+    texts and read them alike, on 10,000+ seeded presentations and words."""
+    rng = random.Random(20261020)
+    presentations = [builtin_presentation(name, params)[0] for name, params in
+                     (("thompson", ()), ("houghton", (2, 1)), ("commuting_abc", ()))]
+    texts, words = list(READER_EDGE_CASES), []
+    for _ in range(1500):
+        letters = rng.choice((["x"], ["a", "b", "c"], ["r", "x1", "x2"], ["1", "2"]))
+        tokens = ["<"] + [t for a in letters for t in (",", a)][1:] + ["|"]
+        for k in range(rng.randrange(1, 4)):
+            tokens += ([","] if k else []) + _word_tokens(rng, letters) + ["="] + _word_tokens(rng, letters)
+        text = _spaced(rng, tokens + [">"])
+        texts += [text, _mutate(rng, text, READER_FUZZ_CHARS)]
+    for _ in range(3500):
+        pres = rng.choice(presentations)
+        text = _spaced(rng, _word_tokens(rng, pres.alphabet))
+        words += [(text, pres), (_mutate(rng, text, READER_FUZZ_CHARS), pres)]
+    words += [(text, pres) for text in READER_WORD_EDGE_CASES for pres in presentations]
+    outcomes = set()
+    for text in texts:
+        got = _outcome(parse_presentation, text)
+        assert got == _outcome(parse_presentation_oracle, text), text
+        outcomes.add(got is ParseError)
+    for text, pres in words:
+        got = _outcome(lambda t: parse_word(t, pres), text)
+        assert got == _outcome(lambda t: parse_word_oracle(t, pres), text), text
+        outcomes.add(got is ParseError)
+    assert len(texts) + len(words) >= 10_000 and outcomes == {True, False}
 
 
 JSON_RETYPES = [None, True, -1, 0, 7, 10 ** 9, 1.5, "x", "", [], {},
@@ -690,10 +779,18 @@ def test_fuzzed_diagram_json_parses_or_exits_2(tmp_path, capsys):
     ("tree", "(.)).|.@perm=0", "node has 1 children, arity is 2 (at position 2)"),
     ("tree", "(..)|.@perm=0", "leaf bijection does not match the leaf counts"),
     ("word", "x^\u00b2", "power must be a positive integer (at position 2)"),
+    ("word", "x^ \u00b2", "power must be a positive integer (at position 3)"),
+    ("pres", "<x x=x.x>", "expected '|' (at position 8)"),
+    ("pres", "<x, y z | x=x.x>", "bad letter name 'y z' (at position 4)"),
+    ("pres", "<x,\tx | x=x.x>", "duplicate letter 'x' (at position 4)"),
+    ("pres", "<x | x=x.x, x>", "expected '=' (at position 13)"),
+    ("pres", "<x | x=x.x,\u3000x=x.q>", "undeclared letter 'q' (at position 16)"),
+    ("pres", "<x | x = x ^ 1_0>", "power must be a positive integer (at position 13)"),
 ])
 def test_parse_errors_name_the_fault(kind, text, message):
+    parse = {"tree": tree_pair_from_text, "word": lambda t: parse_word(t, Q), "pres": parse_presentation}[kind]
     with pytest.raises(ParseError) as e:
-        tree_pair_from_text(text) if kind == "tree" else parse_word(text, Q)
+        parse(text)
     assert str(e.value) == message
 
 

@@ -24,7 +24,7 @@ from .io import (
 )
 from .moves import GEOMETRIES, BallConfig, enumerate_reduced
 from .picture import eps, length, multiply, reduce
-from .presentation import BUILTIN_NAMES, builtin_presentation, parse_presentation, parse_word
+from .presentation import BUILTIN_NAMES, builtin_presentation, parse_presentation, parse_word, read_int
 from .qmgraph import (
     ball,
     condition_plus_check,
@@ -57,8 +57,8 @@ def _resolve_presentation(args) -> tuple:
     """The configured presentation and its builtin baseword (None for a file)."""
     if args.builtin:
         name, _, params = args.builtin.partition(":")
-        plist = [int(x) for x in params.split(",")] if params else []
-        return builtin_presentation(name, plist)
+        plist = [read_int(x) for x in params.split(",")] if params else []
+        return builtin_presentation(name.strip(), plist)
     if args.presentation:
         with open(args.presentation) as f:
             return parse_presentation(f.read()), None
@@ -76,7 +76,7 @@ def _resolve_config(args) -> tuple:
         letter, _, spec = item.partition("=")
         if not spec:
             raise ParseError(f"bad --coeff {item!r}")
-        overrides[letter] = spec_parse(spec)
+        overrides[letter.strip()] = spec_parse(spec)
     coeffs = make_system(pres.alphabet, overrides)
     return pres, coeffs, word
 
@@ -133,8 +133,8 @@ def cmd_thompson_eval(args) -> int:
     num, _, rest = args.point.partition("/")
     base_s, _, exp_s = rest.partition("^")
     try:
-        k, base, m = int(num), int(base_s), int(exp_s)
-    except ValueError:
+        k, base, m = read_int(num), read_int(base_s), read_int(exp_s)
+    except ParseError:
         raise ParseError(f"bad point {args.point!r}; expected k/n^m") from None
     if base != args.arity:
         raise ParseError("point base must equal the pair's arity")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ParseError
-from .presentation import MAX_WORD_LENGTH
+from .presentation import MAX_WORD_LENGTH, _split, read_int
 
 # --- group specs and elements ------------------------------------------------
 
@@ -123,51 +123,39 @@ def coeff_serialize(a: GroupElement) -> str:
     if a.is_identity():
         return "1"
     if isinstance(a.spec, CyclicSpec):
-        return ".".join(["t"] * a.payload)
+        return "t" if a.payload == 1 else f"t^{a.payload}"
     return ".".join(g if s == 1 else f"{g}^-1" for g, s in a.payload)
 
 
 def coeff_parse(spec: GroupSpec, text: str) -> GroupElement:
-    """Parse `1` or '.'-joined gen(^int)? tokens into a normal-form element."""
+    """Parse `1` or '.'-joined gen(^int)? atoms into a normal-form element.
+    Atoms are read as a word's are (`presentation._read_word`), whitespace
+    beside them ignored; a power is any nonzero number (`read_int`)."""
     text = text.strip()
     if text == "1":
         return identity(spec)
     if isinstance(spec, TrivialSpec):
         raise ParseError(f"trivial group has no element {text!r}")
-    tokens = text.split(".")
-    if isinstance(spec, CyclicSpec):
-        total = 0
-        for tok in tokens:
-            gen, power = _split_power(tok)
-            if gen != "t":
-                raise ParseError(f"unknown generator {gen!r} (cyclic generator is 't')")
-            total += power
-        return cyclic_element(spec, total)
-    word: list[tuple[str, int]] = []
-    powers = [_split_power(tok) for tok in tokens]
-    if sum(abs(power) for _, power in powers) > MAX_WORD_LENGTH:
+    cyclic = isinstance(spec, CyclicSpec)
+    gens, atoms = ("t",) if cyclic else spec.generators, []
+    for atom, _ in _split(text, 0, "."):
+        name, caret, exp = atom.partition("^")
+        gen = name.rstrip()
+        try:
+            power = read_int(exp) if caret else 1
+        except ParseError:
+            power = 0
+        if not power or not gen:
+            raise ParseError(f"malformed token {atom!r}" if caret else "empty token")
+        if gen not in gens:
+            raise ParseError(f"unknown generator {gen!r}" + (" (cyclic generator is 't')" if cyclic else ""))
+        atoms.append((gen, power))
+    if cyclic:
+        return cyclic_element(spec, sum(power for _, power in atoms))
+    if sum(abs(power) for _, power in atoms) > MAX_WORD_LENGTH:  # before a power expands
         raise ParseError(f"coefficient longer than {MAX_WORD_LENGTH} letters")
-    for gen, power in powers:
-        if gen not in spec.generators:
-            raise ParseError(f"unknown generator {gen!r}")
-        sign = 1 if power > 0 else -1
-        word.extend([(gen, sign)] * abs(power))
-    return free_element(spec, word)
-
-
-def _split_power(token: str) -> tuple[str, int]:
-    if "^" in token:
-        gen, _, exp = token.partition("^")
-        try:  # a sign and decimal digits, as in words: int() alone also takes '+2' and '1_0'
-            power = int(exp) if exp.strip().removeprefix("-").isdecimal() else 0
-        except ValueError:
-            raise ParseError(f"malformed token {token!r}") from None
-        if power == 0 or not gen:
-            raise ParseError(f"malformed token {token!r}")
-        return gen, power
-    if not token:
-        raise ParseError("empty token")
-    return token, 1
+    return free_element(spec, [(gen, 1 if power > 0 else -1)
+                               for gen, power in atoms for _ in range(abs(power))])
 
 
 def nontrivial_elements(spec: GroupSpec) -> list[GroupElement]:
@@ -183,20 +171,18 @@ def spec_parse(text: str) -> GroupSpec:
     if text == "trivial":
         return TrivialSpec()
     head, _, arg = text.partition(":")
-    if head == "cyclic":
-        try:
-            return CyclicSpec(int(arg))
-        except ValueError:
-            raise ParseError(f"bad cyclic spec {text!r}") from None
-    if head == "free":
-        try:
-            rank = int(arg)
-        except ValueError:
-            raise ParseError(f"bad free spec {text!r}") from None
-        if not 1 <= rank <= MAX_WORD_LENGTH:
-            raise ParseError(f"free rank must be between 1 and {MAX_WORD_LENGTH}")
-        return FreeSpec(tuple(f"R{i}" for i in range(1, rank + 1)))
-    raise ParseError(f"unknown group spec {text!r}")
+    head = head.rstrip()
+    if head not in ("cyclic", "free"):
+        raise ParseError(f"unknown group spec {text!r}")
+    try:
+        k = read_int(arg)
+        if head == "cyclic":
+            return CyclicSpec(k)
+    except ValueError:  # no number, or a cyclic order below 2
+        raise ParseError(f"bad {head} spec {text!r}") from None
+    if not 1 <= k <= MAX_WORD_LENGTH:
+        raise ParseError(f"free rank must be between 1 and {MAX_WORD_LENGTH}")
+    return FreeSpec(tuple(f"R{i}" for i in range(1, k + 1)))
 
 
 @dataclass(frozen=True)
@@ -216,9 +202,6 @@ class CoefficientSystem:
 
     def is_all_trivial(self) -> bool:
         return all(s.order == 1 for _, s in self.assignments)
-
-    def has_free(self) -> bool:
-        return any(s.order is None for _, s in self.assignments)
 
 
 def trivial_system(alphabet: Iterable[str]) -> CoefficientSystem:

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 from .coeff import coeff_parse, coeff_serialize, make_system, spec_parse
 from .errors import ParseError
 from .picture import Diagram, _traversal
-from .presentation import parse_presentation, serialize_presentation
+from .presentation import parse_presentation, read_int, serialize_presentation
 from .thompson import Forest, TreePair
 
 
@@ -292,8 +292,8 @@ def tree_pair_from_text(text: str, arity: int = 2) -> TreePair:
     domain = _parse_forest(dom_text.strip(), arity)
     image = _parse_forest(img_text.strip(), arity)
     try:
-        perm = tuple(int(x) for x in permpart.strip().split(","))
-    except ValueError:
+        perm = tuple(read_int(x) for x in permpart.split(","))
+    except ParseError:
         raise ParseError(f"bad permutation {permpart!r}") from None
     try:
         return TreePair(arity, domain, image, perm)

@@ -66,6 +66,7 @@ from .picture import (
 )
 
 GEOMETRIES = tuple(GEOMETRY)
+MAX_CYCLIC_ORDER = 1000  # the pin of a cyclic letter of order k is a clique of C(k, 2) edges
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,12 @@ class BallConfig:
 
 
 def check_finite_coeffs(coeffs: CoefficientSystem) -> None:
-    if coeffs.has_free():
-        raise EnumerationError("free coefficient groups give infinite pins/balls")
+    """Balls and enumeration take every letter's group whole: finite, and small."""
+    for _, spec in coeffs.assignments:
+        if spec.order is None:
+            raise EnumerationError("free coefficient groups give infinite pins/balls")
+        if spec.order > MAX_CYCLIC_ORDER:
+            raise EnumerationError(f"cyclic order above {MAX_CYCLIC_ORDER} in a ball or enumeration")
 
 
 # -- geometry-aware class keys ----------------------------------------------------

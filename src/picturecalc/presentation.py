@@ -95,6 +95,19 @@ def _split(text: str, at: int, sep: str) -> Iterator[tuple[str, int]]:
         at += len(field) + len(sep)
 
 
+def read_int(text: str) -> int:
+    """The one number rule of user text: an optional '-' and decimal digits
+    (isdecimal, not isdigit, whose '²' int() rejects: '٣' is 3, and '²', '+3'
+    and '1_0' are no numbers), whitespace around them ignored; callers check ranges."""
+    field = text.strip()
+    if not field.removeprefix("-").isdecimal():
+        raise ParseError(f"expected a number, found {field!r}")
+    try:
+        return int(field)
+    except ValueError:  # int() reads at most 4,300 digits
+        raise ParseError("number longer than 4300 digits") from None
+
+
 def _expand_atom(token: str, at: int, alphabet: tuple[str, ...]) -> list[str]:
     if token in alphabet:
         return [token]
@@ -120,10 +133,9 @@ def _read_word(text: str, at: int, alphabet: tuple[str, ...]) -> Word:
             digits = exp.strip()
             pos += len(atom) - len(digits)  # atom is stripped, so digits end it
             try:
-                # isdecimal, not isdigit: int() rejects digits such as '²'
-                power = int(digits) if digits.isdecimal() else 0
-            except ValueError:  # over 4,300 digits: longer than any word allowed
-                power = MAX_WORD_LENGTH + 1
+                power = read_int(digits)
+            except ParseError:  # no number; or digits past int()'s 4,300, longer than any word allowed
+                power = MAX_WORD_LENGTH + 1 if digits.isdecimal() else 0
             if power < 1:
                 raise ParseError("power must be a positive integer", pos)
         if len(letters) + len(expanded) * power > MAX_WORD_LENGTH:

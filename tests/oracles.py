@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
-from picturecalc.coeff import TrivialSpec, free_element, identity, nontrivial_elements, trivial_system
+from picturecalc.coeff import CyclicSpec, TrivialSpec, cyclic_element, free_element, identity
+from picturecalc.coeff import nontrivial_elements, trivial_system
 from picturecalc.embed import QPRES, free_system
 from picturecalc.errors import CompositionError, ParseError
 from picturecalc.moves import BallConfig
@@ -1490,3 +1491,50 @@ def parse_word_oracle(text: str, pres: SemigroupPresentation) -> tuple[str, ...]
     if kind != "eof":
         raise ParseError(f"trailing input {val!r}", at)
     return letters
+
+
+# -- coefficient text, token by token ------------------------------------------------
+
+def _split_power_oracle(token: str) -> tuple[str, int]:
+    if "^" in token:
+        gen, _, exp = token.partition("^")
+        try:  # a sign and decimal digits, as in words: int() alone also takes '+2' and '1_0'
+            power = int(exp) if exp.strip().removeprefix("-").isdecimal() else 0
+        except ValueError:
+            raise ParseError(f"malformed token {token!r}") from None
+        if power == 0 or not gen:
+            raise ParseError(f"malformed token {token!r}")
+        return gen, power
+    if not token:
+        raise ParseError("empty token")
+    return token, 1
+
+
+def coeff_parse_oracle(spec, text: str):
+    """Coefficient text split on '.' into unstripped tokens, each split at
+    its '^': whitespace is allowed only at the ends of the text and beside a
+    power's digits."""
+    text = text.strip()
+    if text == "1":
+        return identity(spec)
+    if isinstance(spec, TrivialSpec):
+        raise ParseError(f"trivial group has no element {text!r}")
+    tokens = text.split(".")
+    if isinstance(spec, CyclicSpec):
+        total = 0
+        for tok in tokens:
+            gen, power = _split_power_oracle(tok)
+            if gen != "t":
+                raise ParseError(f"unknown generator {gen!r} (cyclic generator is 't')")
+            total += power
+        return cyclic_element(spec, total)
+    word: list[tuple[str, int]] = []
+    powers = [_split_power_oracle(tok) for tok in tokens]
+    if sum(abs(power) for _, power in powers) > MAX_WORD_LENGTH:
+        raise ParseError(f"coefficient longer than {MAX_WORD_LENGTH} letters")
+    for gen, power in powers:
+        if gen not in spec.generators:
+            raise ParseError(f"unknown generator {gen!r}")
+        sign = 1 if power > 0 else -1
+        word.extend([(gen, sign)] * abs(power))
+    return free_element(spec, word)

@@ -85,11 +85,28 @@ def test_parse_serialize():
     assert coeff_parse(Z5, "t.t") == cyclic_element(Z5, 2)
     assert coeff_parse(Z5, "t^3") == cyclic_element(Z5, 3)
     assert coeff_parse(Z5, "t^-1") == cyclic_element(Z5, 4)
-    assert coeff_serialize(cyclic_element(Z5, 2)) == "t.t"
+    assert coeff_serialize(cyclic_element(Z5, 2)) == "t^2"
     with pytest.raises(ParseError):
         coeff_parse(F2, "Q1")
     with pytest.raises(ParseError):
         coeff_parse(F2, "R1^x")
+
+
+def test_serialized_coefficients_read_back(rng):
+    """Every element of cyclic:k for k <= 64, and seeded free words, reads
+    back from its text; t^r is written t^r, and r copies of t still read."""
+    for k in range(2, 65):
+        spec = CyclicSpec(k)
+        for r in range(k):
+            g = cyclic_element(spec, r)
+            assert coeff_parse(spec, coeff_serialize(g)) == g
+            assert coeff_parse(spec, ".".join(["t"] * r) or "1") == g
+        assert coeff_serialize(cyclic_element(spec, k - 1)) == ("t" if k == 2 else f"t^{k - 1}")
+    for spec in (F2, FreeSpec(("R1", "R2", "R3"))):
+        for _ in range(300):
+            g = free_element(spec, [(rng.choice(spec.generators), rng.choice([1, -1]))
+                                    for _ in range(rng.randrange(12))])
+            assert coeff_parse(spec, coeff_serialize(g)) == g
 
 
 def test_parse_power_is_a_signed_decimal():

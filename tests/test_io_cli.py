@@ -13,8 +13,9 @@ import pytest
 
 from picturecalc import cli
 from picturecalc.cli import main
-from picturecalc.coeff import CyclicSpec, identity, make_system, trivial_system
+from picturecalc.coeff import CyclicSpec, FreeSpec, coeff_parse, identity, make_system, trivial_system
 from picturecalc.errors import ParseError
+from picturecalc.moves import enumerate_reduced
 from picturecalc.io import (
     diagram_from_json,
     diagram_to_json,
@@ -44,7 +45,7 @@ from picturecalc.presentation import (
 from picturecalc.sampling import random_element, random_tree_pair, random_walk_diagram
 from picturecalc.thompson import TreePair
 
-from oracles import evaluate_oracle, parse_presentation_oracle, parse_word_oracle
+from oracles import coeff_parse_oracle, evaluate_oracle, parse_presentation_oracle, parse_word_oracle
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -61,6 +62,23 @@ def test_diagram_json_roundtrip(rng):
             # canonical export is byte-stable
             assert json.dumps(diagram_to_json(back), sort_keys=True) == \
                 json.dumps(obj, sort_keys=True)
+
+
+def test_cyclic_coefficients_written_as_t_copies_still_load():
+    """Files written before t^r was the output form spell it as r copies of
+    t: they load as the same diagrams, and export in the t^r form."""
+    coeffs = make_system(Q.alphabet, {"x": CyclicSpec(4)})
+    spelled = 0
+    for d in enumerate_reduced(Q, coeffs, ("x",), 2):
+        obj = diagram_to_json(d)
+        old = json.loads(json.dumps(obj))
+        for wire in old["wires"]:
+            r = int(wire["coeff"].removeprefix("t^")) if wire["coeff"].startswith("t^") else 0
+            wire["coeff"] = ".".join(["t"] * r) if r else wire["coeff"]
+            spelled += r > 0
+        back = diagram_from_json(old)
+        assert canonical_key(back) == canonical_key(d) and diagram_to_json(back) == obj
+    assert spelled
 
 
 def test_diagram_json_roundtrip_keeps_the_alphabet_order(rng, tmp_path):
@@ -513,6 +531,65 @@ def test_cli_coefficient_power_forms_of_int_exit_2(tmp_path, capsys, spec, coeff
     assert main(["reduce", "--in", str(src)]) == 0
 
 
+def _number_site_argv(site, n, p, tmp_path):
+    """argv that brings the number text n to one of the seven places user
+    text holds a number, with p beside every field that place splits off."""
+    if site == "word power":
+        return ["ball", "--builtin", "thompson", "--word", f"{p}x{p}^{p}{n}{p}", "--radius", "1"]
+    if site == "builtin parameter":
+        return ["ball", "--builtin", f"{p}higman{p}:{p}{n}{p},{p}1{p}", "--radius", "1"]
+    if site == "cyclic order":
+        return ["ball", "--builtin", "thompson", "--coeff", f"{p}x{p}={p}cyclic{p}:{p}{n}{p}", "--radius", "1"]
+    if site == "point":
+        return ["thompson", "eval", "--pair", "((..).)|(.(..))@perm=0,1,2",
+                "--point", f"{p}1{p}/{p}2{p}^{p}{n}{p}"]
+    if site == "permutation":
+        return ["thompson", "eval", "--pair", f"(..)|(..)@perm={p}{n}{p},{p}0{p}", "--point", "1/2^2"]
+    obj = diagram_to_json(eps(Q, trivial_system(Q.alphabet), "x"))
+    if site == "free rank":
+        obj["coeffs"]["x"], obj["wires"][0]["coeff"] = f"{p}free{p}:{p}{n}{p}", f"{p}R1{p}.{p}R3{p}"
+    else:  # a coefficient power
+        obj["coeffs"]["x"], obj["wires"][0]["coeff"] = "cyclic:5", f"{p}t{p}^{p}{n}{p}.{p}t{p}"
+    src = tmp_path / "number.json"
+    src.write_text(json.dumps(obj))
+    return ["reduce", "--in", str(src)]
+
+
+@pytest.mark.parametrize("site, value", [
+    ("word power", 3), ("coefficient power", 3), ("cyclic order", 3), ("free rank", 3),
+    ("builtin parameter", 3), ("point", 3), ("permutation", 1),
+])
+def test_cli_numbers_follow_one_rule(tmp_path, capsys, site, value):
+    """Every number in user text is an optional '-' and decimal digits, with
+    whitespace around it and around the fields beside it ignored: the other
+    forms int() reads and numbers past int()'s 4,300 digits exit 2 with one
+    error line of the package's own."""
+    assert main(_number_site_argv(site, value, "", tmp_path)) == 0
+    want = capsys.readouterr().out
+    for pad in (" ", " \t\u3000"):
+        assert main(_number_site_argv(site, f"{pad}{value}{pad}", pad, tmp_path)) == 0
+        assert capsys.readouterr().out == want
+    for n in (f"+{value}", f"0_{value}", "9" * 5000):
+        assert main(_number_site_argv(site, n, "", tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (n[:20], err[:200])
+        assert "invalid literal" not in err and "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("command", ["ball", "verify", "enumerate"])
+def test_cli_cyclic_order_above_the_limit_exits_2_before_the_work(capsys, command):
+    """A ball holds every element of a cyclic coefficient group: an order of
+    10^10 would list 10^10 moves, so orders above MAX_CYCLIC_ORDER exit 2."""
+    from picturecalc.moves import MAX_CYCLIC_ORDER
+
+    budget = ["--budget", "1"] if command == "enumerate" else ["--radius", "1"]
+    for order in (MAX_CYCLIC_ORDER + 1, 10 ** 10):
+        t0 = time.perf_counter()
+        rc = main([command, "--builtin", "thompson", "--coeff", f"x=cyclic:{order}"] + budget)
+        assert rc == 2 and time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == f"error: cyclic order above {MAX_CYCLIC_ORDER} in a ball or enumeration\n"
+
+
 @pytest.mark.parametrize("tid", ["zero", 1, -1, True])
 def test_cli_bad_transistor_id_exit_2(tmp_path, capsys, tid):
     obj = diagram_to_json(atom_transistor(Q, CYC2, (), 0, 1, ()))
@@ -702,6 +779,49 @@ def test_presentation_reader_matches_token_parser_oracle():
         assert got == _outcome(lambda t: parse_word_oracle(t, pres), text), text
         outcomes.add(got is ParseError)
     assert len(texts) + len(words) >= 10_000 and outcomes == {True, False}
+
+
+# what a coefficient text may hold besides whitespace, and what int() reads
+COEFF_FUZZ_CHARS = "t.^-+_1R23s\u00b2\u0663"
+COEFF_EDGE_CASES = [
+    "1", " 1 ", "1.t", "t.1", "", ".", "t.", ".t", "t..t", "t^", "^2", "t^0", "t^-0", "t^00", "t^1_0",
+    "t^+2", "t^-+2", "t^--2", "t^2^2", "t^\u00b2", "t^\u0663", "t^-\u0663", "t^" + "9" * 5000,
+    "t^-" + "9" * 5000, "t t", "t^- 2", "tt", "R1 R2", "R1R2", "r1", "R1^" + "9" * 7,
+    "R1^600000.R1^-600000", "\u3000t^2\u00a0", "t^ 2", "t^2 ", "R1^ -2",
+]
+
+
+def _coeff_tokens(rng, gens):
+    """A coefficient text's tokens: generators, some unknown, joined by '.',
+    some with a power, some powers zero or negative."""
+    tokens = []
+    for k in range(rng.randrange(1, 5)):
+        tokens += ["."] if k else []
+        tokens.append(rng.choice(("s", "R3", "t", "R1")) if rng.random() < 0.1 else rng.choice(gens))
+        tokens += ["^", rng.choice(("", "-")) + str(rng.randrange(13))] if rng.random() < 0.4 else []
+    return tokens
+
+
+def test_coefficient_reader_matches_token_oracle():
+    """The word-style coefficient reader and the old token reader read every
+    text without whitespace beside a token alike (an element, or ParseError
+    on both sides); a text with it reads as the oracle reads it without."""
+    rng = random.Random(20261021)
+    specs = {CyclicSpec(5): ["t"], FreeSpec(("R1", "R2")): ["R1", "R2"]}
+    cases = [(spec, text, text) for text in COEFF_EDGE_CASES for spec in specs]
+    for _ in range(2000):
+        spec = rng.choice(list(specs))
+        tokens = _coeff_tokens(rng, specs[spec])
+        plain = "".join(tokens)
+        mutant = _mutate(rng, plain, COEFF_FUZZ_CHARS)
+        cases += [(spec, plain, plain), (spec, mutant, mutant), (spec, _spaced(rng, tokens), plain)]
+    outcomes, newly_read = set(), 0
+    for spec, text, plain in cases:
+        got = _outcome(lambda t: coeff_parse(spec, t), text)
+        assert got == _outcome(lambda t: coeff_parse_oracle(spec, t), plain), text
+        outcomes.add(got is ParseError)
+        newly_read += got is not ParseError and _outcome(lambda t: coeff_parse_oracle(spec, t), text) is ParseError
+    assert len(cases) >= 5000 and outcomes == {True, False} and newly_read
 
 
 JSON_RETYPES = [None, True, -1, 0, 7, 10 ** 9, 1.5, "x", "", [], {},

@@ -106,7 +106,7 @@ def test_keys_spell_coefficients_in_every_configuration():
     # its own configuration's coefficient texts
     cases = [
         ({"x": CyclicSpec(2)}, lambda s: cyclic_element(s, 1), "x:t"),
-        ({"x": CyclicSpec(3)}, lambda s: cyclic_element(s, 2), "x:t.t"),
+        ({"x": CyclicSpec(3)}, lambda s: cyclic_element(s, 2), "x:t^2"),
         ({"x": FreeSpec(("u", "v"))}, lambda s: free_element(s, [("u", 1), ("v", -1)]),
          "x:u.v^-1"),
         ({}, identity, "x:1"),

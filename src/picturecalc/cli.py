@@ -16,7 +16,8 @@ import sys
 from .coeff import make_system, spec_parse
 from .errors import CompositionError, EnumerationError, ParseError
 from .io import (
-    diagram_to_json,
+    ball_text,
+    diagram_text,
     json_text,
     load_diagram,
     tree_pair_from_text,
@@ -33,7 +34,6 @@ from .qmgraph import (
     pins_report,
     rotative_stab_probe,
     to_dot,
-    to_json_dict,
     verify_qm_axioms,
 )
 from .thompson import evaluate_map, nadic
@@ -81,17 +81,19 @@ def _resolve_config(args) -> tuple:
     return pres, coeffs, word
 
 
-def _emit(obj, path: str | None):
-    text = json_text(obj) + "\n"
+def _emit(text: str, path: str | None):
+    # the newline is written on its own: `text` can be tens of megabytes
     if path:
         with open(path, "w") as f:
             f.write(text)
+            f.write("\n")
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 def _emit_diagram(d, path: str | None) -> int:
-    _emit(diagram_to_json(d), path)
+    _emit(diagram_text(d), path)
     print(f"length {length(d)}")
     return 0
 
@@ -152,7 +154,7 @@ def _ball(args):
 
 def cmd_ball(args) -> int:
     g, _ = _ball(args)
-    _emit(to_json_dict(g), args.out)
+    _emit(ball_text(g), args.out)
     if args.dot:
         with open(args.dot, "w") as f:
             f.write(to_dot(g) + "\n")
@@ -173,7 +175,7 @@ def cmd_verify(args) -> int:
             reports.append(rotative_stab_probe(g, linear_interior[0], plus_verified=True))
     payload = {r.name: dataclasses.asdict(r) for r in reports}
     payload["ball"] = {"vertices": len(g.vertices), "edges": len(g.edges)}
-    _emit(payload, args.out)
+    _emit(json_text(payload), args.out)
     for r in reports:
         print(r.summary())
     return 0 if all(r.passed for r in reports) else 1
@@ -183,7 +185,8 @@ def cmd_enumerate(args) -> int:
     pres, coeffs, word = _resolve_config(args)
     out = enumerate_reduced(pres, coeffs, word, args.budget, args.geometry,
                             args.max_width)
-    _emit([diagram_to_json(d) for d in out], args.out)
+    items = ",\n  ".join([diagram_text(d, 1) for d in out])
+    _emit(f"[\n  {items}\n]" if out else "[]", args.out)
     print(f"count {len(out)}")
     return 0
 

@@ -1,14 +1,20 @@
-"""File formats: diagram JSON, tree-pair text, run configuration.
+"""File formats: diagram JSON, ball JSON, tree-pair text, run configuration.
 
 Diagram files record the presentation text, the coefficient system, and
 per-wire attachments; canonical export renumbers wires and transistors by
 the canonical traversal, so equal diagrams export byte-identically.
+
+`diagram_text` and `ball_text` write a diagram's and a ball's file text
+straight from the structures, as the text of
+json.dumps(obj, indent=2, sort_keys=True) of the file's object; `json_text`
+writes that text for any plain data (the `verify` report).
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .coeff import coeff_parse, coeff_serialize, make_system, spec_parse
 from .errors import ParseError
@@ -17,42 +23,142 @@ from .presentation import parse_presentation, read_int, serialize_presentation
 from .thompson import Forest, TreePair
 
 
-def _site_json(site) -> dict:
-    if site[0] == "FT":
-        return {"site": "frame_top", "index": site[1]}
-    if site[0] == "FB":
-        return {"site": "frame_bottom", "index": site[1]}
-    kind = "top" if site[0] == "TT" else "bottom"
-    return {"site": {"transistor": site[1], "side": kind}, "index": site[2]}
+def _list_text(items: list[str], depth: int) -> str:
+    """A JSON list, `depth` levels deep, of items already written one level deeper."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+@lru_cache(maxsize=64)
+def _diagram_head(pres, coeffs, annular: bool, depth: int) -> str:
+    """A diagram's text up to its transistor list: the same for every
+    diagram of one configuration."""
+    nl = "\n" + "  " * (depth + 1)
+    specs = [f'{nl}  {_quote(letter)}: {_quote(str(spec))}'
+             for letter, spec in sorted(coeffs.assignments)]
+    coeff_text = "{" + ",".join(specs) + nl + "}" if specs else "{}"
+    return (f'{{{nl}"annular": {"true" if annular else "false"},{nl}"coeffs": {coeff_text},'
+            f'{nl}"presentation": {_quote(serialize_presentation(pres))},{nl}"transistors": ')
+
+
+# the texts of diagram file parts, keyed by what they are written from:
+# (site, depth), (rel, dir, depth) or (label, coefficient payload, depth)
+_TEXTS: dict[tuple, str] = {}
+_TEXTS_MAX = 4096
+
+
+def _site_text(site, depth: int) -> str:
+    """A renumbered wire end at `depth` + 3: ("FT" | "FB", index) or
+    ("TT" | "TB", transistor, index)."""
+    nl, nl4 = "\n" + "  " * (depth + 3), "\n" + "  " * (depth + 4)
+    if len(site) == 2:
+        where = '"frame_top"' if site[0] == "FT" else '"frame_bottom"'
+        return f'{{{nl4}"index": {site[1]},{nl4}"site": {where}{nl}}}'
+    side, nl5 = ("top" if site[0] == "TT" else "bottom"), nl4 + "  "
+    return (f'{{{nl4}"index": {site[2]},{nl4}"site": {{{nl5}"side": "{side}",'
+            f'{nl5}"transistor": {site[1]}{nl4}}}{nl}}}')
+
+
+def _memo(key: tuple, make, *args) -> str:
+    """make(*args), kept under `key` while the table has room; callers look
+    the key up in `_TEXTS` first."""
+    text = make(*args)
+    if len(_TEXTS) < _TEXTS_MAX:
+        _TEXTS[key] = text
+    return text
+
+
+def diagram_text(d: Diagram, depth: int = 0) -> str:
+    """The text of d's diagram file, json.dumps(obj, indent=2, sort_keys=True)
+    of {"annular", "coeffs", "presentation", "transistors": [{"dir", "rel"}],
+    "wires": [{"bottom", "coeff", "label", "top"}]}, as an item `depth`
+    levels deep: every line after the first indented by 2 * depth more
+    spaces.  Wires and transistors in canonical traversal order, transistor
+    sites renumbered by it."""
+    _, wids, tids = _traversal(d)
+    torder = {t: i for i, t in enumerate(tids)}
+    nl0, nl1, nl2, nl3 = ["\n" + "  " * (depth + k) for k in range(4)]
+    texts, transistors, wires = _TEXTS, [], []
+    for t in tids:
+        rel, direction = d.transistors[t]
+        key = (rel, direction, depth)
+        transistors.append(texts.get(key) or _memo(key, _transistor_text, rel, direction, nl2, nl3))
+    for w in wids:
+        label, c = d.wires[w]
+        ends = []
+        for site in (d.wire_bot[w], d.wire_top[w]):
+            if len(site) == 3:
+                site = (site[0], torder[site[1]], site[2])
+            key = (site, depth)
+            ends.append(texts.get(key) or _memo(key, _site_text, site, depth))
+        key = (label, c.payload, depth)
+        middle = texts.get(key) or _memo(key, _wire_middle, label, c, nl3)
+        wires.append(f'{{{nl3}"bottom": {ends[0]}{middle}{ends[1]}{nl2}}}')
+    return (_diagram_head(d.pres, d.coeffs, d.annular, depth) + _list_text(transistors, depth + 1)
+            + f',{nl1}"wires": ' + _list_text(wires, depth + 1) + nl0 + "}")
+
+
+def _transistor_text(rel: int, direction: int, nl2: str, nl3: str) -> str:
+    return f'{{{nl3}"dir": {direction},{nl3}"rel": {rel}{nl2}}}'
+
+
+def _wire_middle(label: str, c, nl3: str) -> str:
+    """A wire's text between its bottom and top sites: its coefficient text
+    depends on the coefficient's payload alone (see `picture._wire_text`)."""
+    return f',{nl3}"coeff": {_quote(coeff_serialize(c))},{nl3}"label": {_quote(label)},{nl3}"top": '
 
 
 def diagram_to_json(d: Diagram) -> dict:
-    _, wids, tids = _traversal(d)
-    torder = {t: i for i, t in enumerate(tids)}
+    """d's diagram file object."""
+    return json.loads(diagram_text(d))
 
-    def renum_site(site):
-        if site[0] in ("TT", "TB"):
-            return (site[0], torder[site[1]], site[2])
-        return site
 
-    return {
-        "presentation": serialize_presentation(d.pres),
-        "coeffs": {letter: str(spec) for letter, spec in d.coeffs.assignments},
-        "annular": d.annular,
-        "wires": [
-            {
-                "label": d.wires[w][0],
-                "coeff": coeff_serialize(d.wires[w][1]),
-                "bottom": _site_json(renum_site(d.wire_bot[w])),
-                "top": _site_json(renum_site(d.wire_top[w])),
-            }
-            for w in wids
-        ],
-        "transistors": [
-            {"rel": d.transistors[t][0], "dir": d.transistors[t][1]}
-            for t in tids
-        ],
-    }
+def ball_text(g) -> str:
+    """The text of the ball file of g, a `qmgraph.BallGraph`:
+    json.dumps(obj, indent=2, sort_keys=True) of
+    {"edges": [{"a", "b", "kind", "witness"}, ...] sorted by (a, b),
+    "geometry", "radius", "vertices": [{"depth", "key", "length"}, ...]}.
+    A linear witness is {"delta", "letter"}, a transistor witness
+    {"direction", "positions", "relation"}; each witness's text is written
+    once per ball."""
+    parts = ['{\n  "edges": ']
+    put = parts.append
+    tails: dict[tuple, str] = {}
+    sep = "[\n    "
+    for (i, j), (kind, witness) in sorted(g.edges.items()):
+        key = witness if kind == "transistor" else (witness[0], witness[1].payload)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _edge_tail(kind, witness)
+        put(f'{sep}{{\n      "a": {i},\n      "b": {j}')
+        put(tail)
+        sep = ",\n    "
+    put("\n  ]" if g.edges else "[]")
+    put(f',\n  "geometry": {_quote(g.geometry)},\n  "radius": {g.radius},\n  "vertices": ')
+    sep = "[\n    "
+    for v in g.vertices:
+        put(f'{sep}{{\n      "depth": {v.depth},\n      "key": {_quote(v.key)},'
+            f'\n      "length": {v.length}\n    }}')
+        sep = ",\n    "
+    put("\n  ]\n}" if g.vertices else "[]\n}")
+    return "".join(parts)
+
+
+def _edge_tail(kind: str, witness) -> str:
+    """An edge's text after its ends."""
+    if kind == "linear":
+        letter, delta = witness
+        body = (f'"delta": {_quote(coeff_serialize(delta))},'
+                f'\n        "letter": {_quote(letter)}')
+    else:
+        rel_index, direction, positions = witness
+        pos = ",\n          ".join([str(p) for p in positions])
+        pos = f"[\n          {pos}\n        ]" if positions else "[]"
+        body = (f'"direction": {direction},\n        "positions": {pos},'
+                f'\n        "relation": {rel_index}')
+    return f',\n      "kind": {_quote(kind)},\n      "witness": {{\n        {body}\n      }}\n    }}'
 
 
 def _site_from_json(obj, w: int, n_transistors: int):
@@ -165,7 +271,7 @@ def json_text(obj) -> str:
         if cls is str:
             text = quoted.get(value)
             if text is None:
-                text = quoted[value] = encode_basestring_ascii(value)
+                text = quoted[value] = _quote(value)
             put(text)
         elif cls is int:
             put(int.__repr__(value))
@@ -202,7 +308,7 @@ def json_text(obj) -> str:
             key, value = value
             text = keys.get(key)
             if text is None:
-                text = keys[key] = encode_basestring_ascii(key) + ": "
+                text = keys[key] = _quote(key) + ": "
             put(text)
 
 
@@ -213,7 +319,7 @@ _JSON_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 def dump_diagram(d: Diagram, path: str) -> None:
     with open(path, "w") as f:
-        f.write(json_text(diagram_to_json(d)) + "\n")
+        f.write(diagram_text(d) + "\n")
 
 
 def load_diagram(path: str) -> Diagram:

@@ -748,27 +748,3 @@ def to_dot(g: BallGraph) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def to_json_dict(g: BallGraph) -> dict:
-    return {
-        "geometry": g.geometry,
-        "radius": g.radius,
-        "vertices": [
-            {"key": v.key, "depth": v.depth, "length": v.length}
-            for v in g.vertices
-        ],
-        "edges": [
-            {"a": i, "b": j, "kind": kind,
-             "witness": _witness_json(kind, witness)}
-            for (i, j), (kind, witness) in sorted(g.edges.items())
-        ],
-    }
-
-
-def _witness_json(kind, witness):
-    if kind == "linear":
-        letter, delta = witness
-        return {"letter": letter, "delta": coeff_serialize(delta)}
-    rel_index, direction, positions = witness
-    return {"relation": rel_index, "direction": direction,
-            "positions": list(positions)}

@@ -44,6 +44,7 @@ from picturecalc.picture import (
 from picturecalc.presentation import (
     MAX_WORD_LENGTH,
     SemigroupPresentation,
+    serialize_presentation,
     validate_presentation,
 )
 from picturecalc.qmgraph import (
@@ -1538,3 +1539,71 @@ def coeff_parse_oracle(spec, text: str):
         sign = 1 if power > 0 else -1
         word.extend([(gen, sign)] * abs(power))
     return free_element(spec, word)
+
+
+# -- file objects as dicts -------------------------------------------------------------
+
+def _site_json_oracle(site) -> dict:
+    if site[0] == "FT":
+        return {"site": "frame_top", "index": site[1]}
+    if site[0] == "FB":
+        return {"site": "frame_bottom", "index": site[1]}
+    kind = "top" if site[0] == "TT" else "bottom"
+    return {"site": {"transistor": site[1], "side": kind}, "index": site[2]}
+
+
+def diagram_dict_oracle(d: Diagram) -> dict:
+    """A diagram file's object built as a dict, wires and transistors in the
+    `_numbering_oracle` order and transistor sites renumbered by it; its
+    file text is json_text of it."""
+    worder, torder = _numbering_oracle(d)
+
+    def renum_site(site):
+        if site[0] in ("TT", "TB"):
+            return (site[0], torder[site[1]], site[2])
+        return site
+
+    return {
+        "presentation": serialize_presentation(d.pres),
+        "coeffs": {letter: str(spec) for letter, spec in d.coeffs.assignments},
+        "annular": d.annular,
+        "wires": [
+            {
+                "label": d.wires[w][0],
+                "coeff": coeff_serialize(d.wires[w][1]),
+                "bottom": _site_json_oracle(renum_site(d.wire_bot[w])),
+                "top": _site_json_oracle(renum_site(d.wire_top[w])),
+            }
+            for w in sorted(worder, key=worder.get)
+        ],
+        "transistors": [
+            {"rel": d.transistors[t][0], "dir": d.transistors[t][1]}
+            for t in sorted(torder, key=torder.get)
+        ],
+    }
+
+
+def _witness_json_oracle(kind, witness):
+    if kind == "linear":
+        letter, delta = witness
+        return {"letter": letter, "delta": coeff_serialize(delta)}
+    rel_index, direction, positions = witness
+    return {"relation": rel_index, "direction": direction,
+            "positions": list(positions)}
+
+
+def ball_dict_oracle(g) -> dict:
+    """A ball file's object built as a dict; its file text is json_text of it."""
+    return {
+        "geometry": g.geometry,
+        "radius": g.radius,
+        "vertices": [
+            {"key": v.key, "depth": v.depth, "length": v.length}
+            for v in g.vertices
+        ],
+        "edges": [
+            {"a": i, "b": j, "kind": kind,
+             "witness": _witness_json_oracle(kind, witness)}
+            for (i, j), (kind, witness) in sorted(g.edges.items())
+        ],
+    }

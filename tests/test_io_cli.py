@@ -13,11 +13,21 @@ import pytest
 
 from picturecalc import cli
 from picturecalc.cli import main
-from picturecalc.coeff import CyclicSpec, FreeSpec, coeff_parse, identity, make_system, trivial_system
+from picturecalc.coeff import (
+    CyclicSpec,
+    FreeSpec,
+    coeff_parse,
+    free_element,
+    identity,
+    make_system,
+    trivial_system,
+)
 from picturecalc.errors import ParseError
-from picturecalc.moves import enumerate_reduced
+from picturecalc.moves import GEOMETRIES, BallConfig, enumerate_reduced
 from picturecalc.io import (
+    ball_text,
     diagram_from_json,
+    diagram_text,
     diagram_to_json,
     dump_diagram,
     json_text,
@@ -27,6 +37,7 @@ from picturecalc.io import (
 )
 from picturecalc.picture import (
     Diagram,
+    atom_linear,
     atom_transistor,
     canonical_key,
     concat,
@@ -42,10 +53,18 @@ from picturecalc.presentation import (
     serialize_presentation,
     word_str,
 )
+from picturecalc.qmgraph import ball
 from picturecalc.sampling import random_element, random_tree_pair, random_walk_diagram
 from picturecalc.thompson import TreePair
 
-from oracles import coeff_parse_oracle, evaluate_oracle, parse_presentation_oracle, parse_word_oracle
+from oracles import (
+    ball_dict_oracle,
+    coeff_parse_oracle,
+    diagram_dict_oracle,
+    evaluate_oracle,
+    parse_presentation_oracle,
+    parse_word_oracle,
+)
 
 Q, _ = builtin_presentation("thompson")
 TRIV = trivial_system(Q.alphabet)
@@ -96,6 +115,81 @@ def test_diagram_json_roundtrip_keeps_the_alphabet_order(rng, tmp_path):
 def test_diagram_json_annular_flag():
     d = eps(Q, TRIV, "xx", annular=True)
     assert diagram_from_json(diagram_to_json(d)).annular
+
+
+def _assert_diagram_text_matches_oracle(d):
+    obj = diagram_dict_oracle(d)
+    assert diagram_text(d) == json_text(obj)
+    assert "[\n  " + diagram_text(d, 1) + "\n]" == json_text([obj])
+    assert diagram_to_json(d) == obj
+
+
+_BUILTINS = [("thompson", ()), ("higman", (3, 1)), ("quasi_auto", (2, 1, 1)),
+             ("houghton", (2, 1)), ("commuting_abc", ())]
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_diagram_text_matches_dict_oracle_on_every_builtin(geometry, rng):
+    for name, params in _BUILTINS:
+        pres, w = builtin_presentation(name, params)
+        first = pres.alphabet[0]
+        for coeffs in (trivial_system(pres.alphabet),
+                       make_system(pres.alphabet, {first: CyclicSpec(3)})):
+            for steps in range(5):
+                d = random_walk_diagram(pres, coeffs, w, steps, rng, geometry)
+                _assert_diagram_text_matches_oracle(d)
+            _assert_diagram_text_matches_oracle(random_element(pres, coeffs, w, rng, geometry))
+
+
+def test_diagram_text_matches_dict_oracle_on_transistors_and_t_squared(rng):
+    cyc3 = make_system(Q.alphabet, {"x": CyclicSpec(3)})
+    seen = set()
+    for d in enumerate_reduced(Q, cyc3, ("x",), 3, "annular"):
+        assert d.annular
+        _assert_diagram_text_matches_oracle(d)
+        seen.update(wire["coeff"] for wire in diagram_to_json(d)["wires"])
+    assert "t^2" in seen
+    d = atom_transistor(Q, cyc3, ("x",), 0, 1, ())
+    assert d.transistors
+    _assert_diagram_text_matches_oracle(d)
+    _assert_diagram_text_matches_oracle(invert(d))
+
+
+def test_diagram_text_matches_dict_oracle_on_multi_character_letters(tmp_path, rng):
+    path = tmp_path / "p.txt"
+    path.write_text("< ab, cd | ab = ab . cd, cd = cd . ab >\n")
+    out = tmp_path / "e.json"
+    assert main(["enumerate", "--presentation", str(path), "--word", "ab.cd",
+                 "--coeff", "cd=cyclic:3", "--budget", "2", "--out", str(out)]) == 0
+    docs = json.loads(out.read_text())
+    assert len(docs) > 1
+    for obj in docs:
+        d = diagram_from_json(obj)
+        _assert_diagram_text_matches_oracle(d)
+        assert diagram_to_json(d) == obj
+    pres = parse_presentation(path.read_text())
+    spec = FreeSpec(("R1", "R2"))
+    coeffs = make_system(pres.alphabet, {"ab": spec})
+    g = free_element(spec, [("R1", 1), ("R2", -1), ("R2", -1)])
+    d = atom_linear(pres, coeffs, ("cd", "ab"), 1, g)
+    assert diagram_to_json(d)["wires"][1]["coeff"] == "R1.R2^-1.R2^-1"
+    _assert_diagram_text_matches_oracle(d)
+    for steps in range(5):
+        walk = random_walk_diagram(pres, trivial_system(pres.alphabet), ("cd", "ab"), steps, rng)
+        _assert_diagram_text_matches_oracle(walk)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_ball_text_matches_dict_oracle(geometry):
+    cases = [(Q, CYC2, ("x",))]
+    pres, w = builtin_presentation("commuting_abc")
+    cases.append((pres, make_system(pres.alphabet, {"a": CyclicSpec(3)}), w))
+    for pres, coeffs, w in cases:
+        cfg = BallConfig(pres, coeffs, geometry)
+        for radius in range(4 if pres is Q else 3):
+            g = ball(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+            assert bool(g.edges) == (radius > 0)
+            assert ball_text(g) == json_text(ball_dict_oracle(g))
 
 
 def test_diagram_json_rejects_garbage():
@@ -376,39 +470,35 @@ def test_json_text_matches_json_dumps_on_edge_cases(obj):
     assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
-def test_json_text_matches_json_dumps_on_every_cli_output(tmp_path, monkeypatch, capsys, rng):
-    emitted = []
-
-    def checked(obj):
-        text = json_text(obj)
-        assert text == json.dumps(obj, indent=2, sort_keys=True)
-        emitted.append(obj)
-        return text
-
-    monkeypatch.setattr(cli, "json_text", checked)
-    a, b = (tmp_path / n for n in ("a.json", "b.json"))
-    dump_diagram(random_walk_diagram(Q, make_system(Q.alphabet, {"x": CyclicSpec(2)}),
-                                     "x", 4, rng), str(a))
-    dump_diagram(random_walk_diagram(Q, TRIV, "x", 4, rng), str(b))
+def test_json_text_matches_json_dumps_on_every_cli_output(tmp_path, capsys, rng):
+    """Every --out file of the six JSON-writing commands, in each geometry,
+    is the text of json.dumps(obj, indent=2, sort_keys=True) of what it reads
+    back as, whichever writer made it; stdout is the same text followed by
+    the run's summary lines."""
+    out = tmp_path / "out.json"
     P3, w3 = builtin_presentation("higman", (3, 1))
-    h = tmp_path / "h.json"
-    dump_diagram(random_element(P3, trivial_system(P3.alphabet), w3, rng), str(h))
-    out = str(tmp_path / "out.json")
-    runs = [
-        ["ball", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "2"],
-        ["verify", "--builtin", "thompson", "--coeff", "x=cyclic:2", "--radius", "2"],
-        ["enumerate", "--builtin", "commuting_abc", "--budget", "2"],
-        ["reduce", "--in", str(a)],
-        ["multiply", "--in", str(b), "--in2", str(b)],
-        ["embed", "--builtin", "higman:3,1", "--in", str(h)],
-    ]
-    for argv in runs:
-        assert main(argv + ["--out", out]) == 0
-    assert len(emitted) == len(runs)
-    # stdout goes through the same text
-    capsys.readouterr()
-    assert main(runs[2]) == 0
-    assert capsys.readouterr().out.startswith(json.dumps(emitted[2], indent=2, sort_keys=True))
+    cyc3 = make_system(Q.alphabet, {"x": CyclicSpec(3)})
+    for geometry in GEOMETRIES:
+        a, b, h = (tmp_path / f"{n}_{geometry}.json" for n in "abh")
+        dump_diagram(random_walk_diagram(Q, cyc3, "x", 4, rng, geometry), str(a))
+        dump_diagram(random_element(Q, TRIV, "x", rng, geometry), str(b))
+        dump_diagram(random_element(P3, trivial_system(P3.alphabet), w3, rng, geometry), str(h))
+        config = ["--coeff", "x=cyclic:2", "--geometry", geometry]
+        runs = [
+            ["ball", "--builtin", "thompson", *config, "--radius", "2"],
+            ["verify", "--builtin", "thompson", *config, "--radius", "2"],
+            ["enumerate", "--builtin", "commuting_abc", "--geometry", geometry, "--budget", "2"],
+            ["reduce", "--in", str(a)],
+            ["multiply", "--in", str(b), "--in2", str(b)],
+            ["embed", "--builtin", "higman:3,1", "--in", str(h)],
+        ]
+        for argv in runs:
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            summary = capsys.readouterr().out
+            text = out.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", argv
+            assert main(argv) == 0
+            assert capsys.readouterr().out == text + summary, argv
 
 
 def test_src_writes_indented_json_only_through_json_text():

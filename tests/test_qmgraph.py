@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import json
 import re
 from collections import Counter
 from dataclasses import asdict
@@ -11,7 +12,7 @@ from picturecalc import moves, picture, qmgraph
 from picturecalc.coeff import CyclicSpec, free_element, make_system, spec_parse, trivial_system
 from picturecalc.embed import gamma
 from picturecalc.errors import CompositionError
-from picturecalc.io import json_text
+from picturecalc.io import ball_text
 from picturecalc.moves import BallConfig, apply_linear_move, apply_transistor_move, geometry_class_key
 from picturecalc.picture import (
     Diagram,
@@ -42,7 +43,6 @@ from picturecalc.qmgraph import (
     pins_report,
     rotative_stab_probe,
     to_dot,
-    to_json_dict,
     verify_qm_axioms,
 )
 from picturecalc.sampling import random_element, random_unreduced, random_walk_diagram
@@ -859,14 +859,14 @@ def test_exports():
     g = ball(eps(Q, CYC2, "x"), 2, cfg)
     dot = to_dot(g)
     assert dot.startswith("graph ball {") and "--" in dot and "dashed" in dot
-    js = to_json_dict(g)
+    js = json.loads(ball_text(g))
     assert js["radius"] == 2 and len(js["vertices"]) == len(g.vertices)
     kinds = {e["kind"] for e in js["edges"]}
     assert kinds == {"transistor", "linear"}
 
 
 def test_ball_digest_is_pinned():
-    """sha256 of the JSON text of fixed balls: any change to their vertices,
+    """sha256 of the file text of fixed balls: any change to their vertices,
     their order, their edges or the witnesses shows here."""
     pres_abc, w_abc = builtin_presentation("commuting_abc")
     pres_hou, w_hou = builtin_presentation("houghton", (2, 0))
@@ -877,7 +877,7 @@ def test_ball_digest_is_pinned():
     digests = []
     for pres, coeffs, w, geometry, radius in cases:
         g = ball(eps(pres, coeffs, w), radius, BallConfig(pres, coeffs, geometry))
-        digests.append(hashlib.sha256(json_text(to_json_dict(g)).encode()).hexdigest()[:16])
+        digests.append(hashlib.sha256(ball_text(g).encode()).hexdigest()[:16])
     assert digests == ["2cd3e0c8fa602dde", "c63586f13d617819", "3db695da194064b1",
                        "52e8798344ed5e9a", "c7184bd727ed4863"]
 

@@ -11,13 +11,19 @@ one-letter side leaves its source wire in place as the labelled wire.
 
 The label-forgetting projection kills all coefficients, reduces (the
 previously blocked dipoles collapse) and bridges to a tree pair, landing
-in F/T/V according to the source geometry.
+in F/T/V according to the source geometry.  The quotient map pi never
+builds psi: every dipole of the labelled image is one of the killed image,
+so by confluence reduce(kill(reduce(psi_unreduced(d)))) equals
+reduce(kill(psi_unreduced(d))), and pi hangs the unlabelled blocks in the
+same substitution pass, cancelling each comb transistor against the
+transistor directly above its feed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, count
 
 from .coeff import CoefficientSystem, FreeSpec, GroupElement, coeff_multiply, free_element
 from .coeff import identity, make_system, trivial_system
@@ -26,6 +32,8 @@ from .presentation import SemigroupPresentation
 from .thompson import TreePair, diagram_to_tree_pair, membership, thompson_presentation
 
 QPRES = thompson_presentation(2)
+_TRIVQ = trivial_system(QPRES.alphabet)
+_PLAIN_X = ("x", identity(_TRIVQ.spec("x")))  # an x wire over _TRIVQ
 
 
 @lru_cache(maxsize=16)
@@ -83,12 +91,68 @@ class _Combs:
                        self.t_bot, top_ports, bottom_ports, annular)
 
 
+class _PlainCombs:
+    """`_Combs`'s blocks without labels, over the trivial system, kept
+    reduced: a comb transistor that would form a dipole with the transistor
+    directly above its feed (a merge of a split's two bottom wires in
+    order, a split of a merge's bottom wire) cancels that transistor
+    instead.  A cancellation leaves the upper transistor's top wires on the
+    frontier and joins no two transistors, so no other dipole appears."""
+
+    def __init__(self):
+        self.ids = count()  # wire and transistor ids, from one counter
+        self.transistors: dict[int, tuple[int, int]] = {}
+        self.t_top: dict[int, tuple[int, ...]] = {}
+        self.t_bot: dict[int, tuple[int, ...]] = {}
+        self.made: dict[int, tuple[int, int]] = {}  # wire -> (t, i): bottom wire i of t
+
+    def wire(self) -> int:
+        return next(self.ids)
+
+    def _cancel(self, t: int) -> tuple[int, ...]:
+        del self.transistors[t], self.t_bot[t]
+        return self.t_top.pop(t)
+
+    def block(self, tops: list[int], label, n_bot: int) -> list[int]:
+        """`_Combs.block` without its label, each comb transistor hung or
+        cancelled; returns the bottom wires, left to right."""
+        made, transistors, t_top, t_bot, ids = (self.made, self.transistors, self.t_top,
+                                                self.t_bot, self.ids)
+        middle = tops[0]
+        for w in tops[1:]:
+            site = made.get(middle)
+            if site is not None and site[1] == 0 and made.get(w) == (site[0], 1):
+                middle, = self._cancel(site[0])  # a split's two bottom wires, in order
+            else:
+                t, merged = next(ids), next(ids)
+                transistors[t], t_top[t], t_bot[t] = (0, -1), (middle, w), (merged,)
+                made[merged] = (t, 0)
+                middle = merged
+        rights = []
+        for _ in range(n_bot - 1):
+            site = made.get(middle)
+            if site is not None and len(t_bot[site[0]]) == 1:
+                middle, right = self._cancel(site[0])  # a merge's bottom wire
+            else:
+                t, left, right = next(ids), next(ids), next(ids)
+                transistors[t], t_top[t], t_bot[t] = (0, 1), (middle,), (left, right)
+                made[left], made[right] = (t, 0), (t, 1)
+                middle = left
+            rights.append(right)
+        return [middle] + rights[::-1]
+
+    def diagram(self, top_ports, bottom_ports, annular: bool = False) -> Diagram:
+        wires = dict.fromkeys(chain(top_ports, *self.t_bot.values()), _PLAIN_X)
+        return Diagram(QPRES, _TRIVQ, wires, self.transistors, self.t_top,
+                       self.t_bot, top_ports, bottom_ports, annular)
+
+
 def gamma(n: int, coeffs: CoefficientSystem | None = None) -> Diagram:
     """Left comb: an (x, x^(n+1))-diagram with n positive transistors, each
     glued under the leftmost wire of the previous stage."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    combs = _Combs(coeffs if coeffs is not None else trivial_system(QPRES.alphabet))
+    combs = _Combs(coeffs if coeffs is not None else _TRIVQ)
     top = combs.wire()
     return combs.diagram([top], combs.block([top], combs.one, n + 1))
 
@@ -107,26 +171,37 @@ def make_block(left_pad: int, top_len: int, rel_index: int, sign: int,
     return combs.diagram(left + tops + right, left + combs.block(tops, label, bot_len) + right)
 
 
-def psi_unreduced(d: Diagram) -> Diagram:
-    """The image of d before dipole reduction, by substitution in one pass
-    over reduce(d): every wire becomes an x wire with the identity
-    coefficient, and each transistor, taken in `top_down` order (its top
-    wires already placed), becomes its block below them, R{rel+1}^direction
-    on the middle wire.  Where one-letter sides chain several blocks onto
-    one wire, the labels multiply upper first."""
+def _substitute(d: Diagram, combs, label) -> Diagram:
+    """d's image by substitution in one pass over reduce(d): every wire
+    becomes an x wire of `combs`, and each transistor, taken in `top_down`
+    order (its top wires already placed), becomes `combs`'s block below
+    them, labelled `label(relation, direction)`."""
     if any(not c.is_identity() for _, c in d.wires.values()):
         raise ValueError("the embedding applies to diagrams with trivial coefficients")
     dr = reduce(d)
-    combs = _Combs(free_system(max(1, len(d.pres.relations))))
-    labels = {rel: free_element(combs.one.spec, [(f"R{rel[0] + 1}", rel[1])])
-              for rel in set(dr.transistors.values())}
     image = {w: combs.wire() for w in dr.top_ports}
     for t in top_down(dr):
-        bots = combs.block([image[w] for w in dr.t_top[t]], labels[dr.transistors[t]],
+        bots = combs.block([image[w] for w in dr.t_top[t]], label(dr.transistors[t]),
                            len(dr.t_bot[t]))
         image.update(zip(dr.t_bot[t], bots))
     return combs.diagram([image[w] for w in dr.top_ports],
                          [image[w] for w in dr.bottom_ports], d.annular)
+
+
+@lru_cache(maxsize=16)
+def _labels(kappa: int) -> dict[tuple[int, int], GroupElement]:
+    """R{rel+1}^direction in F_kappa, by oriented relation."""
+    spec = free_system(kappa).spec("x")
+    return {(r, s): free_element(spec, [(f"R{r + 1}", s)]) for r in range(kappa) for s in (1, -1)}
+
+
+def psi_unreduced(d: Diagram) -> Diagram:
+    """The image of d before dipole reduction: each transistor of reduce(d)
+    becomes its block, R{rel+1}^direction on the middle wire.  Where
+    one-letter sides chain several blocks onto one wire, the labels
+    multiply upper first."""
+    kappa = max(1, len(d.pres.relations))
+    return _substitute(d, _Combs(free_system(kappa)), _labels(kappa).__getitem__)
 
 
 def psi(d: Diagram) -> Diagram:
@@ -139,23 +214,27 @@ def kill_coefficients(d: Diagram) -> Diagram:
     """Forget all second coordinates: the same shape over the trivial system."""
     if d.pres != QPRES:
         raise ValueError("projection targets diagrams over <x | x=x.x>")
-    triv = trivial_system(QPRES.alphabet)
-    one = identity(triv.spec("x"))
-    wires = {w: (label, one) for w, (label, _) in d.wires.items()}
-    return replace(d, coeffs=triv, wires=wires, _reduced=None)
+    wires = dict.fromkeys(d.wires, _PLAIN_X)
+    return replace(d, coeffs=_TRIVQ, wires=wires, _reduced=None)
 
 
 def project_to_thompson(d_img: Diagram) -> tuple[TreePair, str]:
     """Kill the coefficients, reduce over <x | x=x.x>, bridge to a tree pair;
     returns the pair and its F / T_not_F / V_not_T membership tag."""
-    plain = reduce(kill_coefficients(d_img))
+    return _tagged_pair(reduce(kill_coefficients(d_img)))
+
+
+def _tagged_pair(plain: Diagram) -> tuple[TreePair, str]:
     tp = diagram_to_tree_pair(plain)
     return tp, membership(tp)
 
 
 def pi(d: Diagram) -> tuple[TreePair, str]:
-    """The short-exact-sequence quotient map: project after embedding."""
-    return project_to_thompson(psi(d))
+    """The short-exact-sequence quotient map, equal to
+    project_to_thompson(psi(d)) without building psi: the unlabelled
+    blocks of d, hung by `_PlainCombs` and so already reduced, bridged to
+    a tree pair (kill first, by confluence: see the module docstring)."""
+    return _tagged_pair(_substitute(d, _PlainCombs(), lambda rel: None))
 
 
 @dataclass(frozen=True)

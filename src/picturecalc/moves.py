@@ -174,18 +174,20 @@ def word_moves(labels, cfg: BallConfig) -> tuple:
     return tuple(out)
 
 
-def unitary_moves(rep: Diagram, cfg: BallConfig):
+def unitary_moves(rep: Diagram, cfg: BallConfig, before: int | None = None):
     """All unitary moves from a reduced class representative, without
     building any diagram: `word_moves` of its bottom word, each as (kind,
-    witness, length_after, effect).  A transistor move adds one to the
-    length, or takes one off when it forms a dipole with the transistor
-    above its feed, its effect, else None (at most one can: cancelling that
-    pair leaves the other's top wires on the frame bottom, where they meet
-    no transistor).  A linear move's effect is the coefficient it leaves on
-    a wire that feeds no transistor, so no dipole appears or goes.  The
-    witness list itself does not need rep to be reduced."""
+    witness, length_after, effect); `before` is rep's length, when the
+    caller knows it.  A transistor move adds one to the length, or takes
+    one off when it forms a dipole with the transistor above its feed, its
+    effect, else None (at most one can: cancelling that pair leaves the
+    other's top wires on the frame bottom, where they meet no transistor).
+    A linear move's effect is the coefficient it leaves on a wire that
+    feeds no transistor, so no dipole appears or goes.  The witness list
+    itself does not need rep to be reduced."""
     pres, wires, bottom, wire_top = rep.pres, rep.wires, rep.bottom_ports, rep.wire_top
-    before = length(rep)
+    if before is None:
+        before = length(rep)
     for kind, witness, _ in word_moves(rep.bot_word(), cfg):
         if kind == "transistor":
             site = wire_top[bottom[witness[2][0]]]  # `_dipole_above`'s first test, hoisted
@@ -223,21 +225,24 @@ def normalize_base(base: Diagram, cfg: BallConfig) -> Diagram:
 def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
     """Breadth-first closure of the unitary moves to the given depth.
 
-    Returns (reps, depths, edges): reps is a key-ordered-per-level list of
-    class representatives, edges a dict (i, j) -> (kind, witness) with
-    i < j.  Missed sibling edges are recovered when the child expands, and
-    the outermost shell expands as level radius + 1, which adds no vertex,
-    only the edges back into the ball; so the edge set is the full induced
-    subgraph on the ball.  Only moves to a length of at most radius +
-    length(root) are taken.  The first move to each new signature (sorted K
-    and C ids, see the module docstring) is the only one built, keyed and
-    class-represented.  Until it is expanded, a vertex keeps its bottom
-    wires' ids: wire id (c, s) names the cone c above, c its top wires'.
+    Returns (reps, depths, edges, lengths): reps is a key-ordered-per-level
+    list of class representatives, edges a dict (i, j) -> (kind, witness)
+    with i < j, lengths the reps' lengths (the root's, then each new
+    class's from the move that found it).  Missed sibling edges are
+    recovered when the child expands, and the outermost shell expands as
+    level radius + 1, which adds no vertex, only the edges back into the
+    ball; so the edge set is the full induced subgraph on the ball.  Only
+    moves to a length of at most radius + length(root) are taken.  The
+    first move to each new signature (sorted K and C ids, see the module
+    docstring) is the only one built, keyed and class-represented.  Until
+    it is expanded, a vertex keeps its bottom wires' ids: wire id (c, s)
+    names the cone c above, c its top wires'.
     """
     check_finite_coeffs(cfg.coeffs)
     geometry, pres = cfg.geometry, cfg.pres
     root = normalize_base(base, cfg)
-    max_length = radius + length(root)
+    lengths = [length(root)]
+    max_length = radius + lengths[0]
     table = Interned()
     names, cones = hyperplane_names(root, table)
     sig = tuple(sorted([*cones.values(), *[table["C", names[w], c.payload] for w, (_, c)
@@ -251,7 +256,7 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
         for i in frontier:
             rep, sig, bnames = reps[i], sigs[i], bottom_names[i]
             wires, bottom, labels = rep.wires, rep.bottom_ports, rep.bot_word()
-            for kind, move, after, effect in unitary_moves(rep, cfg):
+            for kind, move, after, effect in unitary_moves(rep, cfg, lengths[i]):
                 if after > max_length:
                     continue
                 out, witness = list(sig), move
@@ -283,18 +288,19 @@ def bfs_classes(base: Diagram, radius: int, cfg: BallConfig):
                     t = next(reversed(child.transistors))
                     named.update((w, table[cone, s]) for s, w in enumerate(child.t_bot[t]))
                 found[out] = (canonical_key(child), child, i, kind, witness,
-                              tuple([named[w] for w in child.bottom_ports]))
+                              tuple([named[w] for w in child.bottom_ports]), after)
             bottom_names[i] = rep._trav = None  # names and traversal: not needed any more
         frontier = range(len(reps), len(reps) + len(found))
         for out in sorted(found, key=lambda out: found[out][0]):
-            _, child, parent, kind, witness, bnames = found[out]
+            _, child, parent, kind, witness, bnames, after = found[out]
             index[out] = len(reps)
             edges.setdefault((parent, len(reps)), (kind, witness))
             reps.append(child)
             depths.append(depth)
             sigs.append(out)
             bottom_names.append(bnames)
-    return reps, depths, edges
+            lengths.append(after)
+    return reps, depths, edges, lengths
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -306,7 +312,7 @@ def enumerate_reduced(pres, coeffs, w, budget: int, geometry: str = "braided",
     if budget < 0:
         raise ValueError("budget must be >= 0")
     cfg = BallConfig(pres, coeffs, geometry, max_width)
-    reps, depths, _ = bfs_classes(eps(pres, coeffs, tuple(w)), budget, cfg)
+    reps, *_ = bfs_classes(eps(pres, coeffs, tuple(w)), budget, cfg)
     feeds, target = GEOMETRY[geometry].feeds, tuple(w)
     out: dict[str, Diagram] = {}
     for rep in reps:

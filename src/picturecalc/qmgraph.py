@@ -94,10 +94,11 @@ class VertexClass:
     key: str
     rep: Diagram
     depth: int = 0
+    length: int | None = None  # rep's length; computed when not given
 
-    @property
-    def length(self) -> int:
-        return length(self.rep)
+    def __post_init__(self):
+        if self.length is None:
+            object.__setattr__(self, "length", length(self.rep))
 
     def __repr__(self):
         return f"<VertexClass len={self.length} {self.key[:24]}...>"
@@ -190,21 +191,21 @@ def neighbors(v: VertexClass, cfg: BallConfig) -> list[tuple[VertexClass, str]]:
     realizing unitary move.  Public API for exploring single vertices;
     `ball` and `verify` do not call it (they go through `bfs_classes`)."""
     out: dict[str, tuple[VertexClass, str]] = {}
-    for kind, witness, _, _ in unitary_moves(v.rep, cfg):
+    for kind, witness, after, _ in unitary_moves(v.rep, cfg, v.length):
         rep = GEOMETRY[cfg.geometry].class_rep(apply_move(v.rep, kind, witness, cfg.geometry))
         key = canonical_key(rep)
         if key != v.key and key not in out:
-            out[key] = (VertexClass(key, rep), kind)
+            out[key] = (VertexClass(key, rep, length=after), kind)
     return list(out.values())
 
 
 def ball(base: Diagram, radius: int, cfg: BallConfig) -> BallGraph:
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    reps, depths, edges = bfs_classes(base, radius, cfg)
+    reps, depths, edges, lengths = bfs_classes(base, radius, cfg)
     # a class representative's exact key names its class, already cached
-    vertices = [VertexClass(canonical_key(rep), rep, depth)
-                for rep, depth in zip(reps, depths)]
+    vertices = [VertexClass(canonical_key(rep), rep, depth, n)
+                for rep, depth, n in zip(reps, depths, lengths)]
     return BallGraph(cfg, radius, vertices, edges)
 
 
@@ -654,7 +655,7 @@ def condition_plus_check(pres, coeffs, w, m_max: int, budget: int) -> Report:
                 candidates.add(tuple(shrunk))
     for m in sorted(candidates):
         word = m  # sorted ordering; other orderings are conjugate by permutations
-        u_reps, _, _ = bfs_classes(eps(pres, triv, word), budget, cfg)
+        u_reps, *_ = bfs_classes(eps(pres, triv, word), budget, cfg)
         # the nontrivial label-preserving permutations, in lexicographic order
         for sigma in islice(GEOMETRY["braided"].feeds(word, word), 1, None):
             p_diag = atom_permutation(pres, triv, word, sigma)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
 from picturecalc.coeff import CyclicSpec, TrivialSpec, cyclic_element, free_element, identity
 from picturecalc.coeff import nontrivial_elements, trivial_system
-from picturecalc.embed import QPRES, free_system
+from picturecalc.embed import QPRES, free_system, project_to_thompson, psi
 from picturecalc.errors import CompositionError, ParseError
 from picturecalc.moves import BallConfig
 from picturecalc.picture import (
@@ -1234,6 +1234,12 @@ def psi_unreduced_factor_oracle(d: Diagram, coeffs=None) -> Diagram:
                                               len(bot_side), right, coeffs))
         out = concat_oracle(out, _relabelled_permutation_oracle(p, coeffs))
     return replace(out, annular=d.annular)
+
+
+def pi_oracle(d: Diagram):
+    """The quotient map by its definition: embed d by psi (reduced over
+    F_kappa), then kill the coefficients, reduce and bridge to a tree pair."""
+    return project_to_thompson(psi(d))
 
 
 # -- per-geometry rules, one branch per geometry -----------------------------------

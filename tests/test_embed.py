@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from picturecalc.coeff import free_element, trivial_system
+from picturecalc.coeff import CyclicSpec, cyclic_element, free_element, make_system
+from picturecalc.coeff import trivial_system
 from picturecalc.embed import (
     QPRES,
     block_constant,
@@ -36,7 +38,7 @@ from picturecalc.sampling import random_element
 from picturecalc.thompson import identity_pair, tp_multiply
 
 from oracles import block_oracle, factorize, gamma_oracle, psi_unreduced_factor_oracle
-from oracles import shuffled_transistor_ids
+from oracles import pi_oracle, shuffled_transistor_ids
 
 TRIVQ = trivial_system(QPRES.alphabet)
 
@@ -96,6 +98,7 @@ def _assert_psi_matches_factor_oracle(d):
     img = psi(d)
     assert canonical_key(img) == canonical_key(reduce(raw)) and img.annular == d.annular
     assert pi(d) == project_to_thompson(reduce(raw))
+    assert pi(d) == pi_oracle(d)
 
 
 def test_psi_matches_factor_oracle_on_builtins(rng):
@@ -154,6 +157,19 @@ def test_psi_rejects_nontrivial_coefficients():
     g = free_element(fs.spec("x"), [("R1", 1)])
     with pytest.raises(ValueError):
         psi(eps(QPRES, fs, [("x", g)]))
+
+
+def test_pi_rejects_nontrivial_coefficients_as_its_oracle_does():
+    pres, w = builtin_presentation("higman", (3, 1))
+    coeffs = make_system(pres.alphabet, {"x": CyclicSpec(2)})
+    d = eps(pres, coeffs, [("x", cyclic_element(coeffs.spec("x"), 1))] + [("x", None)] * 2)
+    messages = []
+    for f in (pi, pi_oracle):
+        with pytest.raises(ValueError) as err:
+            f(d)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == \
+        "the embedding applies to diagrams with trivial coefficients"
 
 
 def test_psi_blocks_survive_reduction(rng):
@@ -245,13 +261,16 @@ def test_kill_coefficients_unblocks():
 
 
 def test_pi_homomorphism(rng):
-    pres, w = builtin_presentation("higman", (3, 1))
-    triv = trivial_system(pres.alphabet)
-    for _ in range(12):
-        a = random_element(pres, triv, w, rng, steps=3)
-        b = random_element(pres, triv, w, rng, steps=3)
-        tp_ab, _ = pi(multiply(a, b))
-        assert tp_ab == tp_multiply(pi(a)[0], pi(b)[0])
+    for name, params in BUILTINS + [("higman", (2, 2)), ("quasi_auto", (2, 1, 1)),
+                                    ("houghton", (3, 1))]:
+        pres, w = builtin_presentation(name, params)
+        triv = trivial_system(pres.alphabet)
+        for geometry in ("planar", "annular", "braided"):
+            for _ in range(4):
+                a = random_element(pres, triv, w, rng, geometry, steps=3, max_width=8)
+                b = random_element(pres, triv, w, rng, geometry, steps=3, max_width=8)
+                tp_ab, _ = pi(multiply(a, b))
+                assert tp_ab == tp_multiply(pi(a)[0], pi(b)[0])
 
 
 def test_pi_injective_on_higman3_enumeration():
@@ -260,6 +279,52 @@ def test_pi_injective_on_higman3_enumeration():
     elems = enumerate_reduced(pres, triv, w, 2, "braided", max_width=8)
     pairs = [pi(d)[0] for d in elems]
     assert len({repr(p) for p in pairs}) == len(elems)
+
+
+@pytest.mark.parametrize("name, params, count", [
+    ("quasi_auto", (2, 1, 1), 140),
+    ("houghton", (3, 1), 16),
+])
+def test_pi_injective_at_budget_4(name, params, count):
+    pres, w = builtin_presentation(name, params)
+    elems = enumerate_reduced(pres, trivial_system(pres.alphabet), w, 4, "braided",
+                              max_width=10)
+    assert len(elems) == count
+    assert len({pi(d)[0] for d in elems}) == count
+
+
+def _fibres(elems):
+    """pi's fibres over `elems` by image pair, and the membership tag counts."""
+    fibres, tags = {}, Counter()
+    for d in elems:
+        tp, tag = pi(d)
+        fibres.setdefault(tp, []).append(d)
+        tags[tag] += 1
+    return fibres, tags
+
+
+def test_pi_fibres_on_commuting_abc_braided():
+    # R, the kernel of D -> S, meets commuting_abc: 277 of its 937 braided
+    # elements of length at most 4 map to the identity
+    pres, w = builtin_presentation("commuting_abc")
+    elems = enumerate_reduced(pres, trivial_system(pres.alphabet), w, 4, "braided",
+                              max_width=10)
+    fibres, tags = _fibres(elems)
+    assert len(elems) == 937
+    assert sorted(map(len, fibres.values()), reverse=True) == [277, 252, 252, 52, 52, 52]
+    assert tags == {"F": 277, "T_not_F": 504, "V_not_T": 156}
+    kernel = fibres[identity_pair(2, len(w))]
+    assert Counter(length(d) for d in kernel) == {0: 1, 2: 6, 4: 270}
+
+
+def test_pi_fibres_on_commuting_abc_annular():
+    pres, w = builtin_presentation("commuting_abc")
+    elems = enumerate_reduced(pres, trivial_system(pres.alphabet), w, 4, "annular",
+                              max_width=10)
+    fibres, tags = _fibres(elems)
+    assert len(elems) == 31 and len(fibres) == 3
+    assert len(fibres[identity_pair(2, len(w))]) == 13
+    assert set(tags) <= {"F", "T_not_F"}
 
 
 def test_pi_lands_in_f_and_t(rng):

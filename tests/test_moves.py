@@ -150,7 +150,7 @@ def test_free_coeffs_rejected():
 
 def test_ball_radius_one():
     cfg = BallConfig(Q, TRIV)
-    reps, depths, edges = bfs_classes(eps(Q, TRIV, "x"), 1, cfg)
+    reps, depths, edges, _ = bfs_classes(eps(Q, TRIV, "x"), 1, cfg)
     assert len(reps) == 2
     assert depths == [0, 1]
     assert list(edges) == [(0, 1)]
@@ -162,8 +162,8 @@ def test_ball_regression_counts():
     cfg = BallConfig(Q, TRIV)
     sizes = {}
     for r in (2, 3):
-        reps, depths, edges = bfs_classes(eps(Q, TRIV, "x"), r, cfg)
-        reps2, depths2, edges2 = bfs_classes(eps(Q, TRIV, "x"), r, cfg)
+        reps, depths, edges, _ = bfs_classes(eps(Q, TRIV, "x"), r, cfg)
+        reps2, depths2, edges2, _ = bfs_classes(eps(Q, TRIV, "x"), r, cfg)
         assert [canonical_key(a) for a in reps] == [canonical_key(a) for a in reps2]
         assert edges == edges2
         sizes[r] = (len(reps), len(edges))
@@ -173,14 +173,14 @@ def test_ball_regression_counts():
 
 def test_ball_depth_equals_length():
     cfg = BallConfig(Q, CYC2)
-    reps, depths, edges = bfs_classes(eps(Q, CYC2, "x"), 3, cfg)
+    reps, depths, edges, _ = bfs_classes(eps(Q, CYC2, "x"), 3, cfg)
     for rep, depth in zip(reps, depths):
         assert length(rep) == depth
 
 
 def test_edge_endpoints_differ_by_one_move():
     cfg = BallConfig(Q, CYC2)
-    reps, depths, edges = bfs_classes(eps(Q, CYC2, "x"), 2, cfg)
+    reps, depths, edges, _ = bfs_classes(eps(Q, CYC2, "x"), 2, cfg)
     for (i, j), (kind, witness) in edges.items():
         di, dj = length(reps[i]), length(reps[j])
         if kind == "transistor":
@@ -242,7 +242,7 @@ def test_length_one_classes_are_atom_classes():
 
     for coeffs in (TRIV, CYC2):
         cfg = BallConfig(Q, coeffs)
-        reps, depths, _ = bfs_classes(eps(Q, coeffs, "x"), 1, cfg)
+        reps, depths, *_ = bfs_classes(eps(Q, coeffs, "x"), 1, cfg)
         atom_keys = set()
         base = eps(Q, coeffs, "x")
         labels = base.bot_word()
@@ -278,7 +278,7 @@ def test_class_keys_and_reps_match_oracle(geometry):
     # representative's exact key (inherited from the class key) is checked
     # against the key text recomputed from scratch
     cfg = BallConfig(Q, CYC2, geometry)
-    reps, _, _ = bfs_classes(eps(Q, CYC2, "x", annular=geometry == "annular"), 3, cfg)
+    reps, *_ = bfs_classes(eps(Q, CYC2, "x", annular=geometry == "annular"), 3, cfg)
     for vertex in reps:
         for d in [vertex] + [out for out, _, _ in neighbor_diagrams(vertex, cfg)]:
             assert canonical_key(d) == key_text_oracle(d)
@@ -315,7 +315,7 @@ def test_canonical_key_matches_key_text_oracle(geometry, rng):
 def _check_enumerate_against_variants(pres, coeffs, w, budget, geometry):
     # every bottom-port variant of every class, built and keyed one by one
     cfg = BallConfig(pres, coeffs, geometry)
-    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), budget, cfg)
+    reps, *_ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), budget, cfg)
     want = set()
     for rep in reps:
         if geometry == "braided":
@@ -362,7 +362,7 @@ def _ball_id(case):
 def test_unitary_moves_predict_length(case):
     pres, coeffs, w, geometry, radius = case
     cfg = BallConfig(pres, coeffs, geometry)
-    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+    reps, *_ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
     kinds_seen = set()
     for rep in reps:
         moves = list(unitary_moves(rep, cfg))
@@ -433,7 +433,7 @@ def test_derived_diagrams_match_fresh_ones(case):
     with a fresh construction, `reduce_oracle` and a fresh `_traversal`."""
     pres, coeffs, w, geometry, radius = case
     cfg = BallConfig(pres, coeffs, geometry)
-    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+    reps, *_ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
     for rep in reps:
         for kind, witness, _, _ in unitary_moves(rep, cfg):
             if kind == "transistor":
@@ -458,7 +458,7 @@ def test_cancelling_moves_match_reduce_oracle(case):
     `reduce_oracle` of the unreduced move, dict items in order included."""
     pres, coeffs, w, geometry, radius = case
     cfg = BallConfig(pres, coeffs, geometry)
-    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+    reps, *_ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
     cancelled = 0
     for rep in reps:
         for kind, witness, after, _ in unitary_moves(rep, cfg):
@@ -474,11 +474,14 @@ def test_cancelling_moves_match_reduce_oracle(case):
 
 
 def _assert_same_ball(got, want):
-    reps, depths, edges = got
+    reps, depths, edges, lengths = got
     o_reps, o_depths, o_edges = want
     assert [canonical_key(r) for r in reps] == [key_text_oracle(r) for r in o_reps]
     assert depths == o_depths
     assert list(edges.items()) == list(o_edges.items())
+    # the oracle's reps are reduced: a length is a count
+    assert lengths == [len(r.transistors) + sum(not c.is_identity() for _, c in r.wires.values())
+                       for r in o_reps]
 
 
 @pytest.mark.parametrize("case", MOVE_BALLS, ids=_ball_id)
@@ -496,7 +499,7 @@ def test_neighbour_signatures_agree_with_class_keys(case):
     vertex of the ball, equal (K, C) must mean equal class keys and back."""
     pres, coeffs, w, geometry, radius = case
     cfg = BallConfig(pres, coeffs, geometry)
-    reps, _, _ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
+    reps, *_ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
     built = [out for rep in reps for out, _, _ in neighbor_diagrams(rep, cfg)]
     coords, _ = hyperplane_coordinates(built)
     keys_of, sigs_of = {}, {}

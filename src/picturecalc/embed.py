@@ -55,6 +55,7 @@ class _Combs:
         self.transistors: dict[int, tuple[int, int]] = {}
         self.t_top: dict[int, tuple[int, ...]] = {}
         self.t_bot: dict[int, tuple[int, ...]] = {}
+        self.labels: dict[tuple[int, int], GroupElement] = {}  # by oriented relation
 
     def wire(self) -> int:
         w = len(self.wires)
@@ -86,6 +87,15 @@ class _Combs:
             middle = left
         return [middle] + rights[::-1]
 
+    def hang(self, tops: list[int], rel: tuple[int, int], n_bot: int) -> list[int]:
+        """The block of the oriented source relation rel = (index,
+        direction) below the wires `tops`: R{index+1}^direction on its
+        middle wire."""
+        label = self.labels.get(rel)
+        if label is None:
+            label = self.labels[rel] = free_element(self.one.spec, [(f"R{rel[0] + 1}", rel[1])])
+        return self.block(tops, label, n_bot)
+
     def diagram(self, top_ports, bottom_ports, annular: bool = False) -> Diagram:
         return Diagram(QPRES, self.coeffs, self.wires, self.transistors, self.t_top,
                        self.t_bot, top_ports, bottom_ports, annular)
@@ -113,9 +123,10 @@ class _PlainCombs:
         del self.transistors[t], self.t_bot[t]
         return self.t_top.pop(t)
 
-    def block(self, tops: list[int], label, n_bot: int) -> list[int]:
-        """`_Combs.block` without its label, each comb transistor hung or
-        cancelled; returns the bottom wires, left to right."""
+    def hang(self, tops: list[int], rel: tuple[int, int], n_bot: int) -> list[int]:
+        """`_Combs.hang` without its label (a plain block does not record
+        rel), each comb transistor hung or cancelled; returns the bottom
+        wires, left to right."""
         made, transistors, t_top, t_bot, ids = (self.made, self.transistors, self.t_top,
                                                 self.t_bot, self.ids)
         middle = tops[0]
@@ -152,7 +163,7 @@ def gamma(n: int, coeffs: CoefficientSystem | None = None) -> Diagram:
     glued under the leftmost wire of the previous stage."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    combs = _Combs(coeffs if coeffs is not None else _TRIVQ)
+    combs = _Combs(coeffs if coeffs is not None else trivial_system(QPRES.alphabet))
     top = combs.wire()
     return combs.diagram([top], combs.block([top], combs.one, n + 1))
 
@@ -164,35 +175,28 @@ def make_block(left_pad: int, top_len: int, rel_index: int, sign: int,
     if top_len < 1 or bot_len < 1:
         raise ValueError("relation sides are nonempty")
     combs = _Combs(coeffs)
-    label = free_element(coeffs.spec("x"), [(f"R{rel_index + 1}", sign)])
     left = [combs.wire() for _ in range(left_pad)]
     tops = [combs.wire() for _ in range(top_len)]
     right = [combs.wire() for _ in range(right_pad)]
-    return combs.diagram(left + tops + right, left + combs.block(tops, label, bot_len) + right)
+    bots = combs.hang(tops, (rel_index, sign), bot_len)
+    return combs.diagram(left + tops + right, left + bots + right)
 
 
-def _substitute(d: Diagram, combs, label) -> Diagram:
+def _substitute(d: Diagram, combs) -> Diagram:
     """d's image by substitution in one pass over reduce(d): every wire
     becomes an x wire of `combs`, and each transistor, taken in `top_down`
-    order (its top wires already placed), becomes `combs`'s block below
-    them, labelled `label(relation, direction)`."""
+    order (its top wires already placed), becomes `combs`'s block of its
+    oriented relation below them."""
     if any(not c.is_identity() for _, c in d.wires.values()):
         raise ValueError("the embedding applies to diagrams with trivial coefficients")
     dr = reduce(d)
     image = {w: combs.wire() for w in dr.top_ports}
     for t in top_down(dr):
-        bots = combs.block([image[w] for w in dr.t_top[t]], label(dr.transistors[t]),
-                           len(dr.t_bot[t]))
+        bots = combs.hang([image[w] for w in dr.t_top[t]], dr.transistors[t],
+                          len(dr.t_bot[t]))
         image.update(zip(dr.t_bot[t], bots))
     return combs.diagram([image[w] for w in dr.top_ports],
                          [image[w] for w in dr.bottom_ports], d.annular)
-
-
-@lru_cache(maxsize=16)
-def _labels(kappa: int) -> dict[tuple[int, int], GroupElement]:
-    """R{rel+1}^direction in F_kappa, by oriented relation."""
-    spec = free_system(kappa).spec("x")
-    return {(r, s): free_element(spec, [(f"R{r + 1}", s)]) for r in range(kappa) for s in (1, -1)}
 
 
 def psi_unreduced(d: Diagram) -> Diagram:
@@ -200,8 +204,7 @@ def psi_unreduced(d: Diagram) -> Diagram:
     becomes its block, R{rel+1}^direction on the middle wire.  Where
     one-letter sides chain several blocks onto one wire, the labels
     multiply upper first."""
-    kappa = max(1, len(d.pres.relations))
-    return _substitute(d, _Combs(free_system(kappa)), _labels(kappa).__getitem__)
+    return _substitute(d, _Combs(free_system(max(1, len(d.pres.relations)))))
 
 
 def psi(d: Diagram) -> Diagram:
@@ -214,8 +217,10 @@ def kill_coefficients(d: Diagram) -> Diagram:
     """Forget all second coordinates: the same shape over the trivial system."""
     if d.pres != QPRES:
         raise ValueError("projection targets diagrams over <x | x=x.x>")
-    wires = dict.fromkeys(d.wires, _PLAIN_X)
-    return replace(d, coeffs=_TRIVQ, wires=wires, _reduced=None)
+    triv = trivial_system(QPRES.alphabet)
+    one = identity(triv.spec("x"))
+    wires = {w: (label, one) for w, (label, _) in d.wires.items()}
+    return replace(d, coeffs=triv, wires=wires, _reduced=None)
 
 
 def project_to_thompson(d_img: Diagram) -> tuple[TreePair, str]:
@@ -234,7 +239,7 @@ def pi(d: Diagram) -> tuple[TreePair, str]:
     project_to_thompson(psi(d)) without building psi: the unlabelled
     blocks of d, hung by `_PlainCombs` and so already reduced, bridged to
     a tree pair (kill first, by confluence: see the module docstring)."""
-    return _tagged_pair(_substitute(d, _PlainCombs(), lambda rel: None))
+    return _tagged_pair(_substitute(d, _PlainCombs()))
 
 
 @dataclass(frozen=True)

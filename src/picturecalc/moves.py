@@ -174,20 +174,18 @@ def word_moves(labels, cfg: BallConfig) -> tuple:
     return tuple(out)
 
 
-def unitary_moves(rep: Diagram, cfg: BallConfig, before: int | None = None):
-    """All unitary moves from a reduced class representative, without
-    building any diagram: `word_moves` of its bottom word, each as (kind,
-    witness, length_after, effect); `before` is rep's length, when the
-    caller knows it.  A transistor move adds one to the length, or takes
-    one off when it forms a dipole with the transistor above its feed, its
-    effect, else None (at most one can: cancelling that pair leaves the
-    other's top wires on the frame bottom, where they meet no transistor).
-    A linear move's effect is the coefficient it leaves on a wire that
-    feeds no transistor, so no dipole appears or goes.  The witness list
-    itself does not need rep to be reduced."""
+def unitary_moves(rep: Diagram, cfg: BallConfig, before: int):
+    """All unitary moves from a reduced class representative of length
+    `before`, without building any diagram: `word_moves` of its bottom
+    word, each as (kind, witness, length_after, effect).  A transistor move
+    adds one to the length, or takes one off when it forms a dipole with
+    the transistor above its feed, its effect, else None (at most one can:
+    cancelling that pair leaves the other's top wires on the frame bottom,
+    where they meet no transistor).  A linear move's effect is the
+    coefficient it leaves on a wire that feeds no transistor, so no dipole
+    appears or goes.  The witness list itself does not need rep to be
+    reduced."""
     pres, wires, bottom, wire_top = rep.pres, rep.wires, rep.bottom_ports, rep.wire_top
-    if before is None:
-        before = length(rep)
     for kind, witness, _ in word_moves(rep.bot_word(), cfg):
         if kind == "transistor":
             site = wire_top[bottom[witness[2][0]]]  # `_dipole_above`'s first test, hoisted

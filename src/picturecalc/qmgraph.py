@@ -83,7 +83,6 @@ from .picture import (
     eps,
     invert,
     is_permutation_diagram,
-    length,
     multiply,
     reduce,
 )
@@ -93,12 +92,8 @@ from .picture import (
 class VertexClass:
     key: str
     rep: Diagram
+    length: int  # rep's length
     depth: int = 0
-    length: int | None = None  # rep's length; computed when not given
-
-    def __post_init__(self):
-        if self.length is None:
-            object.__setattr__(self, "length", length(self.rep))
 
     def __repr__(self):
         return f"<VertexClass len={self.length} {self.key[:24]}...>"
@@ -195,7 +190,7 @@ def neighbors(v: VertexClass, cfg: BallConfig) -> list[tuple[VertexClass, str]]:
         rep = GEOMETRY[cfg.geometry].class_rep(apply_move(v.rep, kind, witness, cfg.geometry))
         key = canonical_key(rep)
         if key != v.key and key not in out:
-            out[key] = (VertexClass(key, rep, length=after), kind)
+            out[key] = (VertexClass(key, rep, after), kind)
     return list(out.values())
 
 
@@ -204,7 +199,7 @@ def ball(base: Diagram, radius: int, cfg: BallConfig) -> BallGraph:
         raise ValueError("radius must be >= 0")
     reps, depths, edges, lengths = bfs_classes(base, radius, cfg)
     # a class representative's exact key names its class, already cached
-    vertices = [VertexClass(canonical_key(rep), rep, depth, n)
+    vertices = [VertexClass(canonical_key(rep), rep, n, depth)
                 for rep, depth, n in zip(reps, depths, lengths)]
     return BallGraph(cfg, radius, vertices, edges)
 

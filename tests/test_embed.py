@@ -261,6 +261,16 @@ def test_kill_coefficients_unblocks():
 
 
 def test_pi_homomorphism(rng):
+    pres, w = builtin_presentation("higman", (3, 1))
+    triv = trivial_system(pres.alphabet)
+    for _ in range(12):
+        a = random_element(pres, triv, w, rng, steps=3)
+        b = random_element(pres, triv, w, rng, steps=3)
+        tp_ab, _ = pi(multiply(a, b))
+        assert tp_ab == tp_multiply(pi(a)[0], pi(b)[0])
+
+
+def test_pi_homomorphism_on_every_builtin_and_geometry(rng):
     for name, params in BUILTINS + [("higman", (2, 2)), ("quasi_auto", (2, 1, 1)),
                                     ("houghton", (3, 1))]:
         pres, w = builtin_presentation(name, params)

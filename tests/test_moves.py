@@ -83,7 +83,7 @@ def neighbor_diagrams(rep, cfg):
     """Every unitary move of rep, built: (reduced result, kind, witness) in
     `unitary_moves` order, a linear witness as (letter, delta)."""
     labels = rep.bot_word()
-    for kind, witness, _, _ in unitary_moves(rep, cfg):
+    for kind, witness, _, _ in unitary_moves(rep, cfg, length(rep)):
         out = apply_move(rep, kind, witness, cfg.geometry)
         if kind == "linear":
             witness = (labels[witness[0]], witness[1])
@@ -365,7 +365,7 @@ def test_unitary_moves_predict_length(case):
     reps, *_ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
     kinds_seen = set()
     for rep in reps:
-        moves = list(unitary_moves(rep, cfg))
+        moves = list(unitary_moves(rep, cfg, length(rep)))
         witnesses = [(kind, wit) for _, kind, wit in neighbor_diagrams(rep, cfg)]
         assert witnesses == [(kind, wit) for _, kind, wit in moves_oracle(rep, cfg)]
         table = word_moves(rep.bot_word(), cfg)
@@ -435,7 +435,7 @@ def test_derived_diagrams_match_fresh_ones(case):
     cfg = BallConfig(pres, coeffs, geometry)
     reps, *_ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
     for rep in reps:
-        for kind, witness, _, _ in unitary_moves(rep, cfg):
+        for kind, witness, _, _ in unitary_moves(rep, cfg, length(rep)):
             if kind == "transistor":
                 raw = apply_transistor_move(rep, *witness, geometry)
                 assert raw._reduced is None
@@ -461,7 +461,7 @@ def test_cancelling_moves_match_reduce_oracle(case):
     reps, *_ = bfs_classes(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
     cancelled = 0
     for rep in reps:
-        for kind, witness, after, _ in unitary_moves(rep, cfg):
+        for kind, witness, after, _ in unitary_moves(rep, cfg, length(rep)):
             if kind == "transistor" and after < length(rep):
                 got = apply_move(rep, kind, witness, geometry)
                 want = reduce_oracle(apply_transistor_move(rep, *witness, geometry))
@@ -635,7 +635,7 @@ def test_word_moves_errors_are_not_cached_and_tables_are_immutable():
     cfg = BallConfig(Q, freesys)
     for _ in range(3):
         with pytest.raises(EnumerationError):
-            list(unitary_moves(eps(Q, freesys, "x"), cfg))
+            list(unitary_moves(eps(Q, freesys, "x"), cfg, 0))
         with pytest.raises(EnumerationError):
             random_walk_diagram(Q, freesys, "x", 2, random.Random(0))
     table = word_moves(("x", "x"), BallConfig(Q, CYC2))

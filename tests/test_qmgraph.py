@@ -72,7 +72,7 @@ ABC_CYC2 = make_system(ABC.alphabet, {"a": CyclicSpec(2)})
 def mkvertex(d, cfg):
     from picturecalc.moves import normalize_base
     rep = normalize_base(d, cfg)
-    return VertexClass(geometry_class_key(rep, cfg.geometry), rep)
+    return VertexClass(geometry_class_key(rep, cfg.geometry), rep, length(rep))
 
 
 def test_neighbors_public_op():
@@ -156,7 +156,7 @@ def test_pair_distance_matches_product_formula_free_coefficients(rng):
         u = _free_labelled(random_element(Q, TRIV, "x", rng, steps=3), free2, rng)
         # b shares a's prefix half the time, so that transistors cancel
         b = multiply(a, u) if rng.randrange(2) else u
-        va, vb = (VertexClass(canonical_key(d), d) for d in (a, b))
+        va, vb = (VertexClass(canonical_key(d), d, length(d)) for d in (a, b))
         assert pair_distance(va, vb) == pair_distance_oracle(va, vb)
         assert pair_distance(vb, va) == pair_distance_oracle(vb, va)
 
@@ -167,7 +167,7 @@ def test_pair_distance_unreduced_rep_and_basewords(rng):
     for _ in range(20):
         d = random_unreduced(Q, CYC2, "x", 4, rng)
         assert not d._reduced
-        v = VertexClass(canonical_key(d), d)
+        v = VertexClass(canonical_key(d), d, length(d))
         for w in g.vertices:
             assert pair_distance(v, w) == pair_distance_oracle(v, w)
             assert pair_distance(w, v) == pair_distance_oracle(w, v)
@@ -256,7 +256,7 @@ def test_rows_are_bytes_up_to_length_127():
     d = eps(Q, CYC2, "x")
     for k in range(128):  # a caret on the first wire, 128 times: length 128
         d = concat(d, atom_transistor(Q, CYC2, (), 0, 1, ("x",) * k))
-    far = VertexClass(canonical_key(d), d)
+    far = VertexClass(canonical_key(d), d, length(d))
     wide = BallGraph(cfg, 2, g.vertices + [far], {})
     assert wide.row(0).typecode != "B"
     assert wide.distance(0, len(g.vertices)) == 128 == pair_distance_oracle(g.vertices[0], far)
@@ -651,8 +651,8 @@ def test_pins_report_flags_an_oversized_pin():
     g = ball(eps(Q, CYC2, "x"), 3, cfg)
     pin = next(pin for pin, _, complete in enumerate_pins(g) if complete)
     v = g.vertices[min(pin)]
-    doctored = BallGraph(cfg, g.radius, g.vertices + [VertexClass(v.key + "'", v.rep, v.depth)],
-                         g.edges)
+    twin = VertexClass(v.key + "'", v.rep, v.length, v.depth)
+    doctored = BallGraph(cfg, g.radius, g.vertices + [twin], g.edges)
     rep = pins_report(doctored)
     assert not rep.passed and ("pin_size", "x", 3, 2) in rep.violations
 

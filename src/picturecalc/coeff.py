@@ -4,7 +4,10 @@ Wire labels in picture products carry an element of a per-letter group
 G_s.  Three kinds are supported: trivial, finite cyclic of order k, and
 free on a named basis.  Elements are kept in normal form (residue in
 [0, k) for cyclic, freely reduced word for free), so equality is plain
-value equality.
+value equality.  Identities and cyclic elements are interned in a capped
+table per spec object, and a product or inverse with the identity returns
+the other operand; equal specs keep separate tables and free words are
+built fresh, so compare elements with ``==``, never ``is``.
 
 The second half implements words in a graph product of such groups: the
 cancellation / amalgamation / shuffling moves, a canonical shuffle normal
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import ParseError
@@ -24,16 +28,36 @@ from .presentation import MAX_WORD_LENGTH, _split, read_int
 # --- group specs and elements ------------------------------------------------
 
 
+_ELEMENTS_MAX = 4096  # interned elements per spec; later ones are built fresh
+
+
+class _Interning:
+    """A spec's table of interned elements, payload -> element, and its
+    identity, made at first use; not fields, so reprs, equality and hashes
+    of specs are unchanged."""
+
+    @cached_property
+    def _elements(self) -> dict:
+        return {}
+
+    @cached_property
+    def _one(self) -> GroupElement:
+        return _intern(self, 0 if isinstance(self, CyclicSpec) else ())
+
+
 @dataclass(frozen=True)
-class TrivialSpec:
+class TrivialSpec(_Interning):
     order = 1  # class attributes, not fields: spec reprs feed every key
 
     def __str__(self):
         return "trivial"
 
 
+_TRIVIAL = TrivialSpec()  # equal to every TrivialSpec; shared, so its identity is made once
+
+
 @dataclass(frozen=True)
-class CyclicSpec:
+class CyclicSpec(_Interning):
     order: int
 
     def __post_init__(self):
@@ -45,7 +69,7 @@ class CyclicSpec:
 
 
 @dataclass(frozen=True)
-class FreeSpec:
+class FreeSpec(_Interning):
     generators: tuple[str, ...]
     order = None  # infinite
 
@@ -76,12 +100,24 @@ class GroupElement:
         return coeff_serialize(self)
 
 
+def _intern(spec: GroupSpec, payload) -> GroupElement:
+    """The spec's element with this normal-form payload, from its table
+    while the table has room."""
+    table = spec._elements
+    e = table.get(payload)
+    if e is None:
+        e = GroupElement(spec, payload)
+        if len(table) < _ELEMENTS_MAX:
+            table[payload] = e
+    return e
+
+
 def identity(spec: GroupSpec) -> GroupElement:
-    return GroupElement(spec, 0 if isinstance(spec, CyclicSpec) else ())
+    return spec._one
 
 
 def cyclic_element(spec: CyclicSpec, residue: int) -> GroupElement:
-    return GroupElement(spec, residue % spec.order)
+    return _intern(spec, residue % spec.order)
 
 
 def free_element(spec: FreeSpec, word: Iterable[tuple[str, int]]) -> GroupElement:
@@ -100,22 +136,24 @@ def free_element(spec: FreeSpec, word: Iterable[tuple[str, int]]) -> GroupElemen
 
 
 def coeff_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.spec != b.spec:
-        raise ValueError("coefficient spec mismatch")
     spec = a.spec
-    if isinstance(spec, TrivialSpec):
+    if spec is not b.spec and spec != b.spec:
+        raise ValueError("coefficient spec mismatch")
+    if not b.payload:  # normal forms: the identity's payload is the only falsy one
         return a
+    if not a.payload:
+        return b
     if isinstance(spec, CyclicSpec):
-        return GroupElement(spec, (a.payload + b.payload) % spec.order)
-    return free_element(spec, list(a.payload) + list(b.payload))
+        return _intern(spec, (a.payload + b.payload) % spec.order)
+    return free_element(spec, a.payload + b.payload)
 
 
 def coeff_invert(a: GroupElement) -> GroupElement:
     spec = a.spec
-    if isinstance(spec, TrivialSpec):
+    if not a.payload:
         return a
     if isinstance(spec, CyclicSpec):
-        return GroupElement(spec, (-a.payload) % spec.order)
+        return _intern(spec, -a.payload % spec.order)
     return GroupElement(spec, tuple((g, -s) for g, s in reversed(a.payload)))
 
 
@@ -162,14 +200,14 @@ def nontrivial_elements(spec: GroupSpec) -> list[GroupElement]:
     """All non-identity elements; raises for free specs (infinite)."""
     if spec.order is None:
         raise ValueError("free coefficient group is infinite")
-    return [GroupElement(spec, r) for r in range(1, spec.order)]
+    return [_intern(spec, r) for r in range(1, spec.order)]
 
 
 def spec_parse(text: str) -> GroupSpec:
     """Parse `trivial`, `cyclic:k`, or `free:r` (generators R1..Rr)."""
     text = text.strip()
     if text == "trivial":
-        return TrivialSpec()
+        return _TRIVIAL
     head, _, arg = text.partition(":")
     head = head.rstrip()
     if head not in ("cyclic", "free"):
@@ -205,7 +243,7 @@ class CoefficientSystem:
 
 
 def trivial_system(alphabet: Iterable[str]) -> CoefficientSystem:
-    return CoefficientSystem(tuple((a, TrivialSpec()) for a in alphabet))
+    return CoefficientSystem(tuple((a, _TRIVIAL) for a in alphabet))
 
 
 def make_system(alphabet: Iterable[str], overrides: dict[str, GroupSpec] | None = None) -> CoefficientSystem:
@@ -213,7 +251,7 @@ def make_system(alphabet: Iterable[str], overrides: dict[str, GroupSpec] | None 
     unknown = set(over) - set(alphabet)
     if unknown:
         raise ValueError(f"coefficient assignment for undeclared letter(s) {sorted(unknown)}")
-    return CoefficientSystem(tuple((a, over.get(a, TrivialSpec())) for a in alphabet))
+    return CoefficientSystem(tuple((a, over.get(a, _TRIVIAL)) for a in alphabet))
 
 
 # --- graph product word calculus ----------------------------------------------

@@ -55,6 +55,7 @@ class Diagram:
         "pres", "coeffs", "wires", "transistors", "t_top", "t_bot",
         "top_ports", "bottom_ports", "annular",
         "wire_top", "wire_bot", "_exact_key", "_reduced", "_trav",
+        "_next_wire", "_next_trans",
     )
 
     def __init__(self, pres, coeffs, wires, transistors, t_top, t_bot,
@@ -85,6 +86,7 @@ class Diagram:
         self._exact_key = None
         self._reduced = _reduced
         self._trav = None
+        self._next_wire = self._next_trans = None
 
     # -- basic views ---------------------------------------------------------
 
@@ -171,7 +173,9 @@ def _assemble(d: Diagram, wires, transistors, t_top, t_bot, bottom_ports,
     given fields, endpoint maps included: the one constructor path that
     derives a diagram's maps from its parent's instead of rebuilding them.
     The maps are taken as they are, so callers pass fresh or unchanged
-    dicts; `trav` is a `_traversal` result that still holds."""
+    dicts; `trav` is a `_traversal` result that still holds.  d's kept
+    next ids carry over: a caller that adds ids sets them, and `_cancel`
+    drops one whose largest id it deletes."""
     out = Diagram.__new__(Diagram)
     out.pres, out.coeffs, out.annular = d.pres, d.coeffs, d.annular
     out.wires, out.transistors, out.t_top, out.t_bot = wires, transistors, t_top, t_bot
@@ -179,7 +183,18 @@ def _assemble(d: Diagram, wires, transistors, t_top, t_bot, bottom_ports,
     out.wire_top, out.wire_bot = wire_top, wire_bot
     out._exact_key = None
     out._reduced, out._trav = reduced, trav
+    out._next_wire, out._next_trans = d._next_wire, d._next_trans
     return out
+
+
+def _next_ids(d: Diagram) -> tuple[int, int]:
+    """d's next free wire and transistor ids, each the largest id plus one
+    (1 when there is none): computed once and kept on d."""
+    if d._next_wire is None:
+        d._next_wire = max(d.wires, default=0) + 1
+    if d._next_trans is None:
+        d._next_trans = max(d.transistors, default=0) + 1
+    return d._next_wire, d._next_trans
 
 
 def replace(d: Diagram, **fields) -> Diagram:
@@ -347,8 +362,7 @@ def apply_transistor_move(d: Diagram, rel_index: int, direction: int,
     if tuple(d.wires[w][0] for w in sel) != top_side:
         raise ValueError("selected wires do not spell the relation side")
     wires = d.wires.copy()
-    tid = (max(d.transistors) if d.transistors else 0) + 1
-    wid = (max(d.wires) if d.wires else 0) + 1
+    wid, tid = _next_ids(d)
     produced = tuple(range(wid, wid + len(bot_side)))
     for w, letter in zip(produced, bot_side):
         wires[w] = (letter, identity(d.coeffs.spec(letter)))
@@ -368,7 +382,9 @@ def apply_transistor_move(d: Diagram, rel_index: int, direction: int,
         wire_top[w] = ("TB", tid, i)
     for i, w in enumerate(new_ports):
         wire_bot[w] = ("FB", i)
-    return _assemble(d, wires, transistors, t_top, t_bot, new_ports, wire_top, wire_bot)
+    out = _assemble(d, wires, transistors, t_top, t_bot, new_ports, wire_top, wire_bot)
+    out._next_wire, out._next_trans = wid + len(bot_side), tid + 1
+    return out
 
 
 # -- construction atoms --------------------------------------------------------
@@ -452,39 +468,48 @@ def _relabel(d: Diagram, wire_off: int, trans_off: int):
 
 def concat(d1: Diagram, d2: Diagram) -> Diagram:
     """Glue d2 below d1; not reduced.  The result owns fresh dicts that
-    `_cancel` may change in place.  d2's ids move past d1's, but each
-    frame-top wire of d2 merges into the frame-bottom wire of d1 above it,
-    which keeps its id and place and carries (d1's coefficient)*(d2's).
-    d1's dicts are copied, and only d2's items are relabelled and appended."""
-    if d1.pres != d2.pres or d1.coeffs != d2.coeffs:
+    `_cancel` may change in place.  d2's ids move past d1's next ids, but
+    each frame-top wire of d2 merges into the frame-bottom wire of d1 above
+    it, which keeps its id and place and carries (d1's coefficient)*(d2's).
+    d1's dicts are copied, and d2's items are relabelled and appended in one
+    pass over its wires and one over its transistors."""
+    if ((d1.pres is not d2.pres or d1.coeffs is not d2.coeffs)
+            and (d1.pres != d2.pres or d1.coeffs != d2.coeffs)):
         raise CompositionError("presentation or coefficient system mismatch")
     if d1.bot_word() != d2.top_word():
         raise CompositionError(
             f"boundary mismatch: {'.'.join(d1.bot_word())} vs {'.'.join(d2.top_word())}")
-    w_off = (max(d1.wires) if d1.wires else 0) + 1
-    t_off = (max(d1.transistors) if d1.transistors else 0) + 1
-    ren = {w: w + w_off for w in d2.wires}
-    ren.update(zip(d2.top_ports, d1.bottom_ports))
+    w_off, t_off = _next_ids(d1)
+    ren = dict(zip(d2.top_ports, d1.bottom_ports))  # the seam
     wires = d1.wires.copy()
     for w, v in d2.wires.items():
-        u = ren[w]
-        wires[u] = (v[0], coeff_multiply(wires[u][1], v[1])) if u in wires else v
+        u = ren.get(w)
+        if u is None:
+            ren[w] = w + w_off
+            wires[w + w_off] = v
+        elif v[1].payload:  # a nontrivial coefficient below the seam
+            wires[u] = (v[0], coeff_multiply(wires[u][1], v[1]))
     transistors = d1.transistors.copy()
     t_top, t_bot = d1.t_top.copy(), d1.t_bot.copy()
     wire_top, wire_bot = d1.wire_top.copy(), d1.wire_bot.copy()
+    d2_top, d2_bot = d2.t_top, d2.t_bot
     for t, v in d2.transistors.items():
-        transistors[t + t_off] = v
-    for t, tup in d2.t_top.items():
-        t_top[t + t_off] = tuple(map(ren.__getitem__, tup))
-    for t, tup in d2.t_bot.items():
-        t_bot[t + t_off] = tuple(w + w_off for w in tup)
-        for i, w in enumerate(tup):
-            wire_top[w + w_off] = ("TB", t + t_off, i)
-    for w, site in d2.wire_bot.items():
-        wire_bot[ren[w]] = site if site[0] == "FB" else ("TT", site[1] + t_off, site[2])
-    out = _assemble(d1, wires, transistors, t_top, t_bot,
-                    tuple(map(ren.__getitem__, d2.bottom_ports)), wire_top, wire_bot)
+        tid = t + t_off
+        transistors[tid] = v
+        t_top[tid] = tops = tuple(map(ren.__getitem__, d2_top[t]))
+        t_bot[tid] = bots = tuple(map(w_off.__add__, d2_bot[t]))
+        for i, w in enumerate(tops):
+            wire_bot[w] = ("TT", tid, i)
+        for i, w in enumerate(bots):
+            wire_top[w] = ("TB", tid, i)
+    bottom = tuple(map(ren.__getitem__, d2.bottom_ports))
+    for i, w in enumerate(bottom):
+        wire_bot[w] = ("FB", i)
+    out = _assemble(d1, wires, transistors, t_top, t_bot, bottom, wire_top, wire_bot)
     out.annular = d1.annular or d2.annular
+    # d2's wires past the seam are those its transistors produce
+    out._next_wire = w_off + 1 + max(map(max, filter(None, d2_bot.values())), default=-1)
+    out._next_trans = t_off + 1 + max(d2.transistors, default=-1)
     return out
 
 
@@ -494,8 +519,7 @@ def sum_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
         raise CompositionError("presentation or coefficient system mismatch")
     if d1.annular or d2.annular:
         raise CompositionError("sum is undefined for annular diagrams")
-    w_off = (max(d1.wires) if d1.wires else 0) + 1
-    t_off = (max(d1.transistors) if d1.transistors else 0) + 1
+    w_off, t_off = _next_ids(d1)
     wires2, trans2, ttop2, tbot2, top2, bottom2 = _relabel(d2, w_off, t_off)
     wires = dict(d1.wires)
     wires.update(wires2)
@@ -506,14 +530,17 @@ def sum_diagrams(d1: Diagram, d2: Diagram) -> Diagram:
     t_bot = dict(d1.t_bot)
     t_bot.update(tbot2)
     red = True if (d1._reduced and d2._reduced) else None
-    return Diagram(d1.pres, d1.coeffs, wires, transistors, t_top, t_bot,
-                   d1.top_ports + top2, d1.bottom_ports + bottom2, False, _reduced=red)
+    out = Diagram(d1.pres, d1.coeffs, wires, transistors, t_top, t_bot,
+                  d1.top_ports + top2, d1.bottom_ports + bottom2, False, _reduced=red)
+    out._next_wire = w_off + 1 + max(d2.wires, default=-1)
+    out._next_trans = t_off + 1 + max(d2.transistors, default=-1)
+    return out
 
 
 def invert(d: Diagram) -> Diagram:
     """Vertical mirror: boundaries and transistor sides exchanged, directions
     flipped, coefficients inverted."""
-    wires = {w: (label, coeff_invert(c)) for w, (label, c) in d.wires.items()}
+    wires = {w: (v[0], coeff_invert(v[1])) if v[1].payload else v for w, v in d.wires.items()}
     transistors = {t: (r, -s) for t, (r, s) in d.transistors.items()}
     return Diagram(d.pres, d.coeffs, wires, transistors,
                    dict(d.t_bot), dict(d.t_top),
@@ -603,6 +630,11 @@ def _cancel(d: Diagram, seeds) -> None:
             del transistors[t], t_top[t], t_bot[t]
     d.bottom_ports = tuple(bottom)
     d._reduced = True
+    # ids only go, so a kept next id stays exact while its largest id is left
+    if d._next_wire is not None and d._next_wire - 1 not in wires:
+        d._next_wire = None
+    if d._next_trans is not None and d._next_trans - 1 not in transistors:
+        d._next_trans = None
 
 
 def reduce(d: Diagram) -> Diagram:

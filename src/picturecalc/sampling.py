@@ -8,8 +8,9 @@ from __future__ import annotations
 import random
 
 from .coeff import CoefficientSystem
-from .moves import BallConfig, apply_linear_move, apply_move, apply_transistor_move, word_moves
-from .picture import GEOMETRY, Diagram, atom_permutation, concat, eps, invert, multiply, reduce
+from .moves import BallConfig, apply_linear_move, apply_move, word_moves
+from .picture import (GEOMETRY, Diagram, apply_transistor_move, atom_permutation, concat, eps,
+                      invert, multiply, reduce)
 from .thompson import TreePair, _replace, forest_leaves, leaf_addresses, reduce_pair
 
 

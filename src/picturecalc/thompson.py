@@ -10,13 +10,17 @@ diagrams over <x | x=x^n> a homomorphism for top-to-bottom concatenation.
 
 Pairs multiply as their diagrams do, and a pair is reduced through the
 bridge, where a caret below same-numbered, order-matched leaves on both
-sides is a dipole.
+sides is a dipole.  `evaluate_map` reads one evaluation table per pair
+object (its reduced pair's image leaf -> domain leaf addresses), built at
+the first evaluation and kept on the object, so evaluating one pair at
+many points reduces it and walks its forests once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .picture import (
     GEOMETRY,
@@ -112,6 +116,16 @@ class TreePair:
     @property
     def roots(self) -> int:
         return len(self.domain)
+
+    @cached_property
+    def _evaluation(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+        """(image leaf address -> address of the domain leaf it is sent to,
+        the depth of the deepest image leaf) of the reduced pair; not a
+        field, so equality, hashes and reprs are unchanged."""
+        tp = reduce_pair(self)
+        dom = [a for _, a in leaf_addresses(tp.domain)]
+        img = [a for _, a in leaf_addresses(tp.image)]
+        return {img[j]: dom[i] for i, j in enumerate(tp.perm)}, max(map(len, img))
 
 
 def identity_pair(arity: int, roots: int = 1) -> TreePair:
@@ -246,18 +260,12 @@ def evaluate_map(tp: TreePair, q: NAdic) -> NAdic:
         raise ValueError("evaluation needs single-rooted pairs")
     if q.base != tp.arity:
         raise ValueError("base/arity mismatch")
-    tp = reduce_pair(tp)
-    img = [a for _, a in leaf_addresses(tp.image)]
-    dom = [a for _, a in leaf_addresses(tp.domain)]
-    width = max(max((len(a) for a in img), default=0), q.exponent)
-    ds = q.digits(width)
-    inv = [0] * len(tp.perm)
-    for i, j in enumerate(tp.perm):
-        inv[j] = i
-    for j, addr in enumerate(img):
-        if ds[:len(addr)] == addr:
-            rest = ds[len(addr):]
-            return nadic_from_digits(dom[inv[j]] + rest, q.base)
+    leaves, depth = tp._evaluation
+    ds = q.digits(max(depth, q.exponent))
+    for k in range(depth + 1):  # the image leaves are prefix-free and cover [0,1)
+        dom = leaves.get(ds[:k])
+        if dom is not None:
+            return nadic_from_digits(dom + ds[k:], q.base)
     raise AssertionError("image leaves do not cover [0,1)")
 
 

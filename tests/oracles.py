@@ -15,9 +15,8 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
-from picturecalc.coeff import GraphProductWord, coeff_multiply, coeff_serialize
-from picturecalc.coeff import CyclicSpec, TrivialSpec, cyclic_element, free_element, identity
-from picturecalc.coeff import nontrivial_elements, trivial_system
+from picturecalc.coeff import CyclicSpec, GraphProductWord, GroupElement, TrivialSpec
+from picturecalc.coeff import coeff_serialize, trivial_system
 from picturecalc.embed import QPRES, free_system, project_to_thompson, psi
 from picturecalc.errors import CompositionError, ParseError
 from picturecalc.moves import BallConfig
@@ -59,6 +58,36 @@ from picturecalc.qmgraph import (
 from picturecalc.thompson import TreePair, forest_leaves, leaf_addresses, thompson_presentation
 
 
+# -- coefficients, each built fresh ------------------------------------------------
+# Every element is a new GroupElement, so no oracle runs the interned
+# elements of `coeff` that it checks.
+
+def identity_oracle(spec) -> GroupElement:
+    return GroupElement(spec, 0 if isinstance(spec, CyclicSpec) else ())
+
+
+def cyclic_element_oracle(spec, residue: int) -> GroupElement:
+    return GroupElement(spec, residue % spec.order)
+
+
+def nontrivial_elements_oracle(spec) -> list[GroupElement]:
+    return [GroupElement(spec, r) for r in range(1, spec.order)]
+
+
+def free_element_oracle(spec, word) -> GroupElement:
+    return GroupElement(spec, naive_free_reduce(word))
+
+
+def coeff_multiply_oracle(a: GroupElement, b: GroupElement) -> GroupElement:
+    if a.spec != b.spec:
+        raise ValueError("coefficient spec mismatch")
+    if isinstance(a.spec, CyclicSpec):
+        return cyclic_element_oracle(a.spec, a.payload + b.payload)
+    if isinstance(a.spec, TrivialSpec):
+        return identity_oracle(a.spec)
+    return free_element_oracle(a.spec, a.payload + b.payload)
+
+
 # -- all reduction orders -------------------------------------------------------
 
 def _dipoles_of(d: Diagram):
@@ -93,7 +122,7 @@ def _reduce_one(d: Diagram, pair) -> Diagram:
     for a, b in zip(t_top[t2], t_bot[t1]):
         la, ca = wires[a]
         _, cb = wires[b]
-        wires[a] = (la, coeff_multiply(ca, cb))
+        wires[a] = (la, coeff_multiply_oracle(ca, cb))
         site = wire_bot[b]
         if site[0] == "FB":
             bottom[site[1]] = a
@@ -133,7 +162,7 @@ def concat_oracle(d1: Diagram, d2: Diagram) -> Diagram:
     merged: dict[int, int] = {}
     for upper, lower in zip(d1.bottom_ports, top2):
         lu, cu = wires[upper]
-        wires[upper] = (lu, coeff_multiply(cu, wires[lower][1]))
+        wires[upper] = (lu, coeff_multiply_oracle(cu, wires[lower][1]))
         merged[lower] = upper
         del wires[lower]
     for t in d2.t_bot:
@@ -254,7 +283,7 @@ def _pin_oracle(rep: Diagram, position: int, coeffs, geometry: str):
     letter = rep.wires[wid][0]
     spec = coeffs.spec(letter)
     keys = []
-    for value in [identity(spec)] + nontrivial_elements(spec):
+    for value in [identity_oracle(spec)] + nontrivial_elements_oracle(spec):
         wires = dict(rep.wires)
         wires[wid] = (letter, value)
         keys.append(class_key_oracle(replace(rep, wires=wires), geometry))
@@ -268,7 +297,7 @@ def pins_oracle(g) -> list[tuple[frozenset[str], str, bool]]:
     seen: dict[frozenset, tuple[str, bool]] = {}
     for v in g.vertices:
         for position, wid in enumerate(v.rep.bottom_ports):
-            if nontrivial_elements(g.cfg.coeffs.spec(v.rep.wires[wid][0])):
+            if nontrivial_elements_oracle(g.cfg.coeffs.spec(v.rep.wires[wid][0])):
                 pin, letter = _pin_oracle(v.rep, position, g.cfg.coeffs, g.geometry)
                 seen.setdefault(pin, (letter, pin <= in_ball))
     return [(pin, letter, complete) for pin, (letter, complete) in seen.items()]
@@ -368,9 +397,9 @@ def linear_edge_witness_oracle(g, i: int, j: int) -> bool:
     u = g.vertices[i].rep
     for wid in u.bottom_ports:
         letter, c = u.wires[wid]
-        for gval in nontrivial_elements(g.cfg.coeffs.spec(letter)):
+        for gval in nontrivial_elements_oracle(g.cfg.coeffs.spec(letter)):
             wires = dict(u.wires)
-            wires[wid] = (letter, coeff_multiply(c, gval))
+            wires[wid] = (letter, coeff_multiply_oracle(c, gval))
             if class_key_oracle(replace(u, wires=wires), g.geometry) == g.vertices[j].key:
                 return True
     return False
@@ -666,7 +695,7 @@ def gp_move_closure(w: GraphProductWord) -> set[tuple]:
         for i in range(n - 1):
             (u, g), (v, h) = cur[i], cur[i + 1]
             if u == v:
-                nexts.append(cur[:i] + ((u, coeff_multiply(g, h)),) + cur[i + 2:])
+                nexts.append(cur[:i] + ((u, coeff_multiply_oracle(g, h)),) + cur[i + 2:])
             elif graph.adjacent(u, v):
                 nexts.append(cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:])
         for nxt in nexts:
@@ -770,7 +799,7 @@ def neighbor_keys_oracle(rep, cfg):
             spec = coeffs.spec(letter)
             if isinstance(spec, TrivialSpec):
                 continue
-            for g in nontrivial_elements(spec):
+            for g in nontrivial_elements_oracle(spec):
                 atom = atom_linear(pres, coeffs, word, i0, g, annular=rep.annular)
                 key = class_key_oracle(reduce_oracle(concat_oracle(base, atom)), geometry)
                 if key != me:
@@ -833,7 +862,7 @@ def moves_oracle(rep: Diagram, cfg):
         spec = coeffs.spec(letter)
         if isinstance(spec, TrivialSpec):
             continue
-        for g in nontrivial_elements(spec):
+        for g in nontrivial_elements_oracle(spec):
             atom = atom_linear(pres, coeffs, word, i, g, annular=rep.annular)
             yield concat_oracle(rep, atom), "linear", (letter, g)
 
@@ -1199,7 +1228,7 @@ def gamma_oracle(n: int, coeffs) -> Diagram:
 
 def block_oracle(left: int, top_len: int, rel_index: int, sign: int,
                   bot_len: int, right: int, coeffs) -> Diagram:
-    label = free_element(coeffs.spec("x"), [(f"R{rel_index + 1}", sign)])
+    label = free_element_oracle(coeffs.spec("x"), [(f"R{rel_index + 1}", sign)])
     middle = concat_oracle(eps(QPRES, coeffs, [("x", label)]), gamma_oracle(bot_len - 1, coeffs))
     out = concat_oracle(invert(gamma_oracle(top_len - 1, coeffs)), middle)
     if left:
@@ -1523,7 +1552,7 @@ def coeff_parse_oracle(spec, text: str):
     power's digits."""
     text = text.strip()
     if text == "1":
-        return identity(spec)
+        return identity_oracle(spec)
     if isinstance(spec, TrivialSpec):
         raise ParseError(f"trivial group has no element {text!r}")
     tokens = text.split(".")
@@ -1534,7 +1563,7 @@ def coeff_parse_oracle(spec, text: str):
             if gen != "t":
                 raise ParseError(f"unknown generator {gen!r} (cyclic generator is 't')")
             total += power
-        return cyclic_element(spec, total)
+        return cyclic_element_oracle(spec, total)
     word: list[tuple[str, int]] = []
     powers = [_split_power_oracle(tok) for tok in tokens]
     if sum(abs(power) for _, power in powers) > MAX_WORD_LENGTH:
@@ -1544,7 +1573,7 @@ def coeff_parse_oracle(spec, text: str):
             raise ParseError(f"unknown generator {gen!r}")
         sign = 1 if power > 0 else -1
         word.extend([(gen, sign)] * abs(power))
-    return free_element(spec, word)
+    return free_element_oracle(spec, word)
 
 
 # -- file objects as dicts -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from picturecalc.coeff import (
     CyclicSpec,
     FreeSpec,
     GraphProductWord,
+    GroupElement,
     TrivialSpec,
     coeff_invert,
     coeff_multiply,
@@ -19,12 +21,23 @@ from picturecalc.coeff import (
     gp_multiply,
     gp_reduce,
     identity,
+    nontrivial_elements,
     product_graph,
     spec_parse,
 )
 from picturecalc.errors import ParseError
 
-from oracles import gp_equal_oracle, gp_heads_oracle, gp_reduced_forms, naive_free_reduce
+from oracles import (
+    coeff_multiply_oracle,
+    cyclic_element_oracle,
+    free_element_oracle,
+    gp_equal_oracle,
+    gp_heads_oracle,
+    gp_reduced_forms,
+    identity_oracle,
+    naive_free_reduce,
+    nontrivial_elements_oracle,
+)
 
 F2 = FreeSpec(("R1", "R2"))
 Z2 = CyclicSpec(2)
@@ -53,6 +66,66 @@ def test_free_invert_antihomomorphism():
 def test_identity_invert():
     for spec in (TrivialSpec(), Z2, F2):
         assert coeff_invert(identity(spec)).is_identity()
+
+
+def test_interned_cyclic_elements_equal_fresh_ones():
+    """Every product and inverse over cyclic:2 to cyclic:7, and each
+    group's identity and element list, equal freshly built elements; an
+    equal spec built apart multiplies with them."""
+    for k in range(2, 8):
+        spec = CyclicSpec(k)
+        assert identity(spec) == identity_oracle(spec) == GroupElement(spec, 0)
+        assert nontrivial_elements(spec) == nontrivial_elements_oracle(spec)
+        elems = [cyclic_element(spec, r) for r in range(-k, 2 * k)]
+        assert elems == [cyclic_element_oracle(spec, r) for r in range(-k, 2 * k)]
+        twin = CyclicSpec(k)
+        for a, b in itertools.product(elems, repeat=2):
+            want = coeff_multiply_oracle(a, b)
+            assert coeff_multiply(a, b) == want
+            assert coeff_multiply(a, cyclic_element(twin, b.payload)) == want
+        for a in elems:
+            assert coeff_invert(a) == GroupElement(spec, -a.payload % k)
+
+
+def test_free_and_trivial_elements_are_unchanged(rng):
+    one = identity(TrivialSpec())
+    assert one == GroupElement(TrivialSpec(), ()) == identity_oracle(TrivialSpec())
+    assert coeff_multiply(one, one) == one and coeff_invert(one) == one
+    assert nontrivial_elements(TrivialSpec()) == []
+    assert identity(F2) == GroupElement(F2, ())
+    for _ in range(200):
+        u, v = ([(rng.choice(("R1", "R2")), rng.choice((1, -1))) for _ in range(rng.randrange(5))]
+                for _ in range(2))
+        a, b = free_element(F2, u), free_element(F2, v)
+        assert a == free_element_oracle(F2, u)
+        assert coeff_multiply(a, b) == coeff_multiply_oracle(a, b)
+        assert coeff_invert(a) == free_element_oracle(F2, [(g, -s) for g, s in reversed(u)])
+
+
+def test_identity_is_one_object_and_products_with_it_return_the_other_operand():
+    for spec in (TrivialSpec(), Z5, F2):
+        one = identity(spec)
+        assert identity(spec) is one and coeff_invert(one) is one
+    g, h = cyclic_element(Z5, 3), free_element(F2, [("R1", 1)])
+    assert coeff_multiply(g, identity(Z5)) is g and coeff_multiply(identity(Z5), g) is g
+    assert coeff_multiply(h, identity(F2)) is h and coeff_multiply(identity(F2), h) is h
+    with pytest.raises(ValueError):  # the specs are checked before the identity is
+        coeff_multiply(identity(Z2), cyclic_element(Z5, 1))
+
+
+def test_huge_cyclic_order_builds_no_table():
+    """An order of 10^10 interns only what is asked for."""
+    tracemalloc.start()
+    try:
+        spec = CyclicSpec(10 ** 10)
+        one = identity(spec)
+        g = cyclic_element(spec, 12_345_678_901)
+        h = coeff_multiply(g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert one.payload == 0 and g.payload == 2_345_678_901 and h.payload == 4_691_357_802
 
 
 def test_free_associativity_vs_naive(rng):

@@ -12,7 +12,6 @@ from picturecalc.moves import (
     BallConfig,
     apply_linear_move,
     apply_move,
-    apply_transistor_move,
     bfs_classes,
     enumerate_reduced,
     geometry_class_key,
@@ -24,6 +23,7 @@ from picturecalc.picture import (
     GEOMETRY,
     Diagram,
     _traversal,
+    apply_transistor_move,
     atom_transistor,
     canonical_key,
     class_representative,

@@ -399,6 +399,55 @@ def test_glue_and_worklist_match_oracles(geometry, seed):
                 p = got if rng.random() < 0.8 else concat_oracle(got, e)
 
 
+def test_kept_next_ids_stay_exact():
+    """Along seeded chains of products, reductions, moves (half of them
+    cancelling the transistor they add), inverses and sums, and products
+    by the inverse of the last factor (which cancel the newest
+    transistors), every id a diagram keeps is its largest id plus one."""
+    from picturecalc.moves import BallConfig, apply_move, unitary_moves
+
+    def check(d):
+        want = ((max(d.wires) if d.wires else 0) + 1,
+                (max(d.transistors) if d.transistors else 0) + 1)
+        assert d._next_wire in (None, want[0]) and d._next_trans in (None, want[1])
+        if rng.random() < 0.5:  # fill the kept ids on some diagrams only
+            assert picture._next_ids(d) == want
+
+    rng = random.Random(37)
+    dropped = 0
+    for geometry in ("planar", "annular", "braided"):
+        for name, params, cyclic in EXACTNESS_CONFIGS:
+            pres, w = builtin_presentation(name, params)
+            cs = make_system(pres.alphabet, {x: CyclicSpec(k) for x, k in cyclic.items()})
+            cfg = BallConfig(pres, cs, geometry, max_width=10)
+            p = random_element(pres, cs, w, rng, geometry, steps=3, max_width=8)
+            for _ in range(12):
+                e = random_element(pres, cs, w, rng, geometry, steps=3, max_width=8)
+                check(e)
+                op = rng.randrange(4)
+                if op == 0:
+                    p = multiply(p, e)
+                    check(p)
+                    p = multiply(p, invert(e))
+                elif op == 1:
+                    p = reduce(concat(p, e))
+                elif op == 2:
+                    p = multiply(p, invert(p)) if rng.random() < 0.3 else invert(p)
+                elif geometry == "planar":
+                    check(sum_diagrams(p, e))
+                dropped += p._next_wire is None or p._next_trans is None
+                check(p)
+                q = p  # a walk of moves leaves the (w, w)-diagrams
+                for _ in range(3):
+                    moves = list(unitary_moves(q, cfg, length(q)))
+                    cancelling = [m for m in moves if m[3] is not None and m[0] == "transistor"]
+                    kind, witness, _, _ = rng.choice(cancelling if cancelling and
+                                                     rng.random() < 0.5 else moves)
+                    q = apply_move(q, kind, witness, geometry)
+                    check(q)
+    assert dropped > 0  # some step deleted a kept largest id
+
+
 def test_worklist_scales_on_deep_products():
     """A.A^-1 for a seeded A of 800 transistors (x -> x.x at random bottom
     wires, so A is reduced) cancels pair by pair from the seam: each
@@ -406,7 +455,7 @@ def test_worklist_scales_on_deep_products():
     stay far from the cost of rescanning after every cancellation."""
     from time import perf_counter
 
-    from picturecalc.moves import apply_transistor_move
+    from picturecalc.picture import apply_transistor_move
 
     rng = random.Random(17)
     a = eps(Q, TRIV, "x")
@@ -662,8 +711,8 @@ def test_right_multiplication_length_law(rng):
     # concatenation stays reduced); linear moves follow the three cases of
     # the coefficient at the touched wire
     from picturecalc.coeff import nontrivial_elements
-    from picturecalc.moves import BallConfig, apply_linear_move, apply_transistor_move
-    from picturecalc.picture import GEOMETRY, rel_sides
+    from picturecalc.moves import BallConfig, apply_linear_move
+    from picturecalc.picture import GEOMETRY, apply_transistor_move, rel_sides
 
     cs = make_system(Q.alphabet, {"x": CyclicSpec(3)})
     cfg = BallConfig(Q, cs, max_width=8)

@@ -13,9 +13,10 @@ from picturecalc.coeff import CyclicSpec, free_element, make_system, spec_parse,
 from picturecalc.embed import gamma
 from picturecalc.errors import CompositionError
 from picturecalc.io import ball_text
-from picturecalc.moves import BallConfig, apply_linear_move, apply_transistor_move, geometry_class_key
+from picturecalc.moves import BallConfig, apply_linear_move, geometry_class_key
 from picturecalc.picture import (
     Diagram,
+    apply_transistor_move,
     atom_transistor,
     canonical_key,
     concat,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -338,6 +339,41 @@ def test_evaluate_matches_interval_oracle(rng):
             q = nadic(k, 8) if k else nadic(0, 0)
             got = as_fraction(evaluate_map(tp, q))
             assert got == evaluate_oracle(tp, Fraction(k, 256))
+
+
+def test_evaluation_table_matches_interval_oracle_on_every_grid_point():
+    """Each pair object builds its evaluation table once and reads it at
+    every k/2^8 (k/3^5 for arity 3): seeded reduced pairs and unreduced
+    ones with cascading grafts, each evaluated in three rounds, with
+    `membership` and `reduce_pair` called between the rounds."""
+    rng = random.Random(29)
+    for arity, reduced in [(2, True), (2, False), (3, True), (3, False)] * 2:
+        tp = random_tree_pair(rng, arity, rng.randrange(1, 6), reduced=reduced)
+        for _ in range(0 if reduced else rng.randrange(1, 5)):
+            tp = _graft(tp, rng.randrange(len(tp.perm)))
+        assert is_reduced_pair(tp) == reduced
+        digits = 8 if arity == 2 else 5
+        grid = arity ** digits
+        points = [nadic(k, digits, arity) if k else nadic(0, 0, arity) for k in range(grid)]
+        want = [evaluate_oracle(tp, Fraction(k, grid)) for k in range(grid)]
+        for _ in range(3):
+            assert [as_fraction(evaluate_map(tp, q)) for q in points] == want
+            assert membership(tp) == membership_oracle(reduce_pair_oracle(tp).perm)
+            assert reduce_pair(tp) == reduce_pair_oracle(tp)
+
+
+def test_evaluation_table_leaves_equality_hash_and_repr():
+    """The kept table is no dataclass field: a pair compares, hashes and
+    prints as it did before its first evaluation, and as a fresh equal pair."""
+    rng = random.Random(31)
+    for _ in range(20):
+        tp = _graft(random_tree_pair(rng, 2, 3), 0)
+        twin = TreePair(tp.arity, tp.domain, tp.image, tp.perm)
+        before = (repr(tp), hash(tp), dataclasses.fields(tp))
+        evaluate_map(tp, nadic(1, 2))
+        assert (repr(tp), hash(tp), dataclasses.fields(tp)) == before
+        assert tp == twin and hash(tp) == hash(twin) and repr(tp) == repr(twin)
+        assert [f.name for f in dataclasses.fields(tp)] == ["arity", "domain", "image", "perm"]
 
 
 def test_evaluate_rejects_multi_root_pairs():

@@ -18,7 +18,6 @@ from .errors import CompositionError, EnumerationError, ParseError
 from .io import (
     ball_text,
     diagram_text,
-    json_text,
     load_diagram,
     tree_pair_from_text,
     tree_pair_to_text,
@@ -175,7 +174,7 @@ def cmd_verify(args) -> int:
             reports.append(rotative_stab_probe(g, linear_interior[0], plus_verified=True))
     payload = {r.name: dataclasses.asdict(r) for r in reports}
     payload["ball"] = {"vertices": len(g.vertices), "edges": len(g.edges)}
-    _emit(json_text(payload), args.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     for r in reports:
         print(r.summary())
     return 0 if all(r.passed for r in reports) else 1

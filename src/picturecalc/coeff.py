@@ -276,11 +276,13 @@ class ProductGraph:
     def adjacent(self, u: str, v: str) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
 
+    @cached_property
+    def _spec_of(self) -> dict[str, GroupSpec]:
+        """vertex -> its group spec; not a field, so ==, hash and repr ignore it."""
+        return dict(self.specs)
+
     def spec(self, v: str) -> GroupSpec:
-        for name, s in self.specs:
-            if name == v:
-                return s
-        raise KeyError(v)
+        return self._spec_of[v]
 
     def vertex_index(self, v: str) -> int:
         return self.vertices.index(v)
@@ -302,11 +304,12 @@ class GraphProductWord:
     syllables: tuple[Syllable, ...]
 
     def __post_init__(self):
-        vs = set(self.graph.vertices)
+        spec_of = self.graph._spec_of
         for v, g in self.syllables:
-            if v not in vs:
+            spec = spec_of.get(v)
+            if spec is None:
                 raise ValueError(f"syllable vertex {v!r} absent from graph")
-            if g.spec != self.graph.spec(v):
+            if g.spec is not spec and g.spec != spec:
                 raise ValueError(f"syllable at {v!r} uses the wrong group spec")
 
     def __len__(self) -> int:

@@ -26,14 +26,12 @@ from functools import lru_cache
 from itertools import chain, count
 
 from .coeff import CoefficientSystem, FreeSpec, GroupElement, coeff_multiply, free_element
-from .coeff import identity, make_system, trivial_system
+from .coeff import identity, make_system
 from .picture import Diagram, length, reduce, replace, top_down
 from .presentation import SemigroupPresentation
-from .thompson import TreePair, diagram_to_tree_pair, membership, thompson_presentation
+from .thompson import TreePair, diagram_to_tree_pair, membership, plain_thompson_config
 
-QPRES = thompson_presentation(2)
-_TRIVQ = trivial_system(QPRES.alphabet)
-_PLAIN_X = ("x", identity(_TRIVQ.spec("x")))  # an x wire over _TRIVQ
+QPRES, _TRIVQ, _PLAIN_X = plain_thompson_config(2)  # _PLAIN_X: an x wire over _TRIVQ
 
 
 @lru_cache(maxsize=16)
@@ -163,7 +161,7 @@ def gamma(n: int, coeffs: CoefficientSystem | None = None) -> Diagram:
     glued under the leftmost wire of the previous stage."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    combs = _Combs(coeffs if coeffs is not None else trivial_system(QPRES.alphabet))
+    combs = _Combs(coeffs if coeffs is not None else _TRIVQ)
     top = combs.wire()
     return combs.diagram([top], combs.block([top], combs.one, n + 1))
 
@@ -217,10 +215,7 @@ def kill_coefficients(d: Diagram) -> Diagram:
     """Forget all second coordinates: the same shape over the trivial system."""
     if d.pres != QPRES:
         raise ValueError("projection targets diagrams over <x | x=x.x>")
-    triv = trivial_system(QPRES.alphabet)
-    one = identity(triv.spec("x"))
-    wires = {w: (label, one) for w, (label, _) in d.wires.items()}
-    return replace(d, coeffs=triv, wires=wires, _reduced=None)
+    return replace(d, coeffs=_TRIVQ, wires=dict.fromkeys(d.wires, _PLAIN_X), _reduced=None)
 
 
 def project_to_thompson(d_img: Diagram) -> tuple[TreePair, str]:

@@ -6,8 +6,8 @@ the canonical traversal, so equal diagrams export byte-identically.
 
 `diagram_text` and `ball_text` write a diagram's and a ball's file text
 straight from the structures, as the text of
-json.dumps(obj, indent=2, sort_keys=True) of the file's object; `json_text`
-writes that text for any plain data (the `verify` report).
+json.dumps(obj, indent=2, sort_keys=True) of the file's object.  The
+`verify` report, a few KB, is written by that json.dumps call itself.
 """
 
 from __future__ import annotations
@@ -250,71 +250,6 @@ def diagram_from_json(obj: dict) -> Diagram:
     except ValueError as e:
         raise ParseError(f"invalid diagram: {e}") from None
     return d
-
-
-def json_text(obj) -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True) for data of the
-    plain types str, int, float, bool, None, list, tuple and str-keyed dict
-    (anything else raises TypeError), from one loop rather than json's
-    pure-Python indenting encoder.  The pieces it joins are shared: per depth one opening, separating and
-    closing string, and per distinct key or string one quoted text."""
-    parts: list[str] = []
-    put = parts.append
-    levels: list[tuple[str, ...]] = []  # per depth: "[\n  ", "{\n  ", ",\n  ", "\n]", "\n}"
-    quoted: dict[str, str] = {}
-    keys: dict[str, str] = {}
-    stack: list = []  # per open container: (item iterator, is a dict)
-    value = obj
-    while True:
-        opened = False  # a container's first item follows its opening text, no separator
-        cls = type(value)
-        if cls is str:
-            text = quoted.get(value)
-            if text is None:
-                text = quoted[value] = _quote(value)
-            put(text)
-        elif cls is int:
-            put(int.__repr__(value))
-        elif cls is dict or cls is list or cls is tuple:
-            is_dict = cls is dict
-            if not value:
-                put("{}" if is_dict else "[]")
-            else:
-                depth = len(stack)
-                if depth == len(levels):
-                    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-                    levels.append(("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"))
-                put(levels[depth][is_dict])
-                stack.append((iter(sorted(value.items()) if is_dict else value), is_dict))
-                opened = True
-        elif value is None or value is True or value is False:
-            put(_JSON_CONSTANTS[value])
-        elif cls is float:
-            put("NaN" if value != value else _JSON_INFINITIES.get(value) or float.__repr__(value))
-        else:
-            raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-        while stack:  # move to the next item, closing the containers that are done
-            items, is_dict = stack[-1]
-            value = next(items, _END)
-            if value is not _END:
-                if not opened:
-                    put(levels[len(stack) - 1][2])
-                break
-            stack.pop()
-            put(levels[len(stack)][3 + is_dict])
-        else:
-            return "".join(parts)
-        if is_dict:
-            key, value = value
-            text = keys.get(key)
-            if text is None:
-                text = keys[key] = _quote(key) + ": "
-            put(text)
-
-
-_END = object()
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-_JSON_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
 
 
 def dump_diagram(d: Diagram, path: str) -> None:

@@ -680,22 +680,32 @@ def length(d: Diagram) -> int:
 
 
 def _braided_feeds(labels, consumed):
+    """Distinct positions in lexicographic order, walked with one iterator
+    over the letter's positions per open slot, so a long `consumed` needs
+    no recursion."""
     pools: dict = {}
     for i, lab in enumerate(labels):
         pools.setdefault(lab, []).append(i)
-    k, acc = len(consumed), []
-
-    def rec(j):
-        if j == k:
-            yield tuple(acc)
-            return
-        for p in pools.get(consumed[j], ()):
-            if p not in acc:
-                acc.append(p)
-                yield from rec(j + 1)
-                acc.pop()
-
-    return rec(0)
+    k, acc, used = len(consumed), [], set()
+    if k == 0:
+        yield ()
+        return
+    stack = [iter(pools.get(consumed[0], ()))]
+    while stack:  # len(acc) == len(stack) - 1: the positions of the filled slots
+        for p in stack[-1]:
+            if p not in used:
+                break
+        else:
+            stack.pop()
+            if acc:
+                used.discard(acc.pop())
+            continue
+        if len(stack) == k:
+            yield (*acc, p)
+        else:
+            acc.append(p)
+            used.add(p)
+            stack.append(iter(pools.get(consumed[len(stack)], ())))
 
 
 def _annular_feeds(labels, consumed):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .picture import (
     GEOMETRY,
@@ -36,8 +36,18 @@ Tree = tuple
 Forest = tuple
 
 
+@lru_cache(maxsize=16)
 def thompson_presentation(arity: int) -> SemigroupPresentation:
     return SemigroupPresentation(("x",), ((("x",), ("x",) * arity),))
+
+
+@lru_cache(maxsize=16)
+def plain_thompson_config(arity: int):
+    """(presentation, trivial system, x wire) of <x | x=x^arity>: one set of
+    objects per arity, so the diagrams built over it share them."""
+    pres = thompson_presentation(arity)
+    coeffs = trivial_system(pres.alphabet)
+    return pres, coeffs, ("x", identity(coeffs.spec("x")))
 
 
 def forest_leaves(forest: Forest) -> int:
@@ -277,9 +287,7 @@ def tree_pair_to_diagram(tp: TreePair) -> Diagram:
     (negative carets): domain leaf i and image leaf perm[i] are one wire.
     The carets are hung children first into one set of dicts, so a caret's
     wires exist when it is hung.  The result is reduced iff the pair is."""
-    pres = thompson_presentation(tp.arity)
-    coeffs = trivial_system(pres.alphabet)
-    x = ("x", identity(coeffs.spec("x")))
+    pres, coeffs, x = plain_thompson_config(tp.arity)
     wires = dict.fromkeys(range(len(tp.perm)), x)  # wire i is domain leaf i
     transistors, t_top, t_bot = {}, {}, {}
 

@@ -1590,7 +1590,7 @@ def _site_json_oracle(site) -> dict:
 def diagram_dict_oracle(d: Diagram) -> dict:
     """A diagram file's object built as a dict, wires and transistors in the
     `_numbering_oracle` order and transistor sites renumbered by it; its
-    file text is json_text of it."""
+    file text is json.dumps(obj, indent=2, sort_keys=True)."""
     worder, torder = _numbering_oracle(d)
 
     def renum_site(site):
@@ -1628,7 +1628,8 @@ def _witness_json_oracle(kind, witness):
 
 
 def ball_dict_oracle(g) -> dict:
-    """A ball file's object built as a dict; its file text is json_text of it."""
+    """A ball file's object built as a dict; its file text is
+    json.dumps(obj, indent=2, sort_keys=True)."""
     return {
         "geometry": g.geometry,
         "radius": g.radius,

@@ -245,8 +245,15 @@ def test_gp_cancellation_and_shuffle_trivial_cases():
 def test_gp_reduce_requires_known_vertex():
     g = _square_graph()
     spec = CyclicSpec(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="syllable vertex 'q' absent from graph"):
         GraphProductWord(g, (("q", cyclic_element(spec, 1)),))
+    with pytest.raises(ValueError, match="syllable at 'v' uses the wrong group spec"):
+        GraphProductWord(g, (("v", cyclic_element(spec, 1)),))
+    with pytest.raises(KeyError):
+        g.spec("q")
+    # the vertex -> spec table the checks read is not a field
+    assert g == _square_graph() and hash(g) == hash(_square_graph())
+    assert repr(g) == repr(_square_graph())
 
 
 def test_gp_no_edges_is_free_product(rng):

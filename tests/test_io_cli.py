@@ -30,7 +30,6 @@ from picturecalc.io import (
     diagram_text,
     diagram_to_json,
     dump_diagram,
-    json_text,
     load_diagram,
     tree_pair_from_text,
     tree_pair_to_text,
@@ -119,8 +118,8 @@ def test_diagram_json_annular_flag():
 
 def _assert_diagram_text_matches_oracle(d):
     obj = diagram_dict_oracle(d)
-    assert diagram_text(d) == json_text(obj)
-    assert "[\n  " + diagram_text(d, 1) + "\n]" == json_text([obj])
+    assert diagram_text(d) == json.dumps(obj, indent=2, sort_keys=True)
+    assert "[\n  " + diagram_text(d, 1) + "\n]" == json.dumps([obj], indent=2, sort_keys=True)
     assert diagram_to_json(d) == obj
 
 
@@ -189,7 +188,7 @@ def test_ball_text_matches_dict_oracle(geometry):
         for radius in range(4 if pres is Q else 3):
             g = ball(eps(pres, coeffs, w, annular=geometry == "annular"), radius, cfg)
             assert bool(g.edges) == (radius > 0)
-            assert ball_text(g) == json_text(ball_dict_oracle(g))
+            assert ball_text(g) == json.dumps(ball_dict_oracle(g), indent=2, sort_keys=True)
 
 
 def test_diagram_json_rejects_garbage():
@@ -456,21 +455,7 @@ def test_cli_flags_that_would_check_nothing_exit_2(argv, flag, capsys):
     assert f"error: {flag} must be >= " in capsys.readouterr().err
 
 
-_JSON_EDGE_CASES = [
-    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {}, [{}]], {"x": {"y": {"z": {}}}},
-    (1, (2, (3,))), True, False, None, [True, False, None], 0, -7, 10 ** 40, -(10 ** 40),
-    1.5, -0.0, 1e-7, 1e300, 2.0 ** 70, float("inf"), float("-inf"), float("nan"), "",
-    'say "hi"', "back\\slash", "ctl\x00\x01\x1f\t\n\r\x7f", "Gödel ŝ 群 \U0001d54f",
-    {"é": 1, "\"": 2, "a b": [1, "x"], "": None, "Z": {"k": (1.25, -3)}},
-]
-
-
-@pytest.mark.parametrize("obj", _JSON_EDGE_CASES, ids=range(len(_JSON_EDGE_CASES)))
-def test_json_text_matches_json_dumps_on_edge_cases(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-def test_json_text_matches_json_dumps_on_every_cli_output(tmp_path, capsys, rng):
+def test_every_cli_output_is_the_text_of_json_dumps(tmp_path, capsys, rng):
     """Every --out file of the six JSON-writing commands, in each geometry,
     is the text of json.dumps(obj, indent=2, sort_keys=True) of what it reads
     back as, whichever writer made it; stdout is the same text followed by
@@ -501,13 +486,33 @@ def test_json_text_matches_json_dumps_on_every_cli_output(tmp_path, capsys, rng)
             assert capsys.readouterr().out == text + summary, argv
 
 
-def test_src_writes_indented_json_only_through_json_text():
-    src = Path(cli.__file__).parent
-    for path in src.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                assert not (node.func.attr in ("dump", "dumps")
-                            and any(k.arg == "indent" for k in node.keywords)), path.name
+def test_src_indents_json_only_in_the_verify_report():
+    """Diagram, ball and enumerate files are written by `diagram_text` and
+    `ball_text`, never by json's pure-Python indenting encoder: the one
+    json.dump(s) call with `indent` in the package is `cmd_verify`'s, for a
+    report of a few KB, with indent=2 and sort_keys=True."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {node: f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and any(k.arg == "indent" for k in node.keywords)):
+                found.append((path.name, owner.get(node),
+                              {k.arg: ast.literal_eval(k.value) for k in node.keywords}))
+    assert found == [("cli.py", "cmd_verify", {"indent": 2, "sort_keys": True})]
+
+
+def test_cli_long_relation_side_needs_no_recursion(capsys):
+    # houghton:1500,0 has a relation side of 1,500 distinct letters, and
+    # the braided feeds of that side must not recurse once per letter
+    word = ".".join(f"x{i}" for i in range(1, 1501))
+    for geometry in GEOMETRIES:
+        assert main(["ball", "--builtin", "houghton:1500,0", "--word", word, "--radius", "1",
+                     "--geometry", geometry, "--out", os.devnull]) == 0, geometry
+        assert capsys.readouterr().out == "vertices 2 edges 1\n", geometry
 
 
 def test_cli_huge_power_exits_2_before_expanding(capsys):

@@ -559,6 +559,16 @@ def test_geometry_table_matches_branch_oracles():
             assert geo.symmetry(u) == boundary_symmetry_oracle(u, name), (name, u)
 
 
+def test_braided_feeds_match_the_oracle_on_seeded_repeated_letters(rng):
+    # longer words than the table above, over two letters, so most letters repeat
+    feeds = GEOMETRY["braided"].feeds
+    for _ in range(300):
+        u = tuple(rng.choice("ab") for _ in range(rng.randrange(10)))
+        consumed = tuple(rng.choice("abc") for _ in range(rng.randrange(6)))
+        assert (list(feeds(u, consumed))
+                == list(feed_tuples_oracle(u, consumed, "braided"))), (u, consumed)
+
+
 def test_braided_self_feeds_are_the_label_permutations():
     for w in ABC_WORDS:
         assert (list(itertools.islice(GEOMETRY["braided"].feeds(w, w), 1, None))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from picturecalc import embed
 from picturecalc.coeff import trivial_system
 from picturecalc.picture import (
     canonical_key,
@@ -64,6 +65,15 @@ def test_identity_pair_bridge_and_eval():
     assert tree_pair_to_diagram(tp) == eps(Q, TRIV, "x")
     q = nadic(3, 3)
     assert evaluate_map(tp, q) == q
+
+
+def test_pair_diagrams_share_one_configuration_per_arity():
+    # so that concat's `is` checks hit when two pair diagrams are glued
+    a, b = tree_pair_to_diagram(FGEN), tree_pair_to_diagram(identity_pair(2))
+    assert a.pres is b.pres is thompson_presentation(2) is embed.QPRES
+    assert a.coeffs is b.coeffs is embed.kill_coefficients(a).coeffs
+    c = tree_pair_to_diagram(identity_pair(3))
+    assert c.pres is thompson_presentation(3) and c.pres != a.pres
 
 
 def test_nadic_normalization():
